@@ -1,4 +1,4 @@
-//! Ablation sweeps over the design parameters DESIGN.md calls out.
+//! Ablation sweeps over the design parameters of RICA and BGCA (PAPER.md).
 //!
 //! Each ablation perturbs exactly one knob of the RICA/BGCA design and
 //! reports the delay / delivery / overhead trade-off, quantifying the

@@ -6,9 +6,8 @@
 //! through the `rica-exec` worker pool (`--workers N` or `RICA_WORKERS`
 //! to size it) and the raw sweeps are written as a machine-readable
 //! artifact (`--json PATH`, default `sweep_results.json`) so bench
-//! trajectories are comparable across PRs. The full-scale results, with
-//! the paper-vs-measured comparison, are recorded in EXPERIMENTS.md;
-//! regenerate them with:
+//! trajectories are comparable across PRs. Full-scale results come from
+//! the figures binary (see the README's "Quickstart" section):
 //!
 //! ```text
 //! cargo run --release -p rica-harness --bin figures -- --full all

@@ -244,9 +244,10 @@ fn run_all(quick: bool, reps: usize) -> Vec<(String, f64)> {
         time_min(reps, || {
             // The MacAttempt pattern: bursts of short-horizon retries
             // around a sliding `now`, sparse far-future timers, frequent
-            // cancellations, driver-style bounded pops. Deep enough that
-            // the bucket ring engages (unlike push-then-drain above,
-            // which measures the large-heap regime).
+            // cancellations, driver-style bounded pops. The queue stays
+            // a few hundred events deep, as in real trials (unlike
+            // push-then-drain above, which measures the large-heap
+            // regime).
             let mut rng = Rng::new(9);
             let mut q = EventQueue::new();
             let mut tokens = Vec::new();

@@ -7,12 +7,13 @@
 //!   full simulation steps per protocol).
 //! * `figures` — regenerates every table/figure of the paper at a reduced
 //!   scale through the `rica-exec` worker pool and prints the series (the
-//!   full-scale numbers live in EXPERIMENTS.md). Accepts `--workers N`
+//!   full-scale numbers come from the figures binary, see the README's
+//!   "Quickstart" section). Accepts `--workers N`
 //!   and `--json PATH` (and honours `RICA_WORKERS`), and writes the
 //!   machine-readable `sweep_results.json` artifact so bench trajectories
 //!   can be compared across PRs.
-//! * `ablation` — sensitivity sweeps over the design parameters DESIGN.md
-//!   calls out (CSI-check period, TTL margin, BGCA guard factor, RICA
+//! * `ablation` — sensitivity sweeps over the design parameters of RICA
+//!   and BGCA (CSI-check period, TTL margin, BGCA guard factor, RICA
 //!   promotion window).
 //!
 //! This library crate hosts shared helpers.

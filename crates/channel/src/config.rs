@@ -71,16 +71,6 @@ pub struct ChannelConfig {
     /// Class thresholds `[θ_A, θ_B, θ_C]` in dB: SNR ≥ θ_A → A, ≥ θ_B → B,
     /// ≥ θ_C → C, else D.
     pub class_thresholds_db: [f64; 3],
-    /// Serve the OU decay coefficients `(ρ, conditional σ)` from a shared
-    /// dt-keyed memo table ([`crate::DecayCache`]) instead of recomputing
-    /// `exp`/`sqrt` per sample. **Purely a performance knob**: realisations
-    /// are bit-identical either way (the cache stores exactly what
-    /// recomputation would produce, keyed by the exact bits of `dt`), which
-    /// `tests/channel_fastpath.rs` pins at trial level. Default `true`;
-    /// disable only to measure the cache's contribution. (The Approx
-    /// fidelity tier always keeps a decay cache regardless — its `dt`
-    /// quantisation exists to feed one.)
-    pub use_decay_cache: bool,
     /// Realisation fidelity tier (see [`ChannelFidelity`]). Defaults to
     /// [`ChannelFidelity::Exact`], which all pre-existing goldens pin.
     pub fidelity: ChannelFidelity,
@@ -98,7 +88,6 @@ impl Default for ChannelConfig {
             fade_sigma_db: 4.0,
             fade_tau_s: 1.5,
             class_thresholds_db: [0.0, -8.0, -15.0],
-            use_decay_cache: true,
             fidelity: ChannelFidelity::default(),
         }
     }
@@ -175,7 +164,8 @@ mod tests {
 
     #[test]
     fn calibration_matches_design_doc() {
-        // The values quoted in DESIGN.md §2.
+        // Mean SNR anchors of the default path-loss model at 50, 100 and
+        // 250 m (the radio range of §III.A, see PAPER.md).
         let cfg = ChannelConfig::default();
         assert!((cfg.mean_snr_db(50.0) - 5.53).abs() < 0.1);
         assert!((cfg.mean_snr_db(100.0) - -5.0).abs() < 0.1);

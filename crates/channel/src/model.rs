@@ -57,9 +57,8 @@ pub struct ChannelModel {
     pairs: Vec<PairState>,
     /// Shared `(shadow, fade)` OU decay-coefficient caches — every pair's
     /// shadow process has the same `(σ, τ)` (likewise fade), so one cache
-    /// per component kind serves the whole network. `None` when
-    /// [`ChannelConfig::use_decay_cache`] is off (bit-identical, slower).
-    caches: Option<Box<(DecayCache, DecayCache)>>,
+    /// per component kind serves the whole network.
+    caches: Box<(DecayCache, DecayCache)>,
     /// Terminal count declared via [`ChannelModel::with_nodes`], if any.
     presized_nodes: Option<u32>,
     /// Times the indirection table grew past its initial sizing.
@@ -102,15 +101,10 @@ impl ChannelModel {
         if let Err(e) = config.validate() {
             panic!("invalid ChannelConfig: {e}");
         }
-        // The Approx tier's dt quantisation exists to feed a decay cache,
-        // so that tier keeps one even when the exact-tier knob is off.
-        let caches =
-            (config.use_decay_cache || config.fidelity == ChannelFidelity::Approx).then(|| {
-                Box::new((
-                    DecayCache::new(config.shadow_sigma_db, config.shadow_tau_s),
-                    DecayCache::new(config.fade_sigma_db, config.fade_tau_s),
-                ))
-            });
+        let caches = Box::new((
+            DecayCache::new(config.shadow_sigma_db, config.shadow_tau_s),
+            DecayCache::new(config.fade_sigma_db, config.fade_tau_s),
+        ));
         ChannelModel {
             config,
             master,
@@ -244,17 +238,13 @@ impl ChannelModel {
         // Split borrows: the pair state and the shared caches are disjoint
         // fields; sample each process with the pair's own rng.
         let st = &mut self.pairs[dense];
+        let (shadow_cache, fade_cache) = &mut *self.caches;
         let snr = match self.config.fidelity {
-            ChannelFidelity::Exact => match self.caches.as_deref_mut() {
-                Some((shadow_cache, fade_cache)) => {
-                    mean + st.shadow.sample_cached(t, &mut st.rng, shadow_cache)
-                        + st.fade.sample_cached(t, &mut st.rng, fade_cache)
-                }
-                None => mean + st.shadow.sample(t, &mut st.rng) + st.fade.sample(t, &mut st.rng),
-            },
+            ChannelFidelity::Exact => {
+                mean + st.shadow.sample_cached(t, &mut st.rng, shadow_cache)
+                    + st.fade.sample_cached(t, &mut st.rng, fade_cache)
+            }
             ChannelFidelity::Approx => {
-                let (shadow_cache, fade_cache) =
-                    self.caches.as_deref_mut().expect("the Approx tier always has decay caches");
                 mean + st.shadow.sample_approx(t, &mut st.rng, shadow_cache)
                     + st.fade.sample_approx(t, &mut st.rng, fade_cache)
             }
@@ -375,8 +365,7 @@ impl ChannelModel {
         out.reserve(receivers.len());
         let thresholds = self.config.class_thresholds_db;
         let range_sq = self.config.tx_range_m * self.config.tx_range_m;
-        let (shadow_cache, fade_cache) =
-            self.caches.as_deref_mut().expect("the Approx tier always has decay caches");
+        let (shadow_cache, fade_cache) = &mut *self.caches;
         for (&row, &(_rx, dist_sq)) in dense.iter().zip(receivers) {
             debug_assert!(dist_sq <= range_sq, "class_batch receiver beyond radio range");
             let st = &mut self.pairs[row as usize];
@@ -453,13 +442,11 @@ impl ChannelModel {
     }
 
     /// `(hits, misses)` of the shared OU decay caches, summed over the
-    /// shadow and fade component kinds; `None` when the cache is disabled.
-    pub fn decay_cache_stats(&self) -> Option<(u64, u64)> {
-        self.caches.as_deref().map(|(s, f)| {
-            let (sh, sm) = s.stats();
-            let (fh, fm) = f.stats();
-            (sh + fh, sm + fm)
-        })
+    /// shadow and fade component kinds.
+    pub fn decay_cache_stats(&self) -> (u64, u64) {
+        let (sh, sm) = self.caches.0.stats();
+        let (fh, fm) = self.caches.1.stats();
+        (sh + fh, sm + fm)
     }
 }
 
@@ -690,19 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn approx_tier_always_has_decay_caches() {
-        let m = ChannelModel::new(
-            ChannelConfig {
-                fidelity: ChannelFidelity::Approx,
-                use_decay_cache: false,
-                ..ChannelConfig::default()
-            },
-            Rng::new(1),
-        );
-        assert!(m.decay_cache_stats().is_some(), "Approx must force the decay caches on");
-    }
-
-    #[test]
     fn class_batch_matches_single_pair_queries() {
         // The batched fan-out path and per-receiver `class_at_dist_sq` are
         // the same realisation: same pair streams, same memo, same grid.
@@ -733,7 +707,7 @@ mod tests {
         // touched on irregular rounds), yet the quantised grid still
         // absorbs the bulk of the vocabulary. (Real reception schedules
         // are narrower and hit > 99% — pinned in `ou::tests`.)
-        let (hits, misses) = batched.decay_cache_stats().unwrap();
+        let (hits, misses) = batched.decay_cache_stats();
         let rate = hits as f64 / (hits + misses) as f64;
         assert!(rate > 0.9, "approx fan-out should mostly hit: {hits}/{misses}");
     }
@@ -850,34 +824,6 @@ mod tests {
             (re - ra).abs() < half_width + 0.001,
             "switch rate diverged: exact {re} approx {ra} (3σ {half_width:.4})"
         );
-    }
-
-    #[test]
-    fn disabling_the_decay_cache_reproduces_the_realisation_exactly() {
-        let mut cached = ChannelModel::with_nodes(ChannelConfig::default(), Rng::new(77), 6);
-        let mut uncached = ChannelModel::with_nodes(
-            ChannelConfig { use_decay_cache: false, ..ChannelConfig::default() },
-            Rng::new(77),
-            6,
-        );
-        assert!(cached.decay_cache_stats().is_some());
-        assert!(uncached.decay_cache_stats().is_none());
-        let pb = Vec2::new(140.0, 20.0);
-        // Quantised (and sometimes zero) monotone gaps so the caches and
-        // the same-instant memo all engage.
-        let gaps = [0.5, 0.5, 0.0, 1.0, 0.5, 0.016384, 0.0, 1.0];
-        let mut t = 0.0;
-        for i in 0..300u32 {
-            t += gaps[i as usize % gaps.len()];
-            let at = secs(t);
-            for (a, b) in [(0u32, 1u32), (2, 4), (1, 5)] {
-                let want = uncached.snr_db(a, b, Vec2::ZERO, pb, at);
-                let got = cached.snr_db(a, b, Vec2::ZERO, pb, at);
-                assert_eq!(want.to_bits(), got.to_bits(), "pair ({a},{b}) diverged at {t}");
-            }
-        }
-        let (hits, misses) = cached.decay_cache_stats().unwrap();
-        assert!(hits > misses, "quantised schedule should mostly hit: {hits}/{misses}");
     }
 }
 

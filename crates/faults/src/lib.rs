@@ -42,7 +42,8 @@ pub struct CrashSpec {
     /// Crash instant (seconds into the trial).
     pub at_secs: f64,
     /// Delay from crash to cold reboot; `None` = the crash is permanent
-    /// (the legacy `Scenario::node_failures` semantics).
+    /// (the terminal stays dark, and so do flows it sources, to the end of
+    /// the trial).
     pub reboot_after_secs: Option<f64>,
 }
 
@@ -92,8 +93,7 @@ pub enum TrafficPolicy {
     /// reboot instant — deterministic, since reboots are pre-scheduled).
     #[default]
     ResumeOnReboot,
-    /// A crashed source never generates again, even after a reboot
-    /// (the legacy permanent-crash semantics).
+    /// A crashed source never generates again, even after a reboot.
     HaltOnCrash,
 }
 

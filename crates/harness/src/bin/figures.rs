@@ -14,8 +14,8 @@
 //! available parallelism. Results print to stdout; when every figure is
 //! regenerated (`all`), the raw sweeps are also written as a
 //! machine-readable artifact (`--json PATH`, default
-//! `sweep_results.json`). See EXPERIMENTS.md for the recorded full-scale
-//! outputs.
+//! `sweep_results.json`). The README's "Quickstart" section lists the
+//! common invocations.
 
 use rica_exec::{ExecOptions, Progress};
 use rica_harness::experiments::{figure_with, run_all_with, Scale, FIGURE_IDS};

@@ -174,7 +174,6 @@ fn main() {
         println!("-- world diagnostics");
         println!("   pending events     {}", diag.pending_events);
         println!("   popped events      {}", diag.popped_events);
-        println!("   calendar re-tunes  {}", diag.calendar_retunes);
         println!("   channel pairs      {}", diag.channel_active_pairs);
         println!("   table growths      {}", diag.channel_table_growths);
         if let Some((hits, misses)) = diag.decay_cache {

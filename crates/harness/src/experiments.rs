@@ -1,9 +1,10 @@
 //! The paper's experiments: one function per figure.
 //!
-//! Every figure of §III is regenerated here (see `DESIGN.md` §5 for the
-//! index). [`Scale`] controls fidelity: [`Scale::full`] is the paper's
-//! exact environment (50 nodes, 500 s, 25 trials — minutes of wall time),
-//! [`Scale::quick`] is a reduced version for CI and `cargo bench`.
+//! Every figure of §III is regenerated here ([`FIGURE_IDS`] is the index;
+//! the README's "Quickstart" section shows the CLI). [`Scale`] controls
+//! fidelity: [`Scale::full`] is the paper's exact environment (50 nodes,
+//! 500 s, 25 trials — minutes of wall time), [`Scale::quick`] is a
+//! reduced version for CI and `cargo bench`.
 
 use rica_exec::{ExecOptions, SweepPlan, SweepResult};
 use rica_metrics::{format_table, Aggregate, Align};

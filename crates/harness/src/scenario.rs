@@ -122,11 +122,6 @@ pub struct Scenario {
     /// Pins every terminal to a fixed position (tests/examples needing an
     /// exact topology). Length must equal `nodes`; disables mobility.
     pub pinned_positions: Option<Vec<rica_mobility::Vec2>>,
-    /// Failure injection: `(time_secs, node)` pairs at which terminals
-    /// crash (stop transmitting, receiving and generating traffic). Not in
-    /// the paper — used by the robustness test suite. These crashes are
-    /// permanent; for crash–reboot churn and partitions use `faults`.
-    pub node_failures: Vec<(f64, NodeId)>,
     /// Declarative fault plan: crash–reboot events, churn, and
     /// partition-and-heal episodes. The default (empty) plan injects
     /// nothing and keeps the trial byte-identical to a fault-free run.
@@ -214,7 +209,6 @@ impl Default for ScenarioBuilder {
                 workload: WorkloadSpec::default(),
                 explicit_flows: None,
                 pinned_positions: None,
-                node_failures: Vec::new(),
                 faults: FaultPlan::default(),
                 duration: SimDuration::from_secs(500),
                 seed: 0,
@@ -288,13 +282,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Schedules terminal crashes at `(time_secs, node)` (failure
-    /// injection for robustness testing).
-    pub fn node_failures(mut self, failures: Vec<(f64, NodeId)>) -> Self {
-        self.scenario.node_failures = failures;
-        self
-    }
-
     /// Installs a declarative fault plan (crash–reboot, churn,
     /// partition-and-heal). See [`FaultPlan`].
     pub fn faults(mut self, plan: FaultPlan) -> Self {
@@ -343,10 +330,6 @@ impl ScenarioBuilder {
         assert!(s.nodes >= 2, "need at least 2 nodes");
         if let Some(ps) = &s.pinned_positions {
             assert_eq!(ps.len(), s.nodes, "one pinned position per node");
-        }
-        for &(secs, node) in &s.node_failures {
-            assert!(secs >= 0.0 && secs.is_finite(), "bad failure time {secs}");
-            assert!(node.index() < s.nodes, "failure for unknown node {node}");
         }
         s.faults.validate(s.nodes).expect("invalid fault plan");
         assert!(s.duration > SimDuration::ZERO, "duration must be positive");

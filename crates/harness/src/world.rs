@@ -515,16 +515,16 @@ impl<'s> World<'s> {
     }
 
     /// One unified snapshot of the simulator's internal health: event
-    /// queue volume and calendar re-tunes, channel table/cache occupancy,
-    /// MAC medium activity, and the event profile when profiling is on.
+    /// queue volume, channel table/cache occupancy, MAC medium activity,
+    /// and the event profile when profiling is on.
     pub fn diagnostics(&self) -> WorldDiagnostics {
         WorldDiagnostics {
             pending_events: self.sim.pending(),
             popped_events: self.sim.popped(),
-            calendar_retunes: self.sim.retunes(),
+            calendar_retunes: 0,
             channel_active_pairs: self.channel.active_pairs(),
             channel_table_growths: self.channel.table_growths(),
-            decay_cache: self.channel.decay_cache_stats(),
+            decay_cache: Some(self.channel.decay_cache_stats()),
             medium_txs: self.medium.txs_begun(),
             event_profile: self.profiler.as_ref().map(|p| p.finish()),
         }
@@ -645,7 +645,7 @@ impl<'s> World<'s> {
         self.finish()
     }
 
-    /// Initialises protocols, the topology snapshot, injected failures and
+    /// Initialises protocols, the topology snapshot, the fault plan and
     /// the traffic processes. Called automatically by [`World::run`]; call
     /// it explicitly when driving the world incrementally with
     /// [`World::step_until`].
@@ -657,10 +657,6 @@ impl<'s> World<'s> {
             self.dispatch(i, |proto, ctx| proto.on_start(ctx));
             let snap = snapshot.clone();
             self.dispatch(i, move |proto, ctx| proto.on_topology_snapshot(ctx, &snap));
-        }
-        // Schedule injected failures (the legacy permanent-crash list).
-        for &(secs, node) in &self.scenario.node_failures {
-            self.sim.schedule_at(SimTime::from_secs_f64(secs), Event::Crash { node: node.index() });
         }
         // Schedule the resolved fault plan. Empty plans schedule nothing,
         // so fault-free trials keep their exact event sequence.

@@ -5,8 +5,8 @@ use rica_sim::SimDuration;
 /// Parameters of the common channel and its CSMA/CA arbitration.
 ///
 /// Defaults follow §III.A (250 kbps common channel, 250 m radio range);
-/// the CSMA timing constants are standard engineering values documented in
-/// `DESIGN.md`.
+/// the CSMA timing constants are standard engineering values, documented
+/// on each field below.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MacConfig {
     /// Common channel bit rate (paper: 250 kbps).

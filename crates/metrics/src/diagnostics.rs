@@ -19,15 +19,16 @@ pub struct WorldDiagnostics {
     pub pending_events: usize,
     /// Events popped from the queue over the whole trial.
     pub popped_events: u64,
-    /// Times the calendar event queue (re)built its bucket ring.
+    /// Always 0: the event queue is a plain binary heap with nothing to
+    /// re-tune. Kept so readers of this struct keep compiling.
     pub calendar_retunes: u64,
     /// Channel pair processes instantiated (distinct node pairs that ever
     /// exchanged energy).
     pub channel_active_pairs: usize,
     /// Times the channel pair table grew past its initial sizing.
     pub channel_table_growths: u32,
-    /// `(hits, misses)` of the shared OU decay caches; `None` when the
-    /// cache is disabled.
+    /// `(hits, misses)` of the shared OU decay caches. Always `Some`: the
+    /// caches are always on; the `Option` stays for existing readers.
     pub decay_cache: Option<(u64, u64)>,
     /// Transmissions ever begun on the CSMA/CA common medium.
     pub medium_txs: u64,

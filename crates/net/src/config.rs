@@ -5,7 +5,7 @@ use rica_sim::SimDuration;
 /// Every tunable constant of the five protocols and the data plane.
 ///
 /// Defaults are the paper's values where the paper states one (§II–III),
-/// and documented engineering choices otherwise (see `DESIGN.md` §2).
+/// and engineering choices documented on each field otherwise.
 /// Construct with [`ProtocolConfig::default`] and override fields:
 ///
 /// ```
@@ -63,7 +63,7 @@ pub struct ProtocolConfig {
     /// strict once source-side queueing delays exceed it (promotion at the
     /// second hop onwards would almost always fail); entries stay
     /// promotable for one CSI-check period — i.e. while they belong to the
-    /// current wave. Documented as a deviation in DESIGN.md.
+    /// current wave. A deliberate deviation from the paper (PAPER.md).
     pub rica_promotion_window: SimDuration,
     /// A flow with no data for this long stops its destination's CSI
     /// broadcasts.

@@ -1,6 +1,8 @@
 //! The event queue and the clock-advancing simulator loop.
 
 use crate::time::{SimDuration, SimTime};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Opaque handle to a scheduled event, used to cancel it.
 ///
@@ -20,239 +22,37 @@ impl<E> Scheduled<E> {
     /// events scheduled for the same instant fire in scheduling order,
     /// which protocol logic relies on. Keys are unique (`seq` is), so the
     /// pop sequence is a total order independent of the queue's internal
-    /// shape: heap, calendar bucket, or overflow all agree.
+    /// shape.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
 }
 
-/// A 4-ary min-heap of scheduled events.
-///
-/// Why not `std::collections::BinaryHeap`: the simulator pays one push and
-/// one pop per event, and a 4-ary layout halves the sift depth (and does
-/// its children comparisons within one cache line). Since the calendar
-/// queue landed this heap serves two roles: the whole queue while it is
-/// small (a heap beats a calendar below a few hundred events), and the
-/// far-future overflow store afterwards. Pop order is identical to any
-/// correct heap because keys are unique and totally ordered.
-struct DaryHeap<E> {
-    items: Vec<Scheduled<E>>,
-}
-
-/// Heap arity.
-const D: usize = 4;
-
-impl<E> DaryHeap<E> {
-    fn new() -> Self {
-        DaryHeap { items: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    fn peek(&self) -> Option<&Scheduled<E>> {
-        self.items.first()
-    }
-
-    fn push(&mut self, item: Scheduled<E>) {
-        self.items.push(item);
-        // Sift up.
-        let mut i = self.items.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if self.items[parent].key() <= self.items[i].key() {
-                break;
-            }
-            self.items.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        let len = self.items.len();
-        if len <= 1 {
-            return self.items.pop();
-        }
-        self.items.swap(0, len - 1);
-        let top = self.items.pop();
-        // Sift down.
-        let len = len - 1;
-        let mut i = 0;
-        loop {
-            let first_child = i * D + 1;
-            if first_child >= len {
-                break;
-            }
-            let mut best = first_child;
-            let last_child = (first_child + D).min(len);
-            for c in (first_child + 1)..last_child {
-                if self.items[c].key() < self.items[best].key() {
-                    best = c;
-                }
-            }
-            if self.items[i].key() <= self.items[best].key() {
-                break;
-            }
-            self.items.swap(i, best);
-            i = best;
-        }
-        top
+// `BinaryHeap` is a max-heap, so the order is `key()` reversed: the
+// greatest element is the earliest event.
+impl<E> Ord for Scheduled<E> {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
     }
 }
 
-/// Number of stored events at which the startup heap converts into a
-/// calendar. Below this a heap's sift depth is tiny and the calendar's
-/// bucket ring would be pure overhead; A/B timing on the paper-grid
-/// trials put the crossover near one hundred pending events.
-const CALENDAR_SETUP_LEN: usize = 96;
-
-/// Bucket-count bounds. The upper bound caps the cursor's worst-case
-/// empty-bucket scan per era; past it buckets simply hold more events each
-/// (every bucket is itself a small heap, so order stays exact).
-const MIN_BUCKETS: usize = 64;
-const MAX_BUCKETS: usize = 8192;
-
-/// Bucket-width bounds in nanoseconds (powers of two; indexing is a shift).
-const MIN_WIDTH_NS: u64 = 16;
-const MAX_WIDTH_NS: u64 = 1 << 24; // ~16.8 ms
-
-/// The bucket ring of the calendar queue.
-///
-/// Time is divided into windows of `1 << shift` ns; window `w` maps to
-/// bucket `w & mask`. The ring only ever holds events of the current *era*
-/// `[cursor_ns_window, era_end_ns)` — one full rotation — so ring order
-/// from the cursor is time order and the first non-empty bucket holds the
-/// global minimum among bucketed events. Events at or past `era_end_ns`
-/// wait in the overflow heap and migrate in when the era advances.
-struct Calendar<E> {
-    /// One small `(time, seq)` min-heap per bucket: in-bucket ordering is
-    /// by the same unique key as everywhere else.
-    buckets: Vec<DaryHeap<E>>,
-    /// `buckets.len() - 1` (length is a power of two).
-    mask: usize,
-    /// Bucket width is `1 << shift` nanoseconds.
-    shift: u32,
-    /// Start of the window the cursor currently points at (multiple of the
-    /// width). No bucketed event is earlier than this.
-    cursor_ns: u64,
-    /// Exclusive end of the era covered by the ring.
-    era_end_ns: u64,
-    /// Events currently stored in the ring (the overflow heap is counted
-    /// separately).
-    stored: usize,
-    /// Occupancy bitmap: bit `b` of `occupied[b / 64]` is set iff bucket
-    /// `b` is non-empty. The cursor's hunt for the next event jumps empty
-    /// spans with `trailing_zeros` instead of probing bucket by bucket —
-    /// the dominant pop pattern (sparse short-horizon retries around a
-    /// sliding `now`) otherwise walks dozens of empty buckets per pop.
-    occupied: Vec<u64>,
-    /// Second level: bit `w` of `summary[w / 64]` is set iff
-    /// `occupied[w] != 0`, so a hunt across a mostly-empty ring touches
-    /// O(ring / 4096) words.
-    summary: Vec<u64>,
+impl<E> PartialOrd for Scheduled<E> {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
-impl<E> Calendar<E> {
+impl<E> PartialEq for Scheduled<E> {
     #[inline]
-    fn bucket_of(&self, t_ns: u64) -> usize {
-        ((t_ns >> self.shift) as usize) & self.mask
-    }
-
-    #[inline]
-    fn mark_occupied(&mut self, idx: usize) {
-        self.occupied[idx / 64] |= 1u64 << (idx % 64);
-        self.summary[idx / 4096] |= 1u64 << ((idx / 64) % 64);
-    }
-
-    #[inline]
-    fn mark_empty(&mut self, idx: usize) {
-        let word = idx / 64;
-        self.occupied[word] &= !(1u64 << (idx % 64));
-        if self.occupied[word] == 0 {
-            self.summary[word / 64] &= !(1u64 << (word % 64));
-        }
-    }
-
-    /// First occupied bucket at ring index ≥ `from` (no wrap), or `None`.
-    #[inline]
-    fn next_occupied_at_or_after(&self, from: usize) -> Option<usize> {
-        if from > self.mask {
-            return None;
-        }
-        let word = from / 64;
-        let bits = self.occupied[word] & (u64::MAX << (from % 64));
-        if bits != 0 {
-            return Some(word * 64 + bits.trailing_zeros() as usize);
-        }
-        // Hunt the remaining words through the summary level.
-        let sword = word / 64;
-        let sbits = self.summary[sword] & (u64::MAX << ((word % 64) + 1).min(63));
-        let sbits = if (word % 64) == 63 { 0 } else { sbits };
-        if sbits != 0 {
-            let w = sword * 64 + sbits.trailing_zeros() as usize;
-            return Some(w * 64 + self.occupied[w].trailing_zeros() as usize);
-        }
-        for s in (sword + 1)..self.summary.len() {
-            if self.summary[s] != 0 {
-                let w = s * 64 + self.summary[s].trailing_zeros() as usize;
-                return Some(w * 64 + self.occupied[w].trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Advances the cursor to the first non-empty bucket and returns its
-    /// index. Caller guarantees `stored > 0`, which (with the era
-    /// invariant) guarantees a hit before `era_end_ns`.
-    ///
-    /// Ring order *is* time order within an era: the era spans exactly one
-    /// rotation, so the hunt runs from the cursor's ring position to the
-    /// end of the ring, then wraps once to the front (buckets before the
-    /// cursor hold the era's later, wrapped windows).
-    #[inline]
-    fn advance_to_nonempty(&mut self) -> usize {
-        let start = self.bucket_of(self.cursor_ns);
-        if !self.buckets[start].is_empty() {
-            return start;
-        }
-        let (idx, steps) = match self.next_occupied_at_or_after(start + 1) {
-            Some(idx) => (idx, idx - start),
-            None => {
-                let idx =
-                    self.next_occupied_at_or_after(0).expect("stored > 0 but no occupied bucket");
-                (idx, self.buckets.len() - start + idx)
-            }
-        };
-        self.cursor_ns += (steps as u64) << self.shift;
-        debug_assert!(self.cursor_ns < self.era_end_ns, "stored > 0 but era exhausted");
-        debug_assert_eq!(self.bucket_of(self.cursor_ns), idx);
-        idx
-    }
-
-    /// Starts the era containing the overflow minimum and migrates every
-    /// overflow event that falls inside it into the ring. Caller
-    /// guarantees `stored == 0` and a non-empty overflow.
-    fn advance_era(&mut self, overflow: &mut DaryHeap<E>) {
-        let min_ns = overflow.peek().expect("caller checked").time.as_nanos();
-        let width = 1u64 << self.shift;
-        self.cursor_ns = min_ns & !(width - 1);
-        let span = (self.buckets.len() as u64) << self.shift;
-        self.era_end_ns = self.cursor_ns.saturating_add(span);
-        while overflow.peek().is_some_and(|s| s.time.as_nanos() < self.era_end_ns) {
-            let ev = overflow.pop().expect("peeked");
-            let idx = self.bucket_of(ev.time.as_nanos());
-            self.buckets[idx].push(ev);
-            self.mark_occupied(idx);
-            self.stored += 1;
-        }
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
     }
 }
+
+impl<E> Eq for Scheduled<E> {}
 
 /// A cancellable priority queue of timestamped events.
 ///
@@ -261,14 +61,10 @@ impl<E> Calendar<E> {
 /// * [`EventQueue::cancel`] is O(1): cancelled tokens are remembered and the
 ///   corresponding events are skipped (and dropped) when they surface.
 ///
-/// Internally this is a *calendar queue* (Brown 1988): once enough events
-/// accumulate, time is divided into buckets whose width is auto-tuned from
-/// the observed inter-event gaps, so the common push/pop cycle touches one
-/// bucket instead of sifting a global heap — the structure CSMA backoff
-/// storms (many short-horizon `MacAttempt` retries) reward. Far-future
-/// events wait in a heap and migrate into the ring lazily. All paths order
-/// by the same unique `(time, seq)` key, so the pop sequence is identical
-/// to the previous pure-heap implementation, bit for bit.
+/// Internally this is one `std::collections::BinaryHeap` over the unique
+/// `(time, seq)` key. Paper trials keep only tens to a few hundred events
+/// pending, so the sift depth stays small; the README's event-queue
+/// section records why no specialised queue is used.
 ///
 /// ```
 /// use rica_sim::{EventQueue, SimTime};
@@ -281,10 +77,7 @@ impl<E> Calendar<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// The whole queue while small; the far-future overflow store once the
-    /// calendar is built.
-    overflow: DaryHeap<E>,
-    calendar: Option<Calendar<E>>,
+    heap: BinaryHeap<Scheduled<E>>,
     /// Cancellation flags, bit-indexed by `seq`. Sequence numbers are
     /// dense, so this is a plain bitset — the per-pop cancellation check
     /// on the hot path is one array load instead of a hash probe. Grows
@@ -301,9 +94,6 @@ pub struct EventQueue<E> {
     cancelled_live: usize,
     next_seq: u64,
     popped: u64,
-    /// Times the bucket ring was (re)built — the startup conversion, ring
-    /// growths and the pre-cursor corner case all count. Diagnostics only.
-    retunes: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -333,14 +123,12 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            overflow: DaryHeap::new(),
-            calendar: None,
+            heap: BinaryHeap::new(),
             cancelled: Vec::new(),
             fired: Vec::new(),
             cancelled_live: 0,
             next_seq: 0,
             popped: 0,
-            retunes: 0,
         }
     }
 
@@ -363,143 +151,22 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventToken {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let item = Scheduled { time, seq, event };
-        let t_ns = time.as_nanos();
-        let rebuild = match &mut self.calendar {
-            Some(cal) => {
-                if t_ns < cal.cursor_ns {
-                    // Before the cursor (possible only when scheduling
-                    // earlier than an already-popped event, which the
-                    // `Simulator` forbids): rebuild around the new minimum.
-                    self.overflow.push(item);
-                    true
-                } else if t_ns < cal.era_end_ns {
-                    let idx = cal.bucket_of(t_ns);
-                    cal.buckets[idx].push(item);
-                    cal.mark_occupied(idx);
-                    cal.stored += 1;
-                    // Occupancy degenerated: grow the ring and re-tune the
-                    // width from the gaps observed *now*.
-                    cal.stored > 4 * cal.buckets.len() && cal.buckets.len() < MAX_BUCKETS
-                } else {
-                    self.overflow.push(item);
-                    false
-                }
-            }
-            None => {
-                self.overflow.push(item);
-                self.overflow.len() >= CALENDAR_SETUP_LEN
-            }
-        };
-        if rebuild {
-            self.build_calendar();
-        }
+        self.heap.push(Scheduled { time, seq, event });
         EventToken(seq)
     }
 
-    /// (Re)builds the bucket ring from everything currently stored,
-    /// re-tuning the bucket width from the observed inter-event gaps.
-    /// O(n); runs once at startup, on ring growth (amortised by the
-    /// doubling) and in the rebuild corner case of `schedule`.
-    fn build_calendar(&mut self) {
-        self.retunes += 1;
-        let mut all = std::mem::take(&mut self.overflow.items);
-        if let Some(cal) = self.calendar.take() {
-            for mut bucket in cal.buckets {
-                all.append(&mut bucket.items);
-            }
-        }
-        debug_assert!(!all.is_empty(), "build_calendar on an empty queue");
-
-        // Width tuning: the mean gap of the dense core of the stored
-        // events. A sparse far-future tail (residency timers, crash
-        // events) would inflate a plain mean, so the top decile of the
-        // sampled times is ignored.
-        let mut sample: Vec<u64> = if all.len() <= 2048 {
-            all.iter().map(|s| s.time.as_nanos()).collect()
-        } else {
-            let step = all.len() / 1024;
-            all.iter().step_by(step).map(|s| s.time.as_nanos()).collect()
-        };
-        sample.sort_unstable();
-        let lo = sample[0];
-        let hi = sample[sample.len().saturating_sub(1) * 9 / 10];
-        let core = (all.len() * 9 / 10).max(1) as u64;
-        let gap = (hi.saturating_sub(lo) / core).clamp(MIN_WIDTH_NS, MAX_WIDTH_NS);
-        let shift = gap.next_power_of_two().trailing_zeros();
-        let nbuckets = (2 * all.len()).next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-
-        let width = 1u64 << shift;
-        let min_ns = all.iter().map(|s| s.time.as_nanos()).min().expect("non-empty");
-        let cursor_ns = min_ns & !(width - 1);
-        let era_end_ns = cursor_ns.saturating_add((nbuckets as u64) << shift);
-        let mut cal = Calendar {
-            buckets: (0..nbuckets).map(|_| DaryHeap::new()).collect(),
-            mask: nbuckets - 1,
-            shift,
-            cursor_ns,
-            era_end_ns,
-            stored: 0,
-            occupied: vec![0; nbuckets.div_ceil(64)],
-            summary: vec![0; nbuckets.div_ceil(4096)],
-        };
-        for item in all {
-            let t_ns = item.time.as_nanos();
-            if t_ns < era_end_ns {
-                let idx = cal.bucket_of(t_ns);
-                cal.buckets[idx].push(item);
-                cal.mark_occupied(idx);
-                cal.stored += 1;
-            } else {
-                self.overflow.push(item);
-            }
-        }
-        self.calendar = Some(cal);
-    }
-
     /// The key of the earliest stored event (cancelled or not), without
-    /// removing it. Positions the calendar cursor as a side effect, so a
-    /// following [`EventQueue::raw_pop`] is O(1).
+    /// removing it.
     #[inline]
-    fn raw_peek(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            let Some(cal) = &mut self.calendar else {
-                return self.overflow.peek().map(|s| (s.time, s.seq));
-            };
-            if cal.stored > 0 {
-                let idx = cal.advance_to_nonempty();
-                let s = cal.buckets[idx].peek().expect("non-empty bucket");
-                return Some((s.time, s.seq));
-            }
-            if self.overflow.is_empty() {
-                return None;
-            }
-            cal.advance_era(&mut self.overflow);
-        }
+    fn raw_peek(&self) -> Option<(SimTime, u64)> {
+        self.heap.peek().map(Scheduled::key)
     }
 
     /// Removes and returns the earliest stored event (cancelled or not),
     /// marking its seq as surfaced.
     #[inline]
     fn raw_pop(&mut self) -> Option<Scheduled<E>> {
-        let item = loop {
-            let Some(cal) = &mut self.calendar else {
-                break self.overflow.pop()?;
-            };
-            if cal.stored > 0 {
-                let idx = cal.advance_to_nonempty();
-                cal.stored -= 1;
-                let item = cal.buckets[idx].pop().expect("non-empty bucket");
-                if cal.buckets[idx].is_empty() {
-                    cal.mark_empty(idx);
-                }
-                break item;
-            }
-            if self.overflow.is_empty() {
-                return None;
-            }
-            cal.advance_era(&mut self.overflow);
-        };
+        let item = self.heap.pop()?;
         self.popped += 1;
         bit_set(&mut self.fired, item.seq);
         Some(item)
@@ -580,7 +247,7 @@ impl<E> EventQueue<E> {
     /// have not surfaced yet. See [`EventQueue::live_len`] for the count
     /// diagnostics usually want.
     pub fn len(&self) -> usize {
-        self.overflow.len() + self.calendar.as_ref().map_or(0, |c| c.stored)
+        self.heap.len()
     }
 
     /// Number of stored events that are still live (not marked
@@ -599,12 +266,6 @@ impl<E> EventQueue<E> {
     /// progress counter for diagnostics.
     pub fn popped(&self) -> u64 {
         self.popped
-    }
-
-    /// Number of calendar (re)builds so far: the startup heap→ring
-    /// conversion plus every ring growth / re-tune since.
-    pub fn retunes(&self) -> u64 {
-        self.retunes
     }
 }
 
@@ -706,11 +367,6 @@ impl<E> Simulator<E> {
     pub fn popped(&self) -> u64 {
         self.queue.popped()
     }
-
-    /// Times the calendar event queue (re)built its bucket ring.
-    pub fn retunes(&self) -> u64 {
-        self.queue.retunes()
-    }
 }
 
 #[cfg(test)]
@@ -735,20 +391,8 @@ mod tests {
 
     #[test]
     fn equal_times_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..100 {
-            q.schedule(t(5), i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((t(5), i)));
-        }
-    }
-
-    #[test]
-    fn equal_times_fifo_in_calendar_mode() {
-        // Enough same-time events to cross the calendar threshold with a
-        // zero observed gap: everything lands in one bucket and must still
-        // come out in scheduling order.
+        // A thousand events at one instant: a binary heap is not stable on
+        // its own, so only the `seq` tie-break keeps scheduling order.
         let mut q = EventQueue::new();
         for i in 0..1000 {
             q.schedule(t(5), i);
@@ -861,8 +505,7 @@ mod tests {
     #[test]
     fn scheduling_before_popped_time_still_orders() {
         // Raw EventQueue (no Simulator clock): scheduling earlier than an
-        // already-popped event must keep working even after the calendar
-        // cursor has moved past that window (the rebuild corner case).
+        // already-popped event still orders by key.
         let mut q = EventQueue::new();
         for i in 0..400u64 {
             q.schedule(t(1_000 + i), i);
@@ -871,15 +514,14 @@ mod tests {
             assert_eq!(q.pop(), Some((t(1_000 + i), i)));
         }
         q.schedule(t(3), 999);
-        assert_eq!(q.pop(), Some((t(3), 999)), "pre-cursor event pops first");
-        assert_eq!(q.pop(), Some((t(1_200), 200)), "then the ring resumes");
+        assert_eq!(q.pop(), Some((t(3), 999)), "the earlier event pops first");
+        assert_eq!(q.pop(), Some((t(1_200), 200)), "then the rest resumes");
     }
 
     #[test]
-    fn far_future_events_migrate_from_overflow() {
+    fn far_future_events_pop_after_a_dense_cluster() {
         let mut q = EventQueue::new();
-        // A dense cluster (tunes a narrow width) plus far-future events
-        // well beyond the first era.
+        // A dense cluster 100 ns apart plus events seconds out.
         for i in 0..500u64 {
             q.schedule(t(i * 100), i);
         }
@@ -946,9 +588,7 @@ mod proptests {
         /// Model-based: interleaved schedule / cancel / pop /
         /// pop_at_or_before / peek_time agrees with a reference
         /// implementation backed by a BTreeMap, and the live-event
-        /// accounting tracks the model's size exactly. Long op sequences
-        /// cross the calendar build threshold, so both the startup-heap
-        /// and bucket-ring phases are exercised.
+        /// accounting tracks the model's size exactly.
         #[test]
         fn matches_reference_model(
             ops in proptest::collection::vec((0u8..5, 0u64..1_000), 1..600),
@@ -1028,23 +668,21 @@ mod proptests {
         }
     }
 
-    /// Fixed-seed trace replay: the calendar queue's pop sequence on a
-    /// recorded MacAttempt-heavy event trace is identical to a plain
-    /// binary heap's. The trace mimics the driver loop under CSMA
-    /// contention — bursts of short-horizon retries around a moving
-    /// `now`, sprinkled far-future timers, bounded pops and cancellations
-    /// — and is large enough to cross the calendar build threshold, ring
-    /// growth and several era migrations.
+    /// Fixed-seed trace replay: the queue's pop sequence on a recorded
+    /// MacAttempt-heavy event trace is identical to a `BTreeMap`'s. The
+    /// trace mimics the driver loop under CSMA contention — bursts of
+    /// short-horizon retries around a moving `now`, sprinkled far-future
+    /// timers, bounded pops and cancellations.
     #[test]
-    fn calendar_matches_heap_on_recorded_trace() {
+    fn recorded_trace_matches_btreemap() {
         use crate::rng::Rng;
         use std::collections::BTreeMap;
 
         let mut rng = Rng::new(0x5eed_cafe);
         let mut q: EventQueue<u64> = EventQueue::new();
         // Reference: a BTreeMap keyed by the same unique (time, seq) key
-        // pops in exactly the order any correct heap would.
-        let mut heap: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        // pops in exactly the order any correct priority queue would.
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
         let mut tokens: Vec<(EventToken, u64, u64)> = Vec::new();
         let mut now = 0u64;
         let mut seq = 0u64;
@@ -1055,7 +693,7 @@ mod proptests {
             for _ in 0..(1 + rng.u64_below(4)) {
                 let at = now + 1_000 + rng.u64_below(2_000_000);
                 let tok = q.schedule(SimTime::from_nanos(at), seq);
-                heap.insert((at, seq), seq);
+                model.insert((at, seq), seq);
                 tokens.push((tok, at, seq));
                 seq += 1;
             }
@@ -1063,7 +701,7 @@ mod proptests {
             if round % 37 == 0 {
                 let at = now + 1_000_000_000 + rng.u64_below(5_000_000_000);
                 let tok = q.schedule(SimTime::from_nanos(at), seq);
-                heap.insert((at, seq), seq);
+                model.insert((at, seq), seq);
                 tokens.push((tok, at, seq));
                 seq += 1;
             }
@@ -1072,13 +710,13 @@ mod proptests {
                 let i = (rng.u64_below(tokens.len() as u64)) as usize;
                 let (tok, at, s) = tokens[i];
                 q.cancel(tok);
-                heap.remove(&(at, s));
+                model.remove(&(at, s));
             }
             // Drive like the harness: bounded pops up to a sliding bound.
             let until = now + 500_000 + rng.u64_below(1_500_000);
             loop {
-                let want = match heap.first_key_value() {
-                    Some((&(t, _), _)) if t <= until => heap.pop_first(),
+                let want = match model.first_key_value() {
+                    Some((&(t, _), _)) if t <= until => model.pop_first(),
                     _ => None,
                 };
                 let got = q.pop_at_or_before(SimTime::from_nanos(until));
@@ -1098,11 +736,11 @@ mod proptests {
         while let Some((t, v)) = q.pop() {
             popped.push((t.as_nanos(), v));
         }
-        while let Some(((mt, _), mv)) = heap.pop_first() {
+        while let Some(((mt, _), mv)) = model.pop_first() {
             expected.push((mt, mv));
         }
         assert!(popped.len() > 4_000, "trace too small to be meaningful");
-        assert_eq!(popped, expected, "calendar and heap pop sequences differ");
+        assert_eq!(popped, expected, "queue and model pop sequences differ");
         assert_eq!(q.live_len(), 0);
     }
 }

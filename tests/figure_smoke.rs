@@ -1,6 +1,7 @@
 //! Smoke tests of the paper's headline orderings at reduced scale. These
 //! use multiple trials and generous margins: they verify the *shape* of the
-//! results, the precise magnitudes live in EXPERIMENTS.md.
+//! results; the full-scale magnitudes come from the figures binary (see
+//! the README's "Quickstart" section).
 
 use rica_repro::harness::{run_aggregate, ProtocolKind, Scenario};
 
