@@ -7,17 +7,20 @@
 
 use std::fmt::Write as _;
 
-use rica_metrics::{TrialSummary, Welford};
+use rica_metrics::{push_json_string as esc, TrialSummary, Welford};
 
-use crate::plan::{SweepCell, SweepResult};
+use crate::plan::{SweepCell, SweepPlan, SweepResult};
 
 /// Schema version stamped into every artifact, bumped on layout changes.
 ///
-/// The workload axis is an *additive, conditional* extension of schema 1:
-/// plans whose axis is the single paper-default workload render exactly
-/// the pre-axis bytes (no `workloads`, `workload` or per-trial workload
-/// fields), so artifacts pinned before the axis existed stay
-/// byte-identical; any wider axis adds those fields.
+/// Each sweep axis (workloads, fidelities, fault plans) is an *additive,
+/// conditional* extension of schema 1: an axis still at its single
+/// default entry renders no fields at all, so artifacts pinned before
+/// the axis existed stay byte-identical. A widened axis adds its plan
+/// array (`workloads`, `fidelities`, `faults`) and a per-cell entry
+/// label (`workload`, `fidelity`, `faults`). Workload and recovery
+/// accounting on trial rows appears only for trials that ran a
+/// non-default workload or fault plan.
 pub const SWEEP_JSON_SCHEMA: u32 = 1;
 
 /// Renders `s` as a quoted JSON string literal (the escaping used
@@ -27,24 +30,6 @@ pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     esc(&mut out, s);
     out
-}
-
-fn esc(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn num(out: &mut String, v: f64) {
@@ -148,28 +133,21 @@ fn trial(out: &mut String, t: &TrialSummary) {
 
 fn cell<P>(
     out: &mut String,
+    plan: &SweepPlan<P>,
+    index: usize,
     c: &SweepCell<P>,
     label: &dyn Fn(&P) -> String,
-    name_workload: bool,
-    name_fidelity: bool,
-    name_faults: bool,
 ) {
     out.push_str("{\"protocol\":");
     esc(out, &label(&c.protocol));
     out.push_str(",\"speed_kmh\":");
     num(out, c.speed_kmh);
     let _ = write!(out, ",\"nodes\":{}", c.nodes);
-    if name_workload {
-        out.push_str(",\"workload\":");
-        esc(out, &c.workload.label());
-    }
-    if name_fidelity {
-        out.push_str(",\"fidelity\":");
-        esc(out, c.fidelity.name());
-    }
-    if name_faults {
-        out.push_str(",\"faults\":");
-        esc(out, &c.faults.label());
+    for (key, entry) in plan.cell_labels(index) {
+        out.push(',');
+        esc(out, key);
+        out.push(':');
+        esc(out, &entry);
     }
     out.push_str(",\"aggregate\":{");
     let _ = write!(out, "\"trials\":{},", c.aggregate.trials);
@@ -242,42 +220,17 @@ pub fn sweep_json<P>(
         esc(&mut out, &label(p));
     }
     out.push(']');
-    // The workload axis appears only when it departs from the paper
-    // default, so legacy artifacts keep their exact pre-axis bytes.
-    let name_workload = !result.plan.default_workload_axis();
-    if name_workload {
-        out.push_str(",\"workloads\":[");
-        for (i, w) in result.plan.workloads.iter().enumerate() {
-            if i > 0 {
+    // Only widened axes are named, so artifacts pinned before an axis
+    // existed keep their bytes.
+    for axis in result.plan.axes().into_iter().filter(|a| a.widened()) {
+        out.push(',');
+        esc(&mut out, axis.plan_key());
+        out.push_str(":[");
+        for entry in 0..axis.entries() {
+            if entry > 0 {
                 out.push(',');
             }
-            esc(&mut out, &w.label());
-        }
-        out.push(']');
-    }
-    // Same conditional pattern for the fidelity axis: only a plan that
-    // departs from the implicit `[Exact]` names it.
-    let name_fidelity = !result.plan.default_fidelity_axis();
-    if name_fidelity {
-        out.push_str(",\"fidelities\":[");
-        for (i, f) in result.plan.fidelities.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            esc(&mut out, f.name());
-        }
-        out.push(']');
-    }
-    // And for the fault axis: only a plan that departs from the implicit
-    // fault-free `[none]` names it.
-    let name_faults = !result.plan.default_fault_axis();
-    if name_faults {
-        out.push_str(",\"faults\":[");
-        for (i, f) in result.plan.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            esc(&mut out, &f.label());
+            esc(&mut out, &axis.label(entry));
         }
         out.push(']');
     }
@@ -287,7 +240,7 @@ pub fn sweep_json<P>(
         if i > 0 {
             out.push(',');
         }
-        cell(&mut out, c, label_dyn, name_workload, name_fidelity, name_faults);
+        cell(&mut out, &result.plan, i, c, label_dyn);
     }
     out.push_str("]}");
     out
@@ -306,7 +259,6 @@ pub fn write_sweep_json<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::SweepPlan;
     use crate::pool::ExecOptions;
     use rica_metrics::Metrics;
     use rica_sim::SimDuration;
@@ -361,97 +313,117 @@ mod tests {
     }
 
     #[test]
-    fn strings_are_escaped() {
-        let mut s = String::new();
-        esc(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn workload_axis_is_named_in_the_artifact() {
-        use rica_traffic::{ArrivalSpec, SizeSpec, WorkloadSpec};
-        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![10], 1, 5).with_workloads(vec![
-            WorkloadSpec::default(),
-            WorkloadSpec { arrival: ArrivalSpec::Cbr, size: SizeSpec::Fixed },
-        ]);
-        let r = plan.run(&ExecOptions::serial(), |job| {
-            let mut m = Metrics::new();
-            m.enable_workload(1);
-            m.on_generated_flow(0, (job.workload as u64 + 1) * 4288);
-            m.finish(SimDuration::from_secs(4))
-        });
-        let doc = sweep_json(&r, |p| format!("P{p}"), &[]);
-        assert!(doc.contains("\"workloads\":[\"poisson+fixed\",\"cbr+fixed\"]"), "{doc}");
-        assert!(doc.contains("\"workload\":\"cbr+fixed\""), "{doc}");
-        assert!(doc.contains("\"workload\":{\"offered_kbps\":"), "{doc}");
-        assert!(doc.contains("\"flows\":[{\"generated\":1,\"delivered\":0,"), "{doc}");
-    }
-
-    #[test]
-    fn default_workload_axis_artifact_is_byte_stable() {
-        // A legacy plan (implicit single default workload) must render no
-        // workload fields at all — golden artifact hashes depend on it.
-        let doc = sweep_json(&toy_result(), |p| format!("P{p}"), &[]);
-        assert!(!doc.contains("workload"), "unexpected workload fields: {doc}");
-    }
-
-    #[test]
-    fn fidelity_axis_is_named_in_the_artifact() {
+    fn only_widened_axes_are_named_in_the_artifact() {
         use rica_channel::ChannelFidelity;
-        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![10], 1, 5)
-            .with_fidelities(vec![ChannelFidelity::Exact, ChannelFidelity::Approx]);
-        let r = plan.run(&ExecOptions::serial(), |job| {
+        use rica_faults::FaultPlan;
+        use rica_traffic::{ArrivalSpec, SizeSpec, WorkloadSpec};
+        let base = SweepPlan::new(vec![1u8], vec![0.0], vec![10], 1, 5);
+        let cbr = WorkloadSpec { arrival: ArrivalSpec::Cbr, size: SizeSpec::Fixed };
+        let churn = FaultPlan::none().with_churn(40.0, 8.0, 0.0);
+        let cases = [
+            (
+                base.clone().with_workloads(vec![WorkloadSpec::default(), cbr]),
+                [
+                    "\"workloads\":[\"poisson+fixed\",\"cbr+fixed\"]",
+                    "\"workload\":\"poisson+fixed\"",
+                    "\"workload\":\"cbr+fixed\"",
+                ],
+            ),
+            (
+                base.clone().with_fidelities(vec![ChannelFidelity::Exact, ChannelFidelity::Approx]),
+                [
+                    "\"fidelities\":[\"exact\",\"approx\"]",
+                    "\"fidelity\":\"exact\"",
+                    "\"fidelity\":\"approx\"",
+                ],
+            ),
+            (
+                base.clone().with_faults(vec![FaultPlan::none(), churn]),
+                [
+                    "\"faults\":[\"none\",\"churn(up40s,down8s)\"]",
+                    "\"faults\":\"none\"",
+                    "\"faults\":\"churn(up40s,down8s)\"",
+                ],
+            ),
+        ];
+        for (plan, names) in cases {
+            let r = plan
+                .run(&ExecOptions::serial(), |_| Metrics::new().finish(SimDuration::from_secs(4)));
+            let doc = sweep_json(&r, |p| format!("P{p}"), &[]);
+            for name in names {
+                assert!(doc.contains(name), "{name} missing: {doc}");
+            }
+            // The two axes left at their default stay unnamed.
+            let named =
+                ["\"workload", "\"fidelit", "\"faults"].iter().filter(|k| doc.contains(*k)).count();
+            assert_eq!(named, 1, "{doc}");
+        }
+    }
+
+    #[test]
+    fn default_axes_render_no_axis_fields() {
+        // A plan that widens no axis renders none of their fields —
+        // golden artifact hashes from before each axis depend on it.
+        let doc = sweep_json(&toy_result(), |p| format!("P{p}"), &[]);
+        for field in ["workload", "fidelit", "fault", "recovery"] {
+            assert!(!doc.contains(field), "unexpected {field} fields: {doc}");
+        }
+    }
+
+    /// FNV-1a pins of a plan that widens all three sweep axes: its
+    /// content hash and its artifact bytes (meta strings exercise the
+    /// escaper). Every manifest and artifact of a widened plan depends
+    /// on these encodings. To regenerate after an intentional change:
+    ///
+    /// ```text
+    /// GOLDEN_PRINT=1 cargo test -q -p rica-exec widened_encodings -- --nocapture
+    /// ```
+    #[test]
+    fn widened_encodings_are_pinned() {
+        use rica_channel::ChannelFidelity;
+        use rica_faults::{FaultPlan, NodeId};
+        use rica_traffic::{ArrivalSpec, SizeSpec, WorkloadSpec};
+        const WANT_PLAN_HASH: u64 = 0xce35_11b6_1955_633f;
+        const WANT_DOC_HASH: u64 = 0x9e8a_0367_552b_931b;
+        let plan = SweepPlan::new(vec![1u8, 2], vec![0.0, 36.0], vec![10], 2, 5)
+            .with_workloads(vec![
+                WorkloadSpec::default(),
+                WorkloadSpec {
+                    arrival: ArrivalSpec::Cbr,
+                    size: SizeSpec::Uniform { lo: 64, hi: 1460 },
+                },
+            ])
+            .with_fidelities(vec![ChannelFidelity::Exact, ChannelFidelity::Approx])
+            .with_faults(vec![
+                FaultPlan::none(),
+                FaultPlan::none().with_crash(NodeId(3), 10.0, Some(5.0)),
+            ]);
+        let mut r = plan.run(&ExecOptions::serial(), |job| {
             let mut m = Metrics::new();
-            m.on_generated();
-            if job.fidelity == ChannelFidelity::Approx {
+            for _ in 0..(job.seed + job.protocol as u64 + job.trial as u64) {
                 m.on_generated();
             }
-            m.finish(SimDuration::from_secs(4))
-        });
-        let doc = sweep_json(&r, |p| format!("P{p}"), &[]);
-        assert!(doc.contains("\"fidelities\":[\"exact\",\"approx\"]"), "{doc}");
-        assert!(doc.contains("\"fidelity\":\"exact\""), "{doc}");
-        assert!(doc.contains("\"fidelity\":\"approx\""), "{doc}");
-    }
-
-    #[test]
-    fn default_fidelity_axis_artifact_is_byte_stable() {
-        // A legacy plan (implicit `[Exact]`) must render no fidelity
-        // fields at all — golden artifact hashes depend on it.
-        let doc = sweep_json(&toy_result(), |p| format!("P{p}"), &[]);
-        assert!(!doc.contains("fidelit"), "unexpected fidelity fields: {doc}");
-    }
-
-    #[test]
-    fn fault_axis_is_named_in_the_artifact() {
-        use rica_faults::FaultPlan;
-        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![10], 1, 5)
-            .with_faults(vec![FaultPlan::none(), FaultPlan::none().with_churn(40.0, 8.0, 0.0)]);
-        let r = plan.run(&ExecOptions::serial(), |job| {
-            let mut m = Metrics::new();
-            m.on_generated();
+            if job.workload == 1 {
+                m.enable_workload(1);
+                m.on_generated_flow(0, 4288 + job.seed);
+            }
             if job.faults == 1 {
                 m.enable_recovery(1);
                 m.on_fault(rica_metrics::FaultKind::Crash, rica_sim::SimTime::ZERO);
             }
             m.finish(SimDuration::from_secs(4))
         });
-        let doc = sweep_json(&r, |p| format!("P{p}"), &[]);
-        assert!(doc.contains("\"faults\":[\"none\",\"churn(up40s,down8s)\"]"), "{doc}");
-        assert!(doc.contains("\"faults\":\"none\""), "{doc}");
-        assert!(doc.contains("\"faults\":\"churn(up40s,down8s)\""), "{doc}");
-        // The faulted cell's trials carry the recovery block; the
-        // fault-free baseline cell's trials do not.
-        assert!(doc.contains("\"recovery\":{\"crashes\":1,"), "{doc}");
-    }
-
-    #[test]
-    fn default_fault_axis_artifact_is_byte_stable() {
-        // A legacy plan (implicit fault-free axis) must render no fault
-        // fields at all — golden artifact hashes depend on it.
-        let doc = sweep_json(&toy_result(), |p| format!("P{p}"), &[]);
-        assert!(!doc.contains("fault"), "unexpected fault fields: {doc}");
-        assert!(!doc.contains("recovery"), "unexpected recovery fields: {doc}");
+        r.wall_secs = 0.0;
+        let label = |p: &u8| format!("P{p}");
+        let plan_hash = plan.content_hash(label);
+        let doc = sweep_json(&r, label, &[("note", "q\"b\\n\nt\tc\u{1}".into())]);
+        let doc_hash = crate::plan::fnv1a(doc.as_bytes());
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("WANT_PLAN_HASH = 0x{plan_hash:016x}; WANT_DOC_HASH = 0x{doc_hash:016x};");
+            return;
+        }
+        assert_eq!(plan_hash, WANT_PLAN_HASH, "widened plan-hash encoding drifted");
+        assert_eq!(doc_hash, WANT_DOC_HASH, "widened artifact bytes drifted:\n{doc}");
     }
 
     #[test]

@@ -31,10 +31,10 @@
 //! `Fn(&TrialJob<P>) -> TrialSummary` that actually runs one simulation
 //! trial. `rica-harness` layers the paper's `Scenario` vocabulary on
 //! top (see `rica_harness::sweep`), which keeps the dependency graph
-//! acyclic: sim → traffic/metrics → **exec** → harness → bench. (The one
-//! scenario-shaped concept a plan carries is its workload axis —
-//! `rica_traffic::WorkloadSpec` is pure data with no simulator
-//! dependency, so the layering holds.)
+//! acyclic: sim → traffic/metrics → **exec** → harness → bench. (The
+//! scenario-shaped concepts a plan carries are its sweep axes — see
+//! [`Axis`]: workload specs, channel fidelities and fault plans are pure
+//! data with no simulator dependency, so the layering holds.)
 //!
 //! ```
 //! use rica_exec::{ExecOptions, SweepPlan};
@@ -56,13 +56,15 @@
 
 #![warn(missing_docs)]
 
+mod axis;
 mod json;
 mod plan;
 mod pool;
 mod progress;
 
+pub use axis::Axis;
 pub use json::{json_string, sweep_json, write_sweep_json};
-pub use plan::{fnv1a, CellAxes, SweepCell, SweepPlan, SweepResult, TrialJob};
+pub use plan::{fnv1a, SweepCell, SweepPlan, SweepResult, TrialJob};
 pub use pool::{effective_workers, run_jobs, ExecOptions};
 pub use progress::Progress;
 

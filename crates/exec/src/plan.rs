@@ -5,10 +5,12 @@ use rica_faults::FaultPlan;
 use rica_metrics::{Aggregate, TrialSummary};
 use rica_traffic::WorkloadSpec;
 
+use crate::axis::DynAxis;
 use crate::pool::{run_jobs, ExecOptions};
 
 /// A declarative experiment grid: protocols × speeds × node counts ×
-/// workloads, with `trials` seeded repetitions per cell.
+/// the sweep axes (workloads × fidelities × fault plans), with `trials`
+/// seeded repetitions per cell.
 ///
 /// The plan is pure data; [`SweepPlan::jobs`] derives the flat job grid
 /// (with per-trial seeds) and [`SweepPlan::run`] executes it.
@@ -44,25 +46,6 @@ pub struct SweepPlan<P> {
     /// Empty (the default) means no tracing; the sweep JSON artifact is
     /// unaffected either way — tracing writes separate per-trial files.
     pub traced_cells: Vec<usize>,
-}
-
-/// The resolved axes of one grid cell (plan order) — what
-/// [`SweepPlan::cell_axes`] returns and the shard/adaptive runners build
-/// jobs from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CellAxes<P> {
-    /// Protocol label of the cell.
-    pub protocol: P,
-    /// Mean speed (km/h) of the cell.
-    pub speed_kmh: f64,
-    /// Node count of the cell.
-    pub nodes: usize,
-    /// Index into [`SweepPlan::workloads`].
-    pub workload: usize,
-    /// Channel fidelity tier of the cell.
-    pub fidelity: ChannelFidelity,
-    /// Index into [`SweepPlan::faults`].
-    pub faults: usize,
 }
 
 /// One executable unit: a single seeded trial of a single grid cell.
@@ -120,7 +103,8 @@ pub struct SweepCell<P> {
 pub struct SweepResult<P> {
     /// The plan that produced this result.
     pub plan: SweepPlan<P>,
-    /// Cells in plan order (protocol-major, then speed, then nodes).
+    /// Cells in plan order (protocol-major, then speed, then nodes, then
+    /// the sweep axes).
     pub cells: Vec<SweepCell<P>>,
     /// Worker threads actually used (never more than the job count).
     pub workers: usize,
@@ -143,8 +127,8 @@ impl<P: Copy> SweepPlan<P> {
             speeds_kmh,
             node_counts,
             workloads: vec![WorkloadSpec::default()],
-            fidelities: vec![ChannelFidelity::Exact],
-            faults: vec![FaultPlan::none()],
+            fidelities: vec![ChannelFidelity::default()],
+            faults: vec![FaultPlan::default()],
             trials,
             base_seed,
             traced_cells: Vec::new(),
@@ -212,79 +196,36 @@ impl<P: Copy> SweepPlan<P> {
         self.traced_cells.contains(&cell)
     }
 
-    /// Number of grid cells (protocols × speeds × node counts × workloads
-    /// × fidelities × fault plans).
-    pub fn cell_count(&self) -> usize {
-        self.protocols.len()
-            * self.speeds_kmh.len()
-            * self.node_counts.len()
-            * self.workloads.len()
-            * self.fidelities.len()
-            * self.faults.len()
-    }
-
-    /// Total number of jobs (cells × trials).
-    pub fn job_count(&self) -> usize {
-        self.cell_count() * self.trials
-    }
-
     /// Derives the flat job grid, protocol-major then speed then nodes
     /// then workload then fidelity then fault plan then trial. Job order
     /// — and every seed in it — is a pure function of the plan, which is
     /// what makes execution results independent of scheduling.
     pub fn jobs(&self) -> Vec<TrialJob<P>> {
-        let mut jobs = Vec::with_capacity(self.job_count());
-        let mut cell = 0;
-        for &protocol in &self.protocols {
-            for &speed_kmh in &self.speeds_kmh {
-                for &nodes in &self.node_counts {
-                    for workload in 0..self.workloads.len() {
-                        for &fidelity in &self.fidelities {
-                            for faults in 0..self.faults.len() {
-                                for trial in 0..self.trials {
-                                    jobs.push(TrialJob {
-                                        index: jobs.len(),
-                                        cell,
-                                        protocol,
-                                        speed_kmh,
-                                        nodes,
-                                        workload,
-                                        fidelity,
-                                        faults,
-                                        trial,
-                                        seed: self.base_seed + trial as u64,
-                                    });
-                                }
-                                cell += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        jobs
+        self.jobs_range(0, self.job_count())
     }
 
-    /// Resolves the axes of grid cell `cell` (plan order) without
-    /// materialising the job grid — the index arithmetic inverse of the
-    /// nested loops in [`SweepPlan::jobs`].
+    /// Trial `trial` of grid cell `cell` (plan order) — the job
+    /// constructor [`SweepPlan::job_at`] and every runner build their jobs
+    /// with. `trial` may exceed the plan's `trials` (adaptive runs grow
+    /// cells past it); `index` is then not a grid index.
     ///
     /// # Panics
     ///
     /// Panics if `cell >= self.cell_count()`.
-    pub fn cell_axes(&self, cell: usize) -> CellAxes<P> {
-        assert!(cell < self.cell_count(), "cell {cell} out of range ({})", self.cell_count());
-        let faults = cell % self.faults.len();
-        let rest = cell / self.faults.len();
-        let fidelity = self.fidelities[rest % self.fidelities.len()];
-        let rest = rest / self.fidelities.len();
-        let workload = rest % self.workloads.len();
-        let rest = rest / self.workloads.len();
-        let nodes = self.node_counts[rest % self.node_counts.len()];
-        let rest = rest / self.node_counts.len();
-        let speed_kmh = self.speeds_kmh[rest % self.speeds_kmh.len()];
-        let protocol = self.protocols[rest / self.speeds_kmh.len()];
-        CellAxes { protocol, speed_kmh, nodes, workload, fidelity, faults }
+    pub fn job(&self, cell: usize, trial: usize) -> TrialJob<P> {
+        let [protocol, speed, nodes, workload, fidelity, faults] = self.coords(cell);
+        TrialJob {
+            index: cell * self.trials + trial,
+            cell,
+            protocol: self.protocols[protocol],
+            speed_kmh: self.speeds_kmh[speed],
+            nodes: self.node_counts[nodes],
+            workload,
+            fidelity: self.fidelities[fidelity],
+            faults,
+            trial,
+            seed: self.base_seed + trial as u64,
+        }
     }
 
     /// The job at flat index `index` of the grid — identical to
@@ -296,21 +237,7 @@ impl<P: Copy> SweepPlan<P> {
     /// Panics if `index >= self.job_count()`.
     pub fn job_at(&self, index: usize) -> TrialJob<P> {
         assert!(index < self.job_count(), "job {index} out of range ({})", self.job_count());
-        let cell = index / self.trials;
-        let trial = index % self.trials;
-        let axes = self.cell_axes(cell);
-        TrialJob {
-            index,
-            cell,
-            protocol: axes.protocol,
-            speed_kmh: axes.speed_kmh,
-            nodes: axes.nodes,
-            workload: axes.workload,
-            fidelity: axes.fidelity,
-            faults: axes.faults,
-            trial,
-            seed: self.base_seed + trial as u64,
-        }
+        self.job(index / self.trials, index % self.trials)
     }
 
     /// The contiguous job sub-range `[start, end)` of the grid — the unit
@@ -326,6 +253,35 @@ impl<P: Copy> SweepPlan<P> {
         (start..end).map(|i| self.job_at(i)).collect()
     }
 
+    /// Assembles one summary per job, in job order, into the plan's
+    /// cells, each folding its trials into its aggregate — how
+    /// [`SweepPlan::run`] and a fleet merge both build cells, so their
+    /// results agree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `summaries.len() != self.job_count()`.
+    pub fn cells(&self, summaries: Vec<TrialSummary>) -> Vec<SweepCell<P>> {
+        assert_eq!(summaries.len(), self.job_count(), "one summary per job");
+        let mut summaries = summaries.into_iter();
+        (0..self.cell_count())
+            .map(|cell| {
+                let job = self.job(cell, 0);
+                let trials: Vec<TrialSummary> = summaries.by_ref().take(self.trials).collect();
+                SweepCell {
+                    protocol: job.protocol,
+                    speed_kmh: job.speed_kmh,
+                    nodes: job.nodes,
+                    workload: self.workloads[job.workload].clone(),
+                    fidelity: job.fidelity,
+                    faults: self.faults[job.faults].clone(),
+                    aggregate: Aggregate::from_trials(&trials),
+                    trials,
+                }
+            })
+            .collect()
+    }
+
     /// Executes the plan: fans the job grid out over `opts.workers`
     /// threads, then reassembles cells in plan order.
     ///
@@ -338,38 +294,9 @@ impl<P: Copy> SweepPlan<P> {
     {
         // rica-lint: allow(wall-clock, "diagnostics-only: wall_secs reports sweep wall time in artifact meta; fleet merges normalise it and no sim state ever reads it")
         let t0 = std::time::Instant::now();
-        let jobs = self.jobs();
-        let summaries = run_jobs(&jobs, opts, &runner);
-        let mut cells = Vec::with_capacity(self.cell_count());
-        let mut it = summaries.into_iter();
-        for &protocol in &self.protocols {
-            for &speed_kmh in &self.speeds_kmh {
-                for &nodes in &self.node_counts {
-                    for workload in &self.workloads {
-                        for &fidelity in &self.fidelities {
-                            for faults in &self.faults {
-                                let trials: Vec<TrialSummary> =
-                                    it.by_ref().take(self.trials).collect();
-                                let aggregate = Aggregate::from_trials(&trials);
-                                cells.push(SweepCell {
-                                    protocol,
-                                    speed_kmh,
-                                    nodes,
-                                    workload: workload.clone(),
-                                    fidelity,
-                                    faults: faults.clone(),
-                                    trials,
-                                    aggregate,
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-        }
         SweepResult {
             plan: self.clone(),
-            cells,
+            cells: self.cells(run_jobs(&self.jobs(), opts, &runner)),
             workers: crate::pool::effective_workers(opts.workers, self.job_count()),
             wall_secs: t0.elapsed().as_secs_f64(),
         }
@@ -377,16 +304,79 @@ impl<P: Copy> SweepPlan<P> {
 }
 
 impl<P> SweepPlan<P> {
+    /// The sweep axes in cell order (outermost first): the one list the
+    /// grid decode, the content hash and the artifacts walk. A new axis
+    /// is appended here.
+    pub(crate) fn axes(&self) -> [&dyn DynAxis; 3] {
+        [&self.workloads, &self.fidelities, &self.faults]
+    }
+
+    /// Entries per grid dimension, outermost first: protocols, speeds,
+    /// node counts, then the sweep axes.
+    fn dims(&self) -> [usize; 6] {
+        let [workloads, fidelities, faults] = self.axes().map(|a| a.entries());
+        let (protocols, speeds) = (self.protocols.len(), self.speeds_kmh.len());
+        [protocols, speeds, self.node_counts.len(), workloads, fidelities, faults]
+    }
+
+    /// Cell `cell`'s entry index on every grid dimension, in `dims`
+    /// order (mixed radix, innermost dimension fastest): the grid's one
+    /// decode.
+    fn coords(&self, cell: usize) -> [usize; 6] {
+        assert!(cell < self.cell_count(), "cell {cell} out of range ({})", self.cell_count());
+        let mut rest = cell;
+        let mut coords = [0; 6];
+        for (coord, len) in coords.iter_mut().zip(self.dims()).rev() {
+            *coord = rest % len;
+            rest /= len;
+        }
+        coords
+    }
+
+    /// Number of grid cells (protocols × speeds × node counts × workloads
+    /// × fidelities × fault plans).
+    pub fn cell_count(&self) -> usize {
+        self.dims().iter().product()
+    }
+
+    /// Total number of jobs (cells × trials).
+    pub fn job_count(&self) -> usize {
+        self.cell_count() * self.trials
+    }
+
+    /// `(key, label)` of cell `cell`'s entry on every *widened* sweep
+    /// axis, in axis order — how artifacts name a cell's axes. An axis
+    /// still at its single default entry is not named, which keeps
+    /// artifacts from before the axis existed byte-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell >= self.cell_count()`.
+    pub fn cell_labels(&self, cell: usize) -> Vec<(&'static str, String)> {
+        let coords = self.coords(cell);
+        self.axes()
+            .into_iter()
+            .zip(&coords[3..])
+            .filter(|(axis, _)| axis.widened())
+            .map(|(axis, &entry)| (axis.cell_key(), axis.label(entry)))
+            .collect()
+    }
+
     /// A stable content hash of everything that determines the plan's
     /// results: protocol labels (via `label`), speeds (exact f64 bits),
-    /// node counts, trials, base seed, workload labels and fidelity
-    /// names. `traced_cells` is deliberately excluded — tracing never
-    /// changes results.
+    /// node counts, trials, base seed and the sweep axes' entry labels.
+    /// `traced_cells` is deliberately excluded — tracing never changes
+    /// results.
     ///
     /// Shard manifests and fleet artifacts stamp this hash so a resumed
     /// sweep can prove its shard files came from the same plan; the
     /// pinned-value test in `tests/fleet.rs` catches accidental
-    /// plan-schema drift (a new axis must extend this encoding).
+    /// plan-schema drift. Each sweep axis contributes a
+    /// `;<plan key>|<label>|…` segment, in axis order; an axis whose
+    /// [`Axis::HASHES_DEFAULT`](crate::Axis::HASHES_DEFAULT) is false
+    /// contributes only when widened, so plans from before that axis
+    /// keep their pinned hashes (the encoding stays injective: the
+    /// segment's key is unique).
     pub fn content_hash(&self, label: impl Fn(&P) -> String) -> u64 {
         use std::fmt::Write as _;
         let mut enc = String::from("rica-sweep-plan-v1;protocols");
@@ -402,47 +392,13 @@ impl<P> SweepPlan<P> {
             let _ = write!(enc, "|{n}");
         }
         let _ = write!(enc, ";trials|{};seed|{}", self.trials, self.base_seed);
-        enc.push_str(";workloads");
-        for w in &self.workloads {
-            let _ = write!(enc, "|{}", w.label());
-        }
-        enc.push_str(";fidelities");
-        for f in &self.fidelities {
-            let _ = write!(enc, "|{}", f.name());
-        }
-        // The fault segment is appended only when the axis is widened
-        // beyond the fault-free default: legacy plans must keep hashing to
-        // their pinned pre-fault values (the encoding is still injective —
-        // no default-axis plan ends in ";faults…").
-        if !self.default_fault_axis() {
-            enc.push_str(";faults");
-            for f in &self.faults {
-                let _ = write!(enc, "|{}", f.label());
+        for axis in self.axes().into_iter().filter(|a| a.hashed()) {
+            let _ = write!(enc, ";{}", axis.plan_key());
+            for entry in 0..axis.entries() {
+                let _ = write!(enc, "|{}", axis.label(entry));
             }
         }
         fnv1a(enc.as_bytes())
-    }
-
-    /// `true` when the workload axis is exactly the single paper default
-    /// (legacy plans). Legacy artifacts omit the axis entirely, which
-    /// keeps their bytes — and the golden hashes over them — stable.
-    pub fn default_workload_axis(&self) -> bool {
-        self.workloads.len() == 1 && self.workloads[0].is_paper_default()
-    }
-
-    /// `true` when the fidelity axis is exactly the single Exact default
-    /// (legacy plans). Legacy artifacts omit the axis entirely, which
-    /// keeps their bytes — and the golden hashes over them — stable.
-    pub fn default_fidelity_axis(&self) -> bool {
-        self.fidelities.len() == 1 && self.fidelities[0] == ChannelFidelity::Exact
-    }
-
-    /// `true` when the fault axis is exactly the single empty plan
-    /// (fault-free legacy plans). Legacy artifacts — and the plan content
-    /// hash — omit the axis entirely, which keeps their bytes and the
-    /// golden hashes over them stable.
-    pub fn default_fault_axis(&self) -> bool {
-        self.faults.len() == 1 && self.faults[0].is_empty()
     }
 }
 
@@ -458,53 +414,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl<P: Copy + PartialEq> SweepResult<P> {
-    /// The first cell for `(protocol, speed, nodes)` in plan order, if
-    /// the plan contains it. On a plan with a widened workload axis this
-    /// is the *first workload's* cell; use [`SweepResult::cell_workload`]
-    /// to select along that axis.
-    pub fn cell(&self, protocol: P, speed_kmh: f64, nodes: usize) -> Option<&SweepCell<P>> {
-        self.cells
-            .iter()
-            .find(|c| c.protocol == protocol && c.speed_kmh == speed_kmh && c.nodes == nodes)
-    }
-
-    /// The cell for `(protocol, speed, nodes, workload)`, if the plan
-    /// contains it.
-    pub fn cell_workload(
-        &self,
-        protocol: P,
-        speed_kmh: f64,
-        nodes: usize,
-        workload: &WorkloadSpec,
-    ) -> Option<&SweepCell<P>> {
-        self.cells.iter().find(|c| {
-            c.protocol == protocol
-                && c.speed_kmh == speed_kmh
-                && c.nodes == nodes
-                && c.workload == *workload
-        })
-    }
-
     /// All cells for one protocol, in plan (speed-major) order.
     pub fn cells_for(&self, protocol: P) -> Vec<&SweepCell<P>> {
         self.cells.iter().filter(|c| c.protocol == protocol).collect()
-    }
-
-    /// The cell for `(protocol, speed, nodes, fidelity)` under the first
-    /// matching workload, if the plan contains it.
-    pub fn cell_fidelity(
-        &self,
-        protocol: P,
-        speed_kmh: f64,
-        nodes: usize,
-        fidelity: ChannelFidelity,
-    ) -> Option<&SweepCell<P>> {
-        self.cells.iter().find(|c| {
-            c.protocol == protocol
-                && c.speed_kmh == speed_kmh
-                && c.nodes == nodes
-                && c.fidelity == fidelity
-        })
     }
 }
 
@@ -555,11 +467,10 @@ mod tests {
 
     #[test]
     fn cell_lookup() {
-        let plan = SweepPlan::new(vec![1u8], vec![0.0, 36.0], vec![5], 1, 0);
+        let plan = SweepPlan::new(vec![1u8, 2], vec![0.0, 36.0], vec![5], 1, 0);
         let r = plan.run(&ExecOptions::serial(), toy_runner);
-        assert!(r.cell(1, 36.0, 5).is_some());
-        assert!(r.cell(1, 54.0, 5).is_none());
-        assert_eq!(r.cells_for(1).len(), 2);
+        let speeds: Vec<f64> = r.cells_for(2).iter().map(|c| c.speed_kmh).collect();
+        assert_eq!(speeds, vec![0.0, 36.0]);
     }
 
     #[test]
@@ -576,7 +487,8 @@ mod tests {
                 WorkloadSpec::default(),
                 WorkloadSpec { arrival: ArrivalSpec::Cbr, size: SizeSpec::Fixed },
             ])
-            .with_fidelities(vec![ChannelFidelity::Exact, ChannelFidelity::Approx]);
+            .with_fidelities(vec![ChannelFidelity::Exact, ChannelFidelity::Approx])
+            .with_faults(vec![FaultPlan::none(), FaultPlan::none().with_churn(40.0, 8.0, 10.0)]);
         let jobs = plan.jobs();
         assert_eq!(jobs.len(), plan.job_count());
         for (i, want) in jobs.iter().enumerate() {
@@ -628,115 +540,59 @@ mod tests {
     }
 
     #[test]
-    fn workload_axis_multiplies_the_grid() {
+    fn sweep_axes_multiply_the_grid() {
         use rica_traffic::{ArrivalSpec, SizeSpec, WorkloadSpec};
-        let axis = vec![
+        let workloads = vec![
             WorkloadSpec::default(),
             WorkloadSpec { arrival: ArrivalSpec::Cbr, size: SizeSpec::Fixed },
-            WorkloadSpec {
-                arrival: ArrivalSpec::Poisson,
-                size: SizeSpec::Uniform { lo: 64, hi: 1460 },
-            },
         ];
-        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![5], 2, 9).with_workloads(axis.clone());
-        assert!(!plan.default_workload_axis());
-        assert_eq!(plan.cell_count(), 3);
-        assert_eq!(plan.job_count(), 6);
+        let fidelities = vec![ChannelFidelity::Exact, ChannelFidelity::Approx];
+        let faults = vec![FaultPlan::none(), FaultPlan::none().with_churn(40.0, 8.0, 10.0)];
+        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![5], 2, 9)
+            .with_workloads(workloads.clone())
+            .with_fidelities(fidelities.clone())
+            .with_faults(faults.clone());
+        assert!(plan.axes().iter().all(|a| a.widened()));
+        assert_eq!(plan.cell_count(), 8);
+        assert_eq!(plan.job_count(), 16);
+        // Workload-major, then fidelity, then fault plan, then trial.
         let jobs = plan.jobs();
-        let workloads: Vec<usize> = jobs.iter().map(|j| j.workload).collect();
-        assert_eq!(workloads, vec![0, 0, 1, 1, 2, 2], "workload-major inside the cell axes");
-        assert_eq!(jobs[2].cell, 1);
-        let r = plan.run(&ExecOptions::serial(), toy_runner);
-        let cell_specs: Vec<&WorkloadSpec> = r.cells.iter().map(|c| &c.workload).collect();
-        assert_eq!(cell_specs, axis.iter().collect::<Vec<_>>());
-        // Lookups: `cell` finds the first workload's cell, `cell_workload`
-        // selects along the axis.
-        assert_eq!(r.cell(1, 0.0, 5).unwrap().workload, axis[0]);
-        let bursty = r.cell_workload(1, 0.0, 5, &axis[2]).expect("third workload cell");
-        assert_eq!(bursty.workload, axis[2]);
-        assert!(r.cell_workload(1, 0.0, 5, &axis[1]).unwrap().workload != axis[2]);
-    }
-
-    #[test]
-    fn legacy_plans_have_a_default_workload_axis() {
-        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![5], 1, 0);
-        assert!(plan.default_workload_axis());
-        assert_eq!(plan.jobs()[0].workload, 0);
-    }
-
-    #[test]
-    fn fidelity_axis_multiplies_the_grid() {
-        let axis = vec![ChannelFidelity::Exact, ChannelFidelity::Approx];
-        let plan =
-            SweepPlan::new(vec![1u8], vec![0.0], vec![5], 2, 9).with_fidelities(axis.clone());
-        assert!(!plan.default_fidelity_axis());
-        assert_eq!(plan.cell_count(), 2);
-        assert_eq!(plan.job_count(), 4);
-        let jobs = plan.jobs();
-        let fidelities: Vec<ChannelFidelity> = jobs.iter().map(|j| j.fidelity).collect();
-        assert_eq!(
-            fidelities,
-            vec![
-                ChannelFidelity::Exact,
-                ChannelFidelity::Exact,
-                ChannelFidelity::Approx,
-                ChannelFidelity::Approx
-            ],
-            "fidelity-major inside the workload axis"
-        );
-        // Common random numbers across the fidelity axis: trial i shares
-        // its seed between tiers (paired comparison).
-        assert_eq!(jobs[0].seed, jobs[2].seed);
-        assert_eq!(jobs[3].cell, 1);
-        let r = plan.run(&ExecOptions::serial(), toy_runner);
-        assert_eq!(r.cells[0].fidelity, ChannelFidelity::Exact);
-        assert_eq!(r.cells[1].fidelity, ChannelFidelity::Approx);
-        let approx = r.cell_fidelity(1, 0.0, 5, ChannelFidelity::Approx).expect("approx cell");
-        assert_eq!(approx.fidelity, ChannelFidelity::Approx);
-    }
-
-    #[test]
-    fn legacy_plans_have_a_default_fidelity_axis() {
-        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![5], 1, 0);
-        assert!(plan.default_fidelity_axis());
-        assert_eq!(plan.jobs()[0].fidelity, ChannelFidelity::Exact);
-        // The single-Approx axis is NOT the default: artifacts must name it.
-        let approx_only = plan.with_fidelities(vec![ChannelFidelity::Approx]);
-        assert!(!approx_only.default_fidelity_axis());
-    }
-
-    #[test]
-    fn fault_axis_multiplies_the_grid() {
-        let axis = vec![FaultPlan::none(), FaultPlan::none().with_churn(40.0, 8.0, 10.0)];
-        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![5], 2, 9).with_faults(axis.clone());
-        assert!(!plan.default_fault_axis());
-        assert_eq!(plan.cell_count(), 2);
-        assert_eq!(plan.job_count(), 4);
-        let jobs = plan.jobs();
-        let faults: Vec<usize> = jobs.iter().map(|j| j.faults).collect();
-        assert_eq!(faults, vec![0, 0, 1, 1], "fault-plan-major inside the fidelity axis");
-        // Common random numbers across the fault axis: trial i shares its
-        // seed between the fault-free baseline and the churn regime.
-        assert_eq!(jobs[0].seed, jobs[2].seed);
-        assert_eq!(jobs[3].cell, 1);
-        assert_eq!(plan.cell_axes(1).faults, 1);
-        for (i, want) in jobs.iter().enumerate() {
-            assert_eq!(plan.job_at(i), *want, "job_at({i}) diverged from jobs()");
+        for (i, j) in jobs.iter().enumerate() {
+            let want = (i / 8, fidelities[i / 4 % 2], i / 2 % 2, i % 2);
+            assert_eq!((j.workload, j.fidelity, j.faults, j.trial), want, "job {i}");
         }
+        // Common random numbers along every axis: trial i shares its
+        // seed across all entries (paired comparison).
+        assert!(jobs.iter().all(|j| j.seed == 9 + j.trial as u64));
         let r = plan.run(&ExecOptions::serial(), toy_runner);
-        assert!(r.cells[0].faults.is_empty());
-        assert_eq!(r.cells[1].faults, axis[1]);
+        for (cell, c) in r.cells.iter().enumerate() {
+            assert_eq!(c.workload, workloads[cell / 4]);
+            assert_eq!(c.fidelity, fidelities[cell / 2 % 2]);
+            assert_eq!(c.faults, faults[cell % 2]);
+        }
     }
 
     #[test]
-    fn legacy_plans_have_a_default_fault_axis() {
+    fn new_plans_widen_no_axis() {
+        use rica_traffic::{ArrivalSpec, SizeSpec, WorkloadSpec};
         let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![5], 1, 0);
-        assert!(plan.default_fault_axis());
-        assert_eq!(plan.jobs()[0].faults, 0);
-        // A single *non-empty* plan is NOT the default: artifacts must
+        assert!(plan.axes().iter().all(|a| !a.widened()));
+        let job = plan.jobs()[0];
+        assert_eq!((job.workload, job.fidelity, job.faults), (0, ChannelFidelity::Exact, 0));
+        // A single *non-default* entry widens its axis: artifacts must
         // name it.
-        let churned = plan.with_faults(vec![FaultPlan::none().with_churn(40.0, 8.0, 0.0)]);
-        assert!(!churned.default_fault_axis());
+        let widened = [
+            plan.clone().with_workloads(vec![WorkloadSpec {
+                arrival: ArrivalSpec::Cbr,
+                size: SizeSpec::Fixed,
+            }]),
+            plan.clone().with_fidelities(vec![ChannelFidelity::Approx]),
+            plan.clone().with_faults(vec![FaultPlan::none().with_churn(40.0, 8.0, 0.0)]),
+        ];
+        for (axis, p) in widened.iter().enumerate() {
+            let flags: Vec<bool> = p.axes().iter().map(|a| a.widened()).collect();
+            assert_eq!(flags, (0..3).map(|i| i == axis).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! trials* a fixed sweep would — adaptive execution refines the grid,
 //! it never forks it.
 
-use rica_exec::{run_jobs, CellAxes, ExecOptions, SweepPlan, TrialJob};
+use rica_exec::{run_jobs, ExecOptions, SweepPlan, TrialJob};
 use rica_metrics::{Aggregate, TrialSummary};
 
 use crate::manifest::hash_hex;
@@ -61,11 +61,9 @@ impl AdaptiveConfig {
 /// One cell's adaptive outcome: how many trials it actually ran and the
 /// precision it reached.
 #[derive(Debug, Clone)]
-pub struct AdaptiveCell<P> {
-    /// Cell index in plan order.
+pub struct AdaptiveCell {
+    /// Cell index in plan order (its axes: `plan.job(cell, 0)`).
     pub cell: usize,
-    /// The cell's resolved axes.
-    pub axes: CellAxes<P>,
     /// Trials actually run (realised count; ≥ the plan's minimum).
     pub trials: usize,
     /// Whether every stated target was met (false means the trial cap
@@ -81,14 +79,14 @@ pub struct AdaptiveCell<P> {
 
 /// The adaptive sweep outcome: per-cell realised counts and precision.
 #[derive(Debug, Clone)]
-pub struct AdaptiveReport<P> {
+pub struct AdaptiveReport {
     /// The configuration the sweep ran under.
     pub config: AdaptiveConfig,
     /// Cells in plan order.
-    pub cells: Vec<AdaptiveCell<P>>,
+    pub cells: Vec<AdaptiveCell>,
 }
 
-impl<P> AdaptiveReport<P> {
+impl AdaptiveReport {
     /// Total trials run across all cells.
     pub fn total_trials(&self) -> usize {
         self.cells.iter().map(|c| c.trials).sum()
@@ -120,7 +118,7 @@ pub fn run_adaptive<P, F>(
     opts: &ExecOptions,
     config: &AdaptiveConfig,
     runner: F,
-) -> AdaptiveReport<P>
+) -> AdaptiveReport
 where
     P: Copy + Send + Sync,
     F: Fn(&TrialJob<P>) -> TrialSummary + Sync,
@@ -145,20 +143,11 @@ where
         let jobs: Vec<TrialJob<P>> = pending
             .iter()
             .flat_map(|&cell| {
-                let axes = plan.cell_axes(cell);
                 (trials[cell].len()..want.min(config.max_trials)).map(move |trial| TrialJob {
                     // Stream-unique index; cells outgrow the plan grid, so
                     // the plan's own flat indexing cannot be reused.
                     index: cell * config.max_trials + trial,
-                    cell,
-                    protocol: axes.protocol,
-                    speed_kmh: axes.speed_kmh,
-                    nodes: axes.nodes,
-                    workload: axes.workload,
-                    fidelity: axes.fidelity,
-                    faults: axes.faults,
-                    trial,
-                    seed: plan.base_seed + trial as u64,
+                    ..plan.job(cell, trial)
                 })
             })
             .collect();
@@ -178,7 +167,6 @@ where
             let aggregate = Aggregate::from_trials(&trials[cell]);
             AdaptiveCell {
                 cell,
-                axes: plan.cell_axes(cell),
                 trials: trials[cell].len(),
                 converged: config.met(&aggregate),
                 delivery_hw_pct: aggregate.delivery_ci_half_width(config.z),
@@ -191,12 +179,14 @@ where
 }
 
 /// Renders an adaptive report as its JSON artifact
-/// (`adaptive_report.json`): realised per-cell trial counts, half-widths
-/// and headline means, plus the plan hash and the targets that drove the
-/// stopping rule. Non-finite half-widths (cells with one trial) render
-/// as `null`.
-pub fn adaptive_json<P>(
-    report: &AdaptiveReport<P>,
+/// (`adaptive_report.json`, schema 2): realised per-cell trial counts,
+/// half-widths and headline means, plus the plan hash and the targets
+/// that drove the stopping rule. Rows name a cell's sweep axes exactly
+/// as `sweep_results.json` cells do — only the axes the plan widens
+/// ([`SweepPlan::cell_labels`]). Non-finite half-widths (cells with one
+/// trial) render as `null`.
+pub fn adaptive_json<P: Copy>(
+    report: &AdaptiveReport,
     plan: &SweepPlan<P>,
     label: impl Fn(&P) -> String,
 ) -> String {
@@ -205,7 +195,7 @@ pub fn adaptive_json<P>(
     let opt = |v: Option<f64>| v.map_or("null".to_string(), |t| format!("{t}"));
     let plan_hash = plan.content_hash(&label);
     let mut out = format!(
-        "{{\"schema\":1,\"kind\":\"adaptive-report\",\"plan_hash\":\"{}\",\"z\":{},\
+        "{{\"schema\":2,\"kind\":\"adaptive-report\",\"plan_hash\":\"{}\",\"z\":{},\
          \"targets\":{{\"delivery_hw_pct\":{},\"delay_hw_ms\":{}}},\"batch\":{},\
          \"max_trials\":{},\"min_trials\":{},\"total_trials\":{},\"cells\":[",
         hash_hex(plan_hash),
@@ -221,17 +211,22 @@ pub fn adaptive_json<P>(
         if i > 0 {
             out.push(',');
         }
+        let job = plan.job(c.cell, 0);
         let _ = write!(
             out,
-            "{{\"cell\":{},\"protocol\":{},\"speed_kmh\":{},\"nodes\":{},\"workload\":{},\
-             \"fidelity\":{},\"trials\":{},\"converged\":{},\"delivery_pct\":{},\
-             \"delivery_hw_pct\":{},\"delay_ms\":{},\"delay_hw_ms\":{}}}",
+            "{{\"cell\":{},\"protocol\":{},\"speed_kmh\":{},\"nodes\":{}",
             c.cell,
-            rica_exec::json_string(&label(&c.axes.protocol)),
-            c.axes.speed_kmh,
-            c.axes.nodes,
-            rica_exec::json_string(&plan.workloads[c.axes.workload].label()),
-            rica_exec::json_string(c.axes.fidelity.name()),
+            rica_exec::json_string(&label(&job.protocol)),
+            job.speed_kmh,
+            job.nodes,
+        );
+        for (key, entry) in plan.cell_labels(c.cell) {
+            let _ = write!(out, ",\"{key}\":{}", rica_exec::json_string(&entry));
+        }
+        let _ = write!(
+            out,
+            ",\"trials\":{},\"converged\":{},\"delivery_pct\":{},\"delivery_hw_pct\":{},\
+             \"delay_ms\":{},\"delay_hw_ms\":{}}}",
             c.trials,
             c.converged,
             fin(c.aggregate.delivery_pct.mean()),
@@ -371,6 +366,25 @@ mod tests {
         assert!(doc.contains(&format!("\"total_trials\":{}", report.total_trials())));
         // It parses as JSON (the workspace's own parser).
         rica_metrics::parse_json(doc.trim()).expect("valid JSON");
+    }
+
+    #[test]
+    fn report_rows_name_the_widened_fault_axis() {
+        use rica_faults::FaultPlan;
+        let p = plan()
+            .with_faults(vec![FaultPlan::none(), FaultPlan::none().with_churn(40.0, 8.0, 0.0)]);
+        let report =
+            run_adaptive(&p, &ExecOptions::serial(), &AdaptiveConfig::default(), noisy_runner);
+        let doc = adaptive_json(&report, &p, |x| format!("P{x}"));
+        let v = rica_metrics::parse_json(doc.trim()).expect("valid JSON");
+        let rows = v.get("cells").and_then(|c| c.as_array()).expect("cells");
+        let faults: Vec<&str> = rows
+            .iter()
+            .map(|r| r.get("faults").and_then(|f| f.as_str()).expect("faults"))
+            .collect();
+        assert_eq!(faults, ["none", "churn(up40s,down8s)", "none", "churn(up40s,down8s)"]);
+        // The axes left at their default are not named.
+        assert!(!doc.contains("\"workload\"") && !doc.contains("\"fidelity\""), "{doc}");
     }
 
     #[test]

@@ -315,13 +315,14 @@ fn main() {
             };
             let report = run_adaptive(&plan, &exec_options(&a), &config, runner);
             for c in &report.cells {
+                let job = plan.job(c.cell, 0);
                 eprintln!(
                     "fleet: cell {:>3} {:>9} v={:>5} n={:>3} -> {:>3} trials, \
                      delivery {:6.2}% ± {:.3}, delay {:8.2} ms ± {:.3}{}",
                     c.cell,
-                    c.axes.protocol.name(),
-                    c.axes.speed_kmh,
-                    c.axes.nodes,
+                    job.protocol.name(),
+                    job.speed_kmh,
+                    job.nodes,
                     c.trials,
                     c.aggregate.delivery_pct.mean(),
                     c.delivery_hw_pct,

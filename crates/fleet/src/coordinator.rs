@@ -3,8 +3,8 @@
 
 use std::path::Path;
 
-use rica_exec::{ExecOptions, SweepCell, SweepPlan, SweepResult, TrialJob};
-use rica_metrics::{Aggregate, TrialSummary};
+use rica_exec::{ExecOptions, SweepPlan, SweepResult, TrialJob};
+use rica_metrics::TrialSummary;
 
 use crate::manifest::FleetManifest;
 use crate::shard::{read_shard, run_shard, shard_state, ShardState};
@@ -94,10 +94,10 @@ where
 
 /// Merges a completed fleet directory back into a [`SweepResult`]: every
 /// shard stream is re-validated, records are reassembled in plan order,
-/// and each cell's aggregate is folded by `Aggregate::from_trials` —
-/// the same code path `SweepPlan::run` uses, so the merged result (and
-/// any artifact rendered from it) is **byte-identical** to a single-shot
-/// in-process sweep of the same plan. Execution metadata is normalised
+/// and cells are built by [`SweepPlan::cells`] — the same code path
+/// `SweepPlan::run` uses, so the merged result (and any artifact
+/// rendered from it) is **byte-identical** to a single-shot in-process
+/// sweep of the same plan. Execution metadata is normalised
 /// (`workers = 0`, `wall_secs = 0.0`): a merged result's payload is a
 /// function of the plan alone, never of how the fleet was cut.
 ///
@@ -128,23 +128,7 @@ where
             summaries.push(rec.summary);
         }
     }
-    let mut cells = Vec::with_capacity(manifest.cells);
-    for cell in 0..manifest.cells {
-        let axes = plan.cell_axes(cell);
-        let trials = summaries[cell * plan.trials..(cell + 1) * plan.trials].to_vec();
-        let aggregate = Aggregate::from_trials(&trials);
-        cells.push(SweepCell {
-            protocol: axes.protocol,
-            speed_kmh: axes.speed_kmh,
-            nodes: axes.nodes,
-            workload: plan.workloads[axes.workload].clone(),
-            fidelity: axes.fidelity,
-            faults: plan.faults[axes.faults].clone(),
-            trials,
-            aggregate,
-        });
-    }
-    Ok(SweepResult { plan: plan.clone(), cells, workers: 0, wall_secs: 0.0 })
+    Ok(SweepResult { plan: plan.clone(), cells: plan.cells(summaries), workers: 0, wall_secs: 0.0 })
 }
 
 #[cfg(test)]
@@ -240,6 +224,23 @@ mod tests {
         assert!(err.contains("hash"), "{err}");
         assert!(merge_fleet(&other, u8::to_string, &dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_pointing_outside_the_directory_is_refused() {
+        let p = plan();
+        let root = tmp_dir("escape");
+        let dir = root.join("fleet");
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = FleetManifest::split(&p, u8::to_string, 2).to_json();
+        let foreign = manifest.replace("\"shard_0.jsonl\"", "\"../x.jsonl\"");
+        std::fs::write(dir.join(MANIFEST_FILE), foreign).unwrap();
+        let run = run_fleet(&p, u8::to_string, &dir, 2, &ExecOptions::serial(), toy_runner);
+        assert!(run.is_err());
+        let outside: Vec<_> =
+            std::fs::read_dir(&root).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(outside, vec![dir], "a run wrote outside its fleet directory");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -59,6 +59,12 @@ pub fn hash_hex(h: u64) -> String {
     format!("0x{h:016x}")
 }
 
+/// Shard `shard`'s stream file name — the only name a manifest may give
+/// it, so a shard path never leaves the fleet directory.
+fn shard_file(shard: usize) -> String {
+    format!("shard_{shard}.jsonl")
+}
+
 /// Parses a [`hash_hex`]-rendered hash.
 pub fn parse_hash_hex(s: &str) -> Result<u64, String> {
     let digits = s.strip_prefix("0x").ok_or_else(|| format!("hash {s:?} missing 0x prefix"))?;
@@ -89,12 +95,7 @@ impl FleetManifest {
         let mut start = 0;
         for shard in 0..shard_count {
             let len = base + usize::from(shard < extra);
-            shards.push(ShardSpec {
-                shard,
-                start,
-                end: start + len,
-                file: format!("shard_{shard}.jsonl"),
-            });
+            shards.push(ShardSpec { shard, start, end: start + len, file: shard_file(shard) });
             start += len;
         }
         FleetManifest {
@@ -137,8 +138,10 @@ impl FleetManifest {
         Ok(())
     }
 
-    /// Structural sanity: shards are indexed `0..n` and tile `0..jobs`
-    /// exactly, with no gaps, overlaps, or empty shards.
+    /// Structural sanity: shards are indexed `0..n`, tile `0..jobs`
+    /// exactly, with no gaps, overlaps, or empty shards, and shard `i`
+    /// streams to `shard_<i>.jsonl` (a damaged or foreign manifest must
+    /// not point a run at a file outside the fleet directory).
     pub fn validate(&self) -> Result<(), String> {
         if self.shards.is_empty() {
             return Err("manifest has no shards".into());
@@ -150,6 +153,9 @@ impl FleetManifest {
             }
             if s.start != cursor || s.end <= s.start {
                 return Err(format!("shard {i} range {}..{} breaks the tiling", s.start, s.end));
+            }
+            if s.file != shard_file(i) {
+                return Err(format!("shard {i} file {:?} is not {:?}", s.file, shard_file(i)));
             }
             cursor = s.end;
         }
@@ -295,6 +301,16 @@ mod tests {
         let mut m = FleetManifest::split(&plan(), u8::to_string, 2);
         m.shards.pop(); // uncovered tail
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn parse_rejects_shard_files_outside_the_directory() {
+        let good = FleetManifest::split(&plan(), u8::to_string, 2).to_json();
+        for bad in ["../x.jsonl", "/tmp/shard_0.jsonl", "sub/shard_0.jsonl", "sub\\shard_0.jsonl"] {
+            let doc = good.replace("\"shard_0.jsonl\"", &rica_exec::json_string(bad));
+            assert_ne!(doc, good);
+            assert!(FleetManifest::parse(&doc).is_err(), "accepted shard file {bad:?}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! [`TrialJob`] into a [`TrialSummary`](rica_metrics::TrialSummary).
 //! This module supplies that function for the paper's simulator: a base
 //! [`Scenario`] acts as the template, and each job overrides the swept
-//! axes (nodes, mean speed, workload, channel fidelity) before running
-//! one seeded [`World`] trial.
+//! axes (nodes, mean speed, workload, channel fidelity, fault plan)
+//! before running one seeded [`World`] trial.
 
 use std::path::Path;
 
@@ -68,14 +68,13 @@ fn job_scenario(
 }
 
 /// Executes `plan` over the worker pool: every job runs `base` with the
-/// job's node count, mean speed, workload, channel fidelity, protocol
-/// and seed.
+/// job's node count, mean speed, workload, channel fidelity, fault plan,
+/// protocol and seed.
 ///
 /// The template's own `nodes`, `mean_speed_kmh`, `workload`,
 /// `channel.fidelity`, `faults` and `seed` are ignored — the plan's axes
-/// are authoritative. (Per-flow workload
-/// overrides on explicit template flows still win over the plan axis,
-/// like every other per-flow field.)
+/// are authoritative. (Per-flow workload overrides on explicit template
+/// flows still win over the plan axis, like every other per-flow field.)
 pub fn run_plan(
     plan: &SweepPlan<ProtocolKind>,
     base: &Scenario,

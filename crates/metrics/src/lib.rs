@@ -37,6 +37,8 @@ pub use diagnostics::{EventKindStats, EventProfile, WorldDiagnostics};
 pub use recorder::{
     FaultKind, FlowSummary, Metrics, RecoverySummary, TrialSummary, WorkloadSummary,
 };
-pub use stream::{fmt_f64, parse_json, push_f64, JsonValue, TrialRecord, TRIAL_RECORD_SCHEMA};
+pub use stream::{
+    fmt_f64, parse_json, push_f64, push_json_string, JsonValue, TrialRecord, TRIAL_RECORD_SCHEMA,
+};
 pub use table::{format_table, Align};
 pub use welford::Welford;

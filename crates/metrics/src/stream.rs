@@ -103,7 +103,10 @@ impl TrialRecord {
 
 // ------------------------------------------------------------ serialising
 
-fn esc(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string literal: quote, backslash and
+/// control characters escaped, everything else verbatim. The trial-record
+/// codec and `rica-exec`'s sweep artifact share this one escaper.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -161,7 +164,7 @@ fn u64_map<K: std::fmt::Debug + Copy>(out: &mut String, map: &BTreeMap<K, u64>) 
         if i > 0 {
             out.push(',');
         }
-        esc(out, &format!("{k:?}"));
+        push_json_string(out, &format!("{k:?}"));
         let _ = write!(out, ":{v}");
     }
     out.push('}');
@@ -685,6 +688,13 @@ mod tests {
             recovery: None,
             diagnostics: None,
         }
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        let mut s = String::new();
+        push_json_string(&mut s, "a\"b\\c\nd");
+        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -125,11 +125,12 @@ fn main() {
         "protocol", "km/h", "workload", "trials", "±dlv(pp)", "conv"
     );
     for cell in &adaptive.cells {
+        let job = plan.job(cell.cell, 0);
         println!(
             "{:<8} {:>6.0} {:<26} {:>7} {:>10.2} {:>9}",
-            label(&cell.axes.protocol),
-            cell.axes.speed_kmh,
-            plan.workloads[cell.axes.workload].label(),
+            label(&job.protocol),
+            job.speed_kmh,
+            plan.workloads[job.workload].label(),
             cell.trials,
             cell.delivery_hw_pct,
             if cell.converged { "yes" } else { "at-cap" },
