@@ -495,34 +495,42 @@ fn append_snapshot(path: &Path, label: &str, entries: &[(String, f64)]) {
     println!("appended snapshot {label:?} to {}", path.display());
 }
 
-/// Extracts `(label, entries)` per snapshot with a scanner matched to this
-/// file's own writer (the workspace builds offline; no serde).
-fn parse_snapshots(doc: &str) -> Vec<(String, Vec<(String, f64)>)> {
-    let mut snaps = Vec::new();
-    for block in doc.split("{\"label\":").skip(1) {
-        let label = block.split('"').nth(1).unwrap_or("?").to_string();
-        let Some(entries_at) = block.find("\"entries\":{") else { continue };
-        let body = &block[entries_at + "\"entries\":{".len()..];
-        let Some(end) = body.find('}') else { continue };
-        let mut entries = Vec::new();
-        for line in body[..end].split(',') {
-            let mut parts = line.trim().splitn(2, "\":");
-            let (Some(name), Some(val)) = (parts.next(), parts.next()) else { continue };
-            let name = name.trim().trim_start_matches('"').to_string();
-            if let Ok(secs) = val.trim().parse::<f64>() {
-                entries.push((name, secs));
-            }
-        }
-        snaps.push((label, entries));
-    }
+/// `(label, entries)` per snapshot, read through the workspace's JSON
+/// reader. A malformed document, snapshot or entry is an error: a row the
+/// gate cannot read must fail it, not drop out of it.
+fn parse_snapshots(doc: &str) -> Result<Vec<(String, Vec<(String, f64)>)>, String> {
+    let root = rica_metrics::parse_json(doc)?;
+    let snaps = root.get("snapshots").and_then(|s| s.as_array()).ok_or("no \"snapshots\" array")?;
     snaps
+        .iter()
+        .enumerate()
+        .map(|(i, snap)| {
+            let label = snap
+                .get("label")
+                .and_then(|l| l.as_str())
+                .ok_or_else(|| format!("snapshot {i} has no \"label\" string"))?;
+            let entries = snap
+                .get("entries")
+                .and_then(|e| e.as_object())
+                .ok_or_else(|| format!("snapshot {label:?} has no \"entries\" object"))?;
+            let entries = entries
+                .iter()
+                .map(|(name, secs)| match secs.as_f64() {
+                    Some(secs) if secs.is_finite() && secs >= 0.0 => Ok((name.clone(), secs)),
+                    _ => Err(format!("snapshot {label:?}: {name:?} is not a wall time: {secs:?}")),
+                })
+                .collect::<Result<_, String>>()?;
+            Ok((label.to_string(), entries))
+        })
+        .collect()
 }
 
-fn compare(path: &Path, max_regress: Option<f64>, markdown: bool) {
-    let doc =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let snaps = parse_snapshots(&doc);
-    assert!(snaps.len() >= 2, "need at least two snapshots to compare, found {}", snaps.len());
+fn compare(path: &Path, max_regress: Option<f64>, markdown: bool) -> Result<(), String> {
+    let doc = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
+    let snaps = parse_snapshots(&doc)?;
+    if snaps.len() < 2 {
+        return Err(format!("need at least two snapshots to compare, found {}", snaps.len()));
+    }
     let (base_label, base) = &snaps[0];
     let (cur_label, cur) = &snaps[snaps.len() - 1];
     // The markdown table also carries the previous snapshot (the gate
@@ -580,7 +588,7 @@ fn compare(path: &Path, max_regress: Option<f64>, markdown: bool) {
     // it (the trajectory table above is informational): a hot-loop
     // regression beyond the threshold fails loudly instead of only
     // printing.
-    let Some(limit_pct) = max_regress else { return };
+    let Some(limit_pct) = max_regress else { return Ok(()) };
     let (prev_label, prev) = &snaps[snaps.len() - 2];
     let mut failed = false;
     // A workload that vanished from the current snapshot is a gate
@@ -612,12 +620,16 @@ fn compare(path: &Path, max_regress: Option<f64>, markdown: bool) {
     } else {
         println!("gate: no entry regressed more than {limit_pct:.0}% vs {prev_label:?}");
     }
+    Ok(())
 }
 
 fn main() {
     let opts = parse_opts();
     if opts.compare {
-        compare(&opts.json, opts.max_regress, opts.markdown);
+        if let Err(err) = compare(&opts.json, opts.max_regress, opts.markdown) {
+            eprintln!("{}: {err}", opts.json.display());
+            std::process::exit(1);
+        }
         return;
     }
     let entries = run_all(opts.quick, opts.reps);
@@ -627,5 +639,42 @@ fn main() {
     }
     if let Some(label) = &opts.label {
         append_snapshot(&opts.json, label, &entries);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn doc(snapshots: &[&str]) -> String {
+        format!("{{\n  \"schema\": 1,\n  \"snapshots\": [\n{}\n  ]\n}}\n", snapshots.join(",\n"))
+    }
+
+    #[test]
+    fn snapshots_round_trip_through_the_writer() {
+        let entries =
+            vec![("trial/scale200/RICA".to_string(), 0.1016), ("micro/x".to_string(), 4.5e-5)];
+        let written = doc(&[&snapshot_json("a", &entries), &snapshot_json("b", &entries)]);
+        let want = vec![("a".to_string(), entries.clone()), ("b".to_string(), entries)];
+        assert_eq!(parse_snapshots(&written), Ok(want));
+    }
+
+    #[test]
+    fn unreadable_snapshots_are_errors_not_dropped_rows() {
+        let good = snapshot_json("base", &[("trial/scale200/RICA".to_string(), 0.1016)]);
+        assert!(parse_snapshots(&doc(&[&good, &good])).is_ok());
+        for bad in [
+            good.replace("0.101600", "0.1016x9"),
+            good.replace("0.101600", "\"0.1016\""),
+            good.replace("0.101600", "NaN"),
+            good.replace("0.101600", "-1"),
+            good.replace("\"entries\"", "\"rows\""),
+            good.replace("\"label\"", "\"name\""),
+        ] {
+            assert!(parse_snapshots(&doc(&[&good, &bad])).is_err(), "accepted {bad}");
+        }
+        let whole = doc(&[&good, &good]);
+        assert!(parse_snapshots(&whole[..whole.len() - 4]).is_err(), "accepted a truncated file");
+        assert!(parse_snapshots("{\"schema\":1}").is_err(), "accepted a file without snapshots");
     }
 }

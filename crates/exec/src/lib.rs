@@ -71,9 +71,9 @@ pub use progress::Progress;
 /// Shared CLI vocabulary for execution entry points: `--workers N` and
 /// `--json PATH`, with everything else passed through untouched.
 ///
-/// All entry points (the figures bin, the benches, the examples) parse
-/// these two flags identically — a malformed value is a hard error
-/// everywhere, not silently ignored on some surfaces.
+/// All entry points (the figures bin, the examples) parse these two
+/// flags identically — a malformed value is a hard error everywhere, not
+/// silently ignored on some surfaces.
 #[derive(Debug, Clone, Default)]
 pub struct ExecArgs {
     /// Explicit worker count, if `--workers` was given.

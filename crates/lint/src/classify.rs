@@ -23,7 +23,7 @@ pub enum CrateClass {
 }
 
 /// Crates that never execute inside a simulation trial.
-pub const HOST_SIDE_CRATES: &[&str] = &["bench", "proptest-shim", "criterion-shim", "lint"];
+pub const HOST_SIDE_CRATES: &[&str] = &["bench", "proptest-shim", "lint"];
 
 /// Sim-deterministic crates (documentation of the current split; any
 /// crate *not* in [`HOST_SIDE_CRATES`] gets the same treatment).
@@ -92,15 +92,15 @@ mod tests {
     #[test]
     fn host_side_paths() {
         for p in [
-            "crates/bench/benches/figures.rs",
+            "crates/bench/src/bin/hotloop.rs",
             "crates/proptest-shim/src/lib.rs",
-            "crates/criterion-shim/src/lib.rs",
+            "crates/lint/src/classify.rs",
             "crates/lint/src/main.rs",
             "crates/harness/src/bin/inspect.rs",
             "crates/fleet/src/bin/fleet.rs",
             "crates/protocols/tests/behavior.rs",
             "tests/golden_metrics.rs",
-            "examples/parallel_sweep.rs",
+            "examples/fleet_sweep.rs",
         ] {
             assert_eq!(classify(Path::new(p)), CrateClass::HostSide, "{p}");
         }

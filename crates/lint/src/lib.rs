@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn host_side_skips_sim_rules_but_not_unsafe() {
         let src = "use std::collections::HashMap;\nlet p = unsafe { *ptr };\n";
-        let fs = lint_source("crates/bench/src/lib.rs", CrateClass::HostSide, src);
+        let fs = lint_source("crates/bench/src/bin/hotloop.rs", CrateClass::HostSide, src);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].rule, "unsafe-undocumented");
     }

@@ -1,4 +1,4 @@
-//! # rica-net — the network vocabulary: packets, queues, traffic, routing traits
+//! # rica-net — the network vocabulary: packets, queues, routing traits
 //!
 //! This crate defines everything the five routing protocols (RICA, BGCA,
 //! ABR, AODV, link state) and the simulation harness share:
@@ -22,8 +22,6 @@
 //! * [`IdMap`] / [`KeyMap`] — flat per-node / per-flow state containers
 //!   with `BTreeMap` iteration order, shared by all protocol
 //!   implementations (their tables sit on the per-event hot path).
-//! * [`poisson`] — Poisson traffic helpers (§III.A: exponential
-//!   inter-arrivals).
 //!
 //! The crate deliberately contains **no protocol logic and no event loop**.
 
@@ -34,7 +32,6 @@ mod flatmap;
 mod ids;
 mod packet;
 mod pending;
-pub mod poisson;
 mod queue;
 mod routing;
 pub mod testing;

@@ -89,10 +89,8 @@ impl SimDuration {
     /// The largest representable span.
     pub const MAX: SimDuration = SimDuration(u64::MAX);
     /// ~136 years of simulated time — "never" for any realistic trial.
-    /// The single saturating fallback that rate-driven generators
-    /// (`rica_net::poisson`, `rica-traffic`) return instead of an
-    /// `inf`/NaN gap when a rate is degenerate; shared here so the two
-    /// crates cannot drift.
+    /// The saturating fallback that `rica-traffic`'s generators return
+    /// instead of an `inf`/NaN gap when a rate is degenerate.
     pub const NEVER: SimDuration = SimDuration::from_secs(u32::MAX as u64);
 
     /// Builds a span from whole nanoseconds.

@@ -13,9 +13,8 @@ use crate::spec::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};
 
 /// The gap returned instead of `inf`/NaN when a generator is (mis)driven
 /// with a degenerate rate: ~136 years of simulated time, far beyond any
-/// trial end, so the flow simply never fires again. One shared value
-/// ([`SimDuration::NEVER`], also re-exported as
-/// `rica_net::poisson::SATURATED_GAP`) so the crates cannot drift.
+/// trial end, so the flow simply never fires again. It is the simulator's
+/// [`SimDuration::NEVER`].
 pub const SATURATED_GAP: SimDuration = SimDuration::NEVER;
 
 /// Pareto dwell samples are truncated at this multiple of the mean so one
@@ -54,7 +53,8 @@ enum ArrivalState {
     Cbr { gap_secs: f64, phase_secs: Option<f64> },
     /// Exponential gaps with the given mean. This is the paper's default
     /// path: one `Rng::exp` draw per gap, bit-identical to the legacy
-    /// `rica_net::poisson::next_interarrival` stream.
+    /// `SimDuration::from_secs_f64(rng.exp(1.0 / rate))` stream the
+    /// goldens were recorded with.
     Poisson { mean_gap_secs: f64 },
     /// Interrupted Poisson process: exponential arrivals at the burst
     /// rate while *on*, silence while *off*.

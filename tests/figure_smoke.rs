@@ -4,6 +4,7 @@
 //! the README's "Quickstart" section).
 
 use rica_repro::harness::{run_aggregate, ProtocolKind, Scenario};
+use rica_repro::sim::SimDuration;
 
 fn scenario(speed: f64, rate: f64) -> Scenario {
     Scenario::builder()
@@ -80,6 +81,27 @@ fn rica_overhead_exceeds_aodv_overhead() {
         rica.overhead_kbps.mean(),
         aodv.overhead_kbps.mean()
     );
+}
+
+#[test]
+fn csi_checking_trades_overhead_for_delivery() {
+    // RICA's price (§I): "the amount of routing overhead is greater due to
+    // the periodical broadcast CSI checking packets". Checking less often
+    // saves overhead; checking at the paper's 1 s period keeps routes
+    // fresher than checking every 4 s.
+    let rica_with_period = |secs: f64| {
+        let mut s = scenario(36.0, 10.0);
+        s.protocol.csi_check_period = SimDuration::from_secs_f64(secs);
+        run_aggregate(&s, ProtocolKind::Rica, TRIALS)
+    };
+    let runs = [0.25, 1.0, 4.0].map(rica_with_period);
+    let overhead = runs.each_ref().map(|a| a.overhead_kbps.mean());
+    let delivery = runs.each_ref().map(|a| a.delivery_pct.mean());
+    assert!(
+        overhead[0] > overhead[1] && overhead[1] > overhead[2],
+        "overhead (kbps) at 0.25 / 1 / 4 s should strictly fall: {overhead:?}"
+    );
+    assert!(delivery[1] > delivery[2], "delivery (%) at 1 s should beat 4 s: {delivery:?}");
 }
 
 #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate / compare the committed perf trajectory (BENCH_micro.json).
 #
-#   tools/bench.sh record <label>   build release, run the micro benches and
-#                                   the hotloop recorder, append a snapshot
+#   tools/bench.sh record <label>   build release, run the hotloop recorder,
+#                                   append a snapshot
 #   tools/bench.sh compare [--max-regress <pct>] [--markdown]
 #                                   print first-vs-last snapshot speedups;
 #                                   with --max-regress, exit 2 if the last
@@ -38,7 +38,6 @@ case "${1:-}" in
   record)
     label="${2:?usage: tools/bench.sh record <label>}"
     cargo build --release -q
-    cargo bench -p rica-bench --bench micro
     cargo run --release -q -p rica-bench --bin hotloop -- --label "$label"
     ;;
   compare)
