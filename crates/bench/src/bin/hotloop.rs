@@ -59,6 +59,7 @@ use std::time::Instant;
 
 use rica_channel::{ChannelConfig, ChannelFidelity, ChannelModel, DecayCache, OuProcess};
 use rica_harness::{ProtocolKind, Scenario, World};
+use rica_metrics::json::{parse_json, push_string};
 use rica_mobility::{Field, SpatialGrid, Vec2, Waypoint};
 use rica_sim::{EventQueue, Rng, SimTime};
 use rica_trace::NoopSink;
@@ -463,13 +464,14 @@ fn run_all(quick: bool, reps: usize) -> Vec<(String, f64)> {
 // ------------------------------------------------------------- artifact IO
 
 fn snapshot_json(label: &str, entries: &[(String, f64)]) -> String {
-    let mut out = String::new();
-    out.push_str("    {\"label\":");
-    out.push_str(&rica_exec::json_string(label));
+    let mut out = String::from("    {\"label\":");
+    push_string(&mut out, label);
     out.push_str(",\"entries\":{\n");
     for (i, (name, secs)) in entries.iter().enumerate() {
         out.push_str("      ");
-        out.push_str(&rica_exec::json_string(name));
+        push_string(&mut out, name);
+        // Wall times are recorded to the microsecond: a rounded reading,
+        // not a value that must round-trip.
         out.push_str(&format!(":{secs:.6}"));
         if i + 1 < entries.len() {
             out.push(',');
@@ -499,21 +501,15 @@ fn append_snapshot(path: &Path, label: &str, entries: &[(String, f64)]) {
 /// reader. A malformed document, snapshot or entry is an error: a row the
 /// gate cannot read must fail it, not drop out of it.
 fn parse_snapshots(doc: &str) -> Result<Vec<(String, Vec<(String, f64)>)>, String> {
-    let root = rica_metrics::parse_json(doc)?;
-    let snaps = root.get("snapshots").and_then(|s| s.as_array()).ok_or("no \"snapshots\" array")?;
-    snaps
+    parse_json(doc)?
+        .array_at("snapshots")?
         .iter()
         .enumerate()
         .map(|(i, snap)| {
-            let label = snap
-                .get("label")
-                .and_then(|l| l.as_str())
-                .ok_or_else(|| format!("snapshot {i} has no \"label\" string"))?;
+            let label = snap.str_at("label").map_err(|e| format!("snapshot {i}: {e}"))?;
             let entries = snap
-                .get("entries")
-                .and_then(|e| e.as_object())
-                .ok_or_else(|| format!("snapshot {label:?} has no \"entries\" object"))?;
-            let entries = entries
+                .object_at("entries")
+                .map_err(|e| format!("snapshot {label:?}: {e}"))?
                 .iter()
                 .map(|(name, secs)| match secs.as_f64() {
                     Some(secs) if secs.is_finite() && secs >= 0.0 => Ok((name.clone(), secs)),
@@ -657,6 +653,63 @@ mod tests {
         let written = doc(&[&snapshot_json("a", &entries), &snapshot_json("b", &entries)]);
         let want = vec![("a".to_string(), entries.clone()), ("b".to_string(), entries)];
         assert_eq!(parse_snapshots(&written), Ok(want));
+    }
+
+    /// FNV-1a pin of a two-snapshot document as `append_snapshot` writes
+    /// it (a fresh file, then an append). To regenerate after an
+    /// intentional change:
+    ///
+    /// ```text
+    /// GOLDEN_PRINT=1 cargo test -q -p rica-bench snapshot_document_bytes -- --nocapture
+    /// ```
+    #[test]
+    fn snapshot_document_bytes_are_pinned() {
+        const WANT: u64 = 0x8fcc_1da5_3ffa_8454;
+        let path = std::env::temp_dir().join(format!(
+            "rica_hotloop_pin_{}_{:?}.json",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let entries = vec![
+            ("trial/scale200/RICA".to_string(), 0.1016),
+            ("micro/x".to_string(), 4.5e-5),
+            ("micro/\"quoted\\name\"".to_string(), 12.0),
+        ];
+        append_snapshot(&path, "base", &entries);
+        append_snapshot(&path, "next\trun", &entries[..2]);
+        let doc = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let hash = rica_exec::fnv1a(doc.as_bytes());
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("WANT = 0x{hash:016x};\n{doc}");
+            return;
+        }
+        assert_eq!(hash, WANT, "snapshot document bytes drifted:\n{doc}");
+    }
+
+    /// Hostile input: every strict prefix of a snapshot document is an
+    /// error; single-byte replacements and deep nesting give an error or
+    /// snapshots, never a panic.
+    #[test]
+    fn hostile_snapshot_documents_never_panic() {
+        let entries =
+            [("trial/scale200/RICA".to_string(), 0.1016), ("micro/x".to_string(), 4.5e-5)];
+        let whole = doc(&[&snapshot_json("a", &entries), &snapshot_json("b", &entries)]);
+        let whole = whole.trim_end();
+        assert_eq!(parse_snapshots(whole).unwrap().len(), 2);
+        for cut in 0..whole.len() {
+            assert!(parse_snapshots(&whole[..cut]).is_err(), "{cut}-byte prefix parsed");
+        }
+        for at in 0..whole.len() {
+            for &b in b"{}[]\",:09-.e \\" {
+                let mut bytes = whole.as_bytes().to_vec();
+                bytes[at] = b;
+                let _ = parse_snapshots(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
+        let deep = whole.replacen("[", &"[".repeat(100_000), 1);
+        assert!(parse_snapshots(&deep).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! The CSV/table renderers in `rica-metrics` serve human eyes; bench
 //! trajectories across PRs need a stable machine-readable artifact. This
-//! module renders a [`SweepResult`] as JSON with a tiny in-repo encoder
-//! (the workspace builds offline, so serde is not available).
+//! module renders a [`SweepResult`] as JSON through the workspace's one
+//! codec, `rica_metrics::json`.
 
 use std::fmt::Write as _;
 
-use rica_metrics::{push_json_string as esc, TrialSummary, Welford};
+use rica_metrics::json::{
+    push_array, push_f64_or_null, push_members, push_object, push_string, push_u64,
+};
+use rica_metrics::{TrialSummary, Welford};
 
 use crate::plan::{SweepCell, SweepPlan, SweepResult};
 
@@ -23,61 +26,26 @@ use crate::plan::{SweepCell, SweepPlan, SweepResult};
 /// non-default workload or fault plan.
 pub const SWEEP_JSON_SCHEMA: u32 = 1;
 
-/// Renders `s` as a quoted JSON string literal (the escaping used
-/// throughout the artifact; exposed so downstream artifact composers
-/// don't re-implement it).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    esc(&mut out, s);
-    out
-}
-
-fn num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // The pinned shortest-roundtrip codec; integral values print
-        // without a dot, which JSON allows.
-        rica_metrics::push_f64(out, v);
-    } else {
-        // This artifact is strict JSON: non-finite → null (the stream
-        // codec's NaN/inf extension tokens would not parse here).
-        out.push_str("null");
-    }
-}
-
 fn welford(out: &mut String, w: &Welford) {
-    let _ = write!(out, "{{\"mean\":");
-    num(out, w.mean());
-    out.push_str(",\"std\":");
-    num(out, w.sample_std());
+    out.push('{');
+    push_members(out, [("mean", w.mean()), ("std", w.sample_std())], push_f64_or_null);
     let _ = write!(out, ",\"n\":{}}}", w.count());
 }
 
-fn f64_array(out: &mut String, xs: &[f64]) {
-    out.push('[');
-    for (i, &x) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        num(out, x);
-    }
-    out.push(']');
-}
-
 fn trial(out: &mut String, t: &TrialSummary) {
-    out.push('{');
-    let _ = write!(out, "\"generated\":{},\"delivered\":{},", t.generated, t.delivered);
-    out.push_str("\"delivery_pct\":");
-    num(out, t.delivery_pct());
-    out.push_str(",\"delay_mean_ms\":");
-    num(out, t.delay_mean_ms);
-    out.push_str(",\"delay_p95_ms\":");
-    num(out, t.delay_p95_ms);
-    out.push_str(",\"overhead_kbps\":");
-    num(out, t.overhead_kbps);
-    out.push_str(",\"avg_link_throughput_kbps\":");
-    num(out, t.avg_link_throughput_kbps);
-    out.push_str(",\"avg_hops\":");
-    num(out, t.avg_hops);
+    let _ = write!(out, "{{\"generated\":{},\"delivered\":{}", t.generated, t.delivered);
+    push_members(
+        out,
+        [
+            ("delivery_pct", t.delivery_pct()),
+            ("delay_mean_ms", t.delay_mean_ms),
+            ("delay_p95_ms", t.delay_p95_ms),
+            ("overhead_kbps", t.overhead_kbps),
+            ("avg_link_throughput_kbps", t.avg_link_throughput_kbps),
+            ("avg_hops", t.avg_hops),
+        ],
+        push_f64_or_null,
+    );
     let _ = write!(
         out,
         ",\"collisions\":{},\"link_breaks\":{},\"dropped\":{}",
@@ -89,22 +57,22 @@ fn trial(out: &mut String, t: &TrialSummary) {
     // block never appears in (byte-pinned) legacy artifacts.
     if let Some(w) = &t.workload {
         out.push_str(",\"workload\":{\"offered_kbps\":");
-        num(out, w.offered_kbps(t.duration));
-        out.push_str(",\"flows\":[");
-        for (i, f) in w.flows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"generated\":{},\"delivered\":{},", f.generated, f.delivered);
-            out.push_str("\"offered_kbps\":");
-            num(out, f.offered_kbps(t.duration));
-            out.push_str(",\"delivered_kbps\":");
-            num(out, f.delivered_kbps(t.duration));
-            out.push_str(",\"delay_mean_ms\":");
-            num(out, f.delay_mean_ms);
+        push_f64_or_null(out, w.offered_kbps(t.duration));
+        out.push_str(",\"flows\":");
+        push_array(out, &w.flows, |out, f| {
+            let _ = write!(out, "{{\"generated\":{},\"delivered\":{}", f.generated, f.delivered);
+            push_members(
+                out,
+                [
+                    ("offered_kbps", f.offered_kbps(t.duration)),
+                    ("delivered_kbps", f.delivered_kbps(t.duration)),
+                    ("delay_mean_ms", f.delay_mean_ms),
+                ],
+                push_f64_or_null,
+            );
             out.push('}');
-        }
-        out.push_str("]}");
+        });
+        out.push('}');
     }
     // Recovery accounting exists only for faulted trials, so this block
     // never appears in (byte-pinned) legacy artifacts either.
@@ -122,10 +90,11 @@ fn trial(out: &mut String, t: &TrialSummary) {
             r.recovered_flows,
             r.unrecovered_flows
         );
-        out.push_str(",\"disruption_mean_ms\":");
-        num(out, r.disruption_mean_ms);
-        out.push_str(",\"reroute_mean_ms\":");
-        num(out, r.reroute_mean_ms);
+        push_members(
+            out,
+            [("disruption_mean_ms", r.disruption_mean_ms), ("reroute_mean_ms", r.reroute_mean_ms)],
+            push_f64_or_null,
+        );
         out.push('}');
     }
     out.push('}');
@@ -139,42 +108,32 @@ fn cell<P>(
     label: &dyn Fn(&P) -> String,
 ) {
     out.push_str("{\"protocol\":");
-    esc(out, &label(&c.protocol));
-    out.push_str(",\"speed_kmh\":");
-    num(out, c.speed_kmh);
+    push_string(out, &label(&c.protocol));
+    push_members(out, [("speed_kmh", c.speed_kmh)], push_f64_or_null);
     let _ = write!(out, ",\"nodes\":{}", c.nodes);
-    for (key, entry) in plan.cell_labels(index) {
-        out.push(',');
-        esc(out, key);
-        out.push(':');
-        esc(out, &entry);
-    }
-    out.push_str(",\"aggregate\":{");
-    let _ = write!(out, "\"trials\":{},", c.aggregate.trials);
-    out.push_str("\"delay_ms\":");
-    welford(out, &c.aggregate.delay_ms);
-    out.push_str(",\"delivery_pct\":");
-    welford(out, &c.aggregate.delivery_pct);
-    out.push_str(",\"overhead_kbps\":");
-    welford(out, &c.aggregate.overhead_kbps);
-    out.push_str(",\"link_throughput_kbps\":");
-    welford(out, &c.aggregate.link_throughput_kbps);
-    out.push_str(",\"hops\":");
-    welford(out, &c.aggregate.hops);
-    out.push_str(",\"collisions\":");
-    num(out, c.aggregate.collisions);
-    out.push_str(",\"link_breaks\":");
-    num(out, c.aggregate.link_breaks);
+    push_members(out, plan.cell_labels(index), |out, entry| push_string(out, &entry));
+    let _ = write!(out, ",\"aggregate\":{{\"trials\":{}", c.aggregate.trials);
+    push_members(
+        out,
+        [
+            ("delay_ms", &c.aggregate.delay_ms),
+            ("delivery_pct", &c.aggregate.delivery_pct),
+            ("overhead_kbps", &c.aggregate.overhead_kbps),
+            ("link_throughput_kbps", &c.aggregate.link_throughput_kbps),
+            ("hops", &c.aggregate.hops),
+        ],
+        welford,
+    );
+    push_members(
+        out,
+        [("collisions", c.aggregate.collisions), ("link_breaks", c.aggregate.link_breaks)],
+        push_f64_or_null,
+    );
     out.push_str(",\"throughput_kbps\":");
-    f64_array(out, &c.aggregate.throughput_kbps);
-    out.push_str("},\"trial_summaries\":[");
-    for (i, t) in c.trials.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        trial(out, t);
-    }
-    out.push_str("]}");
+    push_array(out, c.aggregate.throughput_kbps.iter().copied(), push_f64_or_null);
+    out.push_str("},\"trial_summaries\":");
+    push_array(out, &c.trials, trial);
+    out.push('}');
 }
 
 /// Renders a sweep result as a JSON document.
@@ -188,72 +147,33 @@ pub fn sweep_json<P>(
     meta: &[(&str, String)],
 ) -> String {
     let mut out = String::with_capacity(4096);
-    let _ = write!(out, "{{\"schema\":{SWEEP_JSON_SCHEMA},\"meta\":{{");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(&mut out, k);
-        out.push(':');
-        esc(&mut out, v);
-    }
-    let _ = write!(out, "}},\"workers\":{},\"wall_secs\":", result.workers);
-    num(&mut out, result.wall_secs);
+    let _ = write!(out, "{{\"schema\":{SWEEP_JSON_SCHEMA},\"meta\":");
+    push_object(&mut out, meta.iter().map(|(k, v)| (k, v.as_str())), push_string);
+    let _ = write!(out, ",\"workers\":{}", result.workers);
+    push_members(&mut out, [("wall_secs", result.wall_secs)], push_f64_or_null);
     let _ = write!(
         out,
         ",\"plan\":{{\"trials\":{},\"base_seed\":{},\"speeds_kmh\":",
         result.plan.trials, result.plan.base_seed
     );
-    f64_array(&mut out, &result.plan.speeds_kmh);
-    out.push_str(",\"node_counts\":[");
-    for (i, n) in result.plan.node_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{n}");
-    }
-    out.push_str("],\"protocols\":[");
-    for (i, p) in result.plan.protocols.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        esc(&mut out, &label(p));
-    }
-    out.push(']');
+    push_array(&mut out, result.plan.speeds_kmh.iter().copied(), push_f64_or_null);
+    out.push_str(",\"node_counts\":");
+    push_array(&mut out, result.plan.node_counts.iter().map(|&n| n as u64), push_u64);
+    out.push_str(",\"protocols\":");
+    push_array(&mut out, &result.plan.protocols, |out, p| push_string(out, &label(p)));
     // Only widened axes are named, so artifacts pinned before an axis
     // existed keep their bytes.
-    for axis in result.plan.axes().into_iter().filter(|a| a.widened()) {
-        out.push(',');
-        esc(&mut out, axis.plan_key());
-        out.push_str(":[");
-        for entry in 0..axis.entries() {
-            if entry > 0 {
-                out.push(',');
-            }
-            esc(&mut out, &axis.label(entry));
-        }
-        out.push(']');
-    }
-    out.push_str("},\"cells\":[");
+    let widened = result.plan.axes().into_iter().filter(|a| a.widened());
+    push_members(&mut out, widened.map(|axis| (axis.plan_key(), axis)), |out, axis| {
+        push_array(out, 0..axis.entries(), |out, entry| push_string(out, &axis.label(entry)))
+    });
+    out.push_str("},\"cells\":");
     let label_dyn: &dyn Fn(&P) -> String = &label;
-    for (i, c) in result.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        cell(&mut out, &result.plan, i, c, label_dyn);
-    }
-    out.push_str("]}");
+    push_array(&mut out, result.cells.iter().enumerate(), |out, (i, c)| {
+        cell(out, &result.plan, i, c, label_dyn)
+    });
+    out.push('}');
     out
-}
-
-/// Renders and writes the artifact to `path`.
-pub fn write_sweep_json<P>(
-    path: &std::path::Path,
-    result: &SweepResult<P>,
-    label: impl Fn(&P) -> String,
-    meta: &[(&str, String)],
-) -> std::io::Result<()> {
-    std::fs::write(path, sweep_json(result, label, meta))
 }
 
 #[cfg(test)]
@@ -301,15 +221,6 @@ mod tests {
             .sum();
         assert_eq!(braces, 0);
         assert_eq!(brackets, 0);
-    }
-
-    #[test]
-    fn non_finite_values_become_null() {
-        let mut s = String::new();
-        num(&mut s, f64::NAN);
-        s.push(' ');
-        num(&mut s, f64::INFINITY);
-        assert_eq!(s, "null null");
     }
 
     #[test]
@@ -424,16 +335,5 @@ mod tests {
         }
         assert_eq!(plan_hash, WANT_PLAN_HASH, "widened plan-hash encoding drifted");
         assert_eq!(doc_hash, WANT_DOC_HASH, "widened artifact bytes drifted:\n{doc}");
-    }
-
-    #[test]
-    fn write_round_trips_to_disk() {
-        let dir = std::env::temp_dir().join("rica_exec_json_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep_results.json");
-        write_sweep_json(&path, &toy_result(), |p| format!("P{p}"), &[]).unwrap();
-        let back = std::fs::read_to_string(&path).unwrap();
-        assert!(back.contains("\"workers\":1"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -63,7 +63,7 @@ mod pool;
 mod progress;
 
 pub use axis::Axis;
-pub use json::{json_string, sweep_json, write_sweep_json};
+pub use json::sweep_json;
 pub use plan::{fnv1a, SweepCell, SweepPlan, SweepResult, TrialJob};
 pub use pool::{effective_workers, run_jobs, ExecOptions};
 pub use progress::Progress;

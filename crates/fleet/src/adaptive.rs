@@ -11,7 +11,10 @@
 //! trials* a fixed sweep would — adaptive execution refines the grid,
 //! it never forks it.
 
+use std::fmt::Write as _;
+
 use rica_exec::{run_jobs, ExecOptions, SweepPlan, TrialJob};
+use rica_metrics::json::{push_array, push_f64_or_null, push_members, push_object, push_string};
 use rica_metrics::{Aggregate, TrialSummary};
 
 use crate::manifest::hash_hex;
@@ -190,52 +193,45 @@ pub fn adaptive_json<P: Copy>(
     plan: &SweepPlan<P>,
     label: impl Fn(&P) -> String,
 ) -> String {
-    use std::fmt::Write as _;
-    let fin = |v: f64| if v.is_finite() { format!("{v}") } else { "null".to_string() };
-    let opt = |v: Option<f64>| v.map_or("null".to_string(), |t| format!("{t}"));
-    let plan_hash = plan.content_hash(&label);
-    let mut out = format!(
-        "{{\"schema\":2,\"kind\":\"adaptive-report\",\"plan_hash\":\"{}\",\"z\":{},\
-         \"targets\":{{\"delivery_hw_pct\":{},\"delay_hw_ms\":{}}},\"batch\":{},\
-         \"max_trials\":{},\"min_trials\":{},\"total_trials\":{},\"cells\":[",
-        hash_hex(plan_hash),
-        report.config.z,
-        opt(report.config.delivery_hw_pct),
-        opt(report.config.delay_hw_ms),
+    let mut out = String::from("{\"schema\":2,\"kind\":\"adaptive-report\",\"plan_hash\":");
+    push_string(&mut out, &hash_hex(plan.content_hash(&label)));
+    push_members(&mut out, [("z", report.config.z)], push_f64_or_null);
+    out.push_str(",\"targets\":");
+    // An unset target renders as null, like a non-finite one.
+    let targets = [
+        ("delivery_hw_pct", report.config.delivery_hw_pct),
+        ("delay_hw_ms", report.config.delay_hw_ms),
+    ];
+    push_object(&mut out, targets, |out, t| push_f64_or_null(out, t.unwrap_or(f64::NAN)));
+    let _ = write!(
+        out,
+        ",\"batch\":{},\"max_trials\":{},\"min_trials\":{},\"total_trials\":{},\"cells\":",
         report.config.batch,
         report.config.max_trials,
         plan.trials,
         report.total_trials()
     );
-    for (i, c) in report.cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    push_array(&mut out, &report.cells, |out, c| {
         let job = plan.job(c.cell, 0);
-        let _ = write!(
+        let _ = write!(out, "{{\"cell\":{},\"protocol\":", c.cell);
+        push_string(out, &label(&job.protocol));
+        push_members(out, [("speed_kmh", job.speed_kmh)], push_f64_or_null);
+        let _ = write!(out, ",\"nodes\":{}", job.nodes);
+        push_members(out, plan.cell_labels(c.cell), |out, entry| push_string(out, &entry));
+        let _ = write!(out, ",\"trials\":{},\"converged\":{}", c.trials, c.converged);
+        push_members(
             out,
-            "{{\"cell\":{},\"protocol\":{},\"speed_kmh\":{},\"nodes\":{}",
-            c.cell,
-            rica_exec::json_string(&label(&job.protocol)),
-            job.speed_kmh,
-            job.nodes,
+            [
+                ("delivery_pct", c.aggregate.delivery_pct.mean()),
+                ("delivery_hw_pct", c.delivery_hw_pct),
+                ("delay_ms", c.aggregate.delay_ms.mean()),
+                ("delay_hw_ms", c.delay_hw_ms),
+            ],
+            push_f64_or_null,
         );
-        for (key, entry) in plan.cell_labels(c.cell) {
-            let _ = write!(out, ",\"{key}\":{}", rica_exec::json_string(&entry));
-        }
-        let _ = write!(
-            out,
-            ",\"trials\":{},\"converged\":{},\"delivery_pct\":{},\"delivery_hw_pct\":{},\
-             \"delay_ms\":{},\"delay_hw_ms\":{}}}",
-            c.trials,
-            c.converged,
-            fin(c.aggregate.delivery_pct.mean()),
-            fin(c.delivery_hw_pct),
-            fin(c.aggregate.delay_ms.mean()),
-            fin(c.delay_hw_ms),
-        );
-    }
-    out.push_str("]}\n");
+        out.push('}');
+    });
+    out.push_str("}\n");
     out
 }
 
@@ -377,14 +373,40 @@ mod tests {
             run_adaptive(&p, &ExecOptions::serial(), &AdaptiveConfig::default(), noisy_runner);
         let doc = adaptive_json(&report, &p, |x| format!("P{x}"));
         let v = rica_metrics::parse_json(doc.trim()).expect("valid JSON");
-        let rows = v.get("cells").and_then(|c| c.as_array()).expect("cells");
-        let faults: Vec<&str> = rows
-            .iter()
-            .map(|r| r.get("faults").and_then(|f| f.as_str()).expect("faults"))
-            .collect();
+        let rows = v.array_at("cells").unwrap();
+        let faults: Vec<&str> = rows.iter().map(|r| r.str_at("faults").unwrap()).collect();
         assert_eq!(faults, ["none", "churn(up40s,down8s)", "none", "churn(up40s,down8s)"]);
         // The axes left at their default are not named.
         assert!(!doc.contains("\"workload\"") && !doc.contains("\"fidelity\""), "{doc}");
+    }
+
+    /// FNV-1a pin of an adaptive report: one-trial cells (non-finite
+    /// half-widths render as `null`), one target set and one unset, and
+    /// a widened fault axis. To regenerate after an intentional change:
+    ///
+    /// ```text
+    /// GOLDEN_PRINT=1 cargo test -q -p rica-fleet adaptive_report_bytes -- --nocapture
+    /// ```
+    #[test]
+    fn adaptive_report_bytes_are_pinned() {
+        use rica_faults::FaultPlan;
+        const WANT: u64 = 0xbe70_c22c_5903_11de;
+        let mut p = plan()
+            .with_faults(vec![FaultPlan::none(), FaultPlan::none().with_churn(40.0, 8.0, 0.0)]);
+        p.trials = 1;
+        let config = AdaptiveConfig {
+            delivery_hw_pct: Some(2.5),
+            max_trials: 1,
+            ..AdaptiveConfig::default()
+        };
+        let report = run_adaptive(&p, &ExecOptions::serial(), &config, noisy_runner);
+        let doc = adaptive_json(&report, &p, |x| format!("P\"{x}"));
+        let hash = rica_exec::fnv1a(doc.as_bytes());
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("WANT = 0x{hash:016x};\n{doc}");
+            return;
+        }
+        assert_eq!(hash, WANT, "adaptive report bytes drifted:\n{doc}");
     }
 
     #[test]

@@ -244,6 +244,16 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_manifest_is_an_error_not_a_stack_overflow() {
+        let dir = tmp_dir("deep");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(MANIFEST_FILE), "[".repeat(30_000)).unwrap();
+        let err = load_manifest(&dir).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn adopted_manifest_split_wins_over_requested_shard_count() {
         let p = plan();
         let dir = tmp_dir("adopt");

@@ -8,10 +8,11 @@
 //! shard can prove it belongs to the manifest — and a manifest can
 //! reject artifacts from any other plan — without re-running anything.
 
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use rica_exec::SweepPlan;
-use rica_metrics::{parse_json, JsonValue};
+use rica_metrics::json::{parse_json, push_array, push_string};
 
 /// Manifest schema version.
 pub const MANIFEST_SCHEMA: u32 = 1;
@@ -162,7 +163,7 @@ impl FleetManifest {
         if cursor != self.jobs {
             return Err(format!("shards cover {cursor} of {} jobs", self.jobs));
         }
-        if self.jobs != self.cells * self.trials {
+        if self.cells.checked_mul(self.trials) != Some(self.jobs) {
             return Err("jobs ≠ cells × trials".into());
         }
         Ok(())
@@ -170,26 +171,24 @@ impl FleetManifest {
 
     /// Renders the manifest as its one-document JSON artifact.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "{{\"schema\":{MANIFEST_SCHEMA},\"kind\":\"fleet-manifest\",\"plan_hash\":\"{}\",\
-             \"jobs\":{},\"cells\":{},\"trials\":{},\"shards\":[",
-            hash_hex(self.plan_hash),
-            self.jobs,
-            self.cells,
-            self.trials
+        let mut out =
+            format!("{{\"schema\":{MANIFEST_SCHEMA},\"kind\":\"fleet-manifest\",\"plan_hash\":");
+        push_string(&mut out, &hash_hex(self.plan_hash));
+        let _ = write!(
+            out,
+            ",\"jobs\":{},\"cells\":{},\"trials\":{},\"shards\":",
+            self.jobs, self.cells, self.trials
         );
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        push_array(&mut out, &self.shards, |out, s| {
             let _ = write!(
                 out,
-                "{{\"shard\":{},\"start\":{},\"end\":{},\"file\":\"{}\"}}",
-                s.shard, s.start, s.end, s.file
+                "{{\"shard\":{},\"start\":{},\"end\":{},\"file\":",
+                s.shard, s.start, s.end
             );
-        }
-        out.push_str("]}\n");
+            push_string(out, &s.file);
+            out.push('}');
+        });
+        out.push_str("}\n");
         out
     }
 
@@ -197,50 +196,30 @@ impl FleetManifest {
     /// and validates its structure.
     pub fn parse(src: &str) -> Result<FleetManifest, String> {
         let v = parse_json(src.trim())?;
-        if v.get("kind").and_then(JsonValue::as_str) != Some("fleet-manifest") {
+        if v.str_at("kind") != Ok("fleet-manifest") {
             return Err("not a fleet manifest".into());
         }
-        let schema = v.get("schema").and_then(JsonValue::as_u64).ok_or("missing schema")?;
+        let schema = v.u64_at("schema")?;
         if schema != MANIFEST_SCHEMA as u64 {
             return Err(format!("unsupported manifest schema {schema}"));
         }
-        let u = |key: &str| -> Result<usize, String> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("missing {key}"))
-        };
         let shards = v
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing shards")?
+            .array_at("shards")?
             .iter()
             .map(|s| -> Result<ShardSpec, String> {
-                let su = |key: &str| {
-                    s.get(key)
-                        .and_then(JsonValue::as_u64)
-                        .map(|n| n as usize)
-                        .ok_or_else(|| format!("missing shard {key}"))
-                };
                 Ok(ShardSpec {
-                    shard: su("shard")?,
-                    start: su("start")?,
-                    end: su("end")?,
-                    file: s
-                        .get("file")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("missing shard file")?
-                        .to_string(),
+                    shard: s.usize_at("shard")?,
+                    start: s.usize_at("start")?,
+                    end: s.usize_at("end")?,
+                    file: s.str_at("file")?.to_string(),
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
         let manifest = FleetManifest {
-            plan_hash: parse_hash_hex(
-                v.get("plan_hash").and_then(JsonValue::as_str).ok_or("missing plan_hash")?,
-            )?,
-            jobs: u("jobs")?,
-            cells: u("cells")?,
-            trials: u("trials")?,
+            plan_hash: parse_hash_hex(v.str_at("plan_hash")?)?,
+            jobs: v.usize_at("jobs")?,
+            cells: v.usize_at("cells")?,
+            trials: v.usize_at("trials")?,
             shards,
         };
         manifest.validate()?;
@@ -275,6 +254,24 @@ mod tests {
         assert_eq!(back, m);
     }
 
+    /// FNV-1a pin of a manifest document. To regenerate after an
+    /// intentional change:
+    ///
+    /// ```text
+    /// GOLDEN_PRINT=1 cargo test -q -p rica-fleet manifest_bytes -- --nocapture
+    /// ```
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        const WANT: u64 = 0xce97_dbd5_f614_af3d;
+        let doc = FleetManifest::split(&plan(), u8::to_string, 3).to_json();
+        let hash = rica_exec::fnv1a(doc.as_bytes());
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("WANT = 0x{hash:016x};\n{doc}");
+            return;
+        }
+        assert_eq!(hash, WANT, "manifest bytes drifted:\n{doc}");
+    }
+
     #[test]
     fn hash_hex_round_trips() {
         for h in [0u64, 1, u64::MAX, 0x6945_0152_892b_2c3c] {
@@ -304,10 +301,40 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_grid_whose_size_overflows() {
+        let mut m = FleetManifest::split(&plan(), u8::to_string, 2);
+        (m.cells, m.trials) = (1 << 33, 1 << 33);
+        assert!(FleetManifest::parse(&m.to_json()).is_err());
+    }
+
+    /// Hostile input: every strict prefix of a manifest is an error;
+    /// single-byte replacements and deep nesting give an error or a
+    /// manifest, never a panic.
+    #[test]
+    fn hostile_manifests_never_panic() {
+        let doc = FleetManifest::split(&plan(), u8::to_string, 3).to_json();
+        let doc = doc.trim_end();
+        for cut in 0..doc.len() {
+            assert!(FleetManifest::parse(&doc[..cut]).is_err(), "{cut}-byte prefix parsed");
+        }
+        for at in 0..doc.len() {
+            for &b in b"{}[]\",:09-.ex \\" {
+                let mut bytes = doc.as_bytes().to_vec();
+                bytes[at] = b;
+                let _ = FleetManifest::parse(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
+        let deep = doc.replacen("[", &"[".repeat(100_000), 1);
+        assert!(FleetManifest::parse(&deep).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
     fn parse_rejects_shard_files_outside_the_directory() {
         let good = FleetManifest::split(&plan(), u8::to_string, 2).to_json();
         for bad in ["../x.jsonl", "/tmp/shard_0.jsonl", "sub/shard_0.jsonl", "sub\\shard_0.jsonl"] {
-            let doc = good.replace("\"shard_0.jsonl\"", &rica_exec::json_string(bad));
+            let mut file = String::new();
+            push_string(&mut file, bad);
+            let doc = good.replace("\"shard_0.jsonl\"", &file);
             assert_ne!(doc, good);
             assert!(FleetManifest::parse(&doc).is_err(), "accepted shard file {bad:?}");
         }

@@ -17,11 +17,13 @@
 //! bounded by the chunk, not the shard, and output order is plan order
 //! regardless of worker scheduling.
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use rica_exec::{run_jobs, ExecOptions, SweepPlan, TrialJob};
-use rica_metrics::{parse_json, JsonValue, TrialRecord, TrialSummary};
+use rica_metrics::json::{parse_json, push_string, JsonValue};
+use rica_metrics::{TrialRecord, TrialSummary};
 
 use crate::manifest::{hash_hex, parse_hash_hex, FleetManifest};
 
@@ -44,14 +46,10 @@ pub enum ShardState {
 /// The header line binding a stream file to its manifest slot.
 pub fn header_line(manifest: &FleetManifest, shard: usize) -> String {
     let s = &manifest.shards[shard];
-    format!(
-        "{{\"schema\":{SHARD_SCHEMA},\"kind\":\"header\",\"plan_hash\":\"{}\",\"shard\":{},\
-         \"start\":{},\"end\":{}}}",
-        hash_hex(manifest.plan_hash),
-        s.shard,
-        s.start,
-        s.end
-    )
+    let mut out = format!("{{\"schema\":{SHARD_SCHEMA},\"kind\":\"header\",\"plan_hash\":");
+    push_string(&mut out, &hash_hex(manifest.plan_hash));
+    let _ = write!(out, ",\"shard\":{},\"start\":{},\"end\":{}}}", s.shard, s.start, s.end);
+    out
 }
 
 /// The footer line that certifies a complete stream.
@@ -117,19 +115,16 @@ where
     Ok(path)
 }
 
-fn check_header(line: &str, manifest: &FleetManifest, shard: usize) -> Result<(), String> {
+fn check_header(v: &JsonValue, manifest: &FleetManifest, shard: usize) -> Result<(), String> {
     let spec = &manifest.shards[shard];
-    let v = parse_json(line).map_err(|e| format!("bad header: {e}"))?;
-    if v.get("kind").and_then(JsonValue::as_str) != Some("header") {
+    if v.str_at("kind") != Ok("header") {
         return Err("first line is not a shard header".into());
     }
-    let schema = v.get("schema").and_then(JsonValue::as_u64).ok_or("header missing schema")?;
+    let schema = v.u64_at("schema")?;
     if schema != SHARD_SCHEMA as u64 {
         return Err(format!("unsupported shard schema {schema}"));
     }
-    let hash = parse_hash_hex(
-        v.get("plan_hash").and_then(JsonValue::as_str).ok_or("header missing plan_hash")?,
-    )?;
+    let hash = parse_hash_hex(v.str_at("plan_hash")?)?;
     if hash != manifest.plan_hash {
         return Err(format!(
             "shard stream is from plan {}, manifest expects {}",
@@ -137,12 +132,8 @@ fn check_header(line: &str, manifest: &FleetManifest, shard: usize) -> Result<()
             hash_hex(manifest.plan_hash)
         ));
     }
-    let field = |key: &str| {
-        v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| format!("header missing {key}"))
-    };
-    if field("shard")? != spec.shard as u64
-        || field("start")? != spec.start as u64
-        || field("end")? != spec.end as u64
+    if (v.usize_at("shard")?, v.usize_at("start")?, v.usize_at("end")?)
+        != (spec.shard, spec.start, spec.end)
     {
         return Err("header range does not match the manifest slot".into());
     }
@@ -159,24 +150,38 @@ pub fn read_shard(
     shard: usize,
     dir: &Path,
 ) -> Result<Vec<TrialRecord>, String> {
-    let spec = &manifest.shards[shard];
     let path = manifest.shard_path(dir, shard);
     let body = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_stream(&body, manifest, shard)
+}
+
+/// [`read_shard`] on a stream already in memory: each line is parsed
+/// once, then read as the header, a record or the footer.
+fn parse_stream(
+    body: &str,
+    manifest: &FleetManifest,
+    shard: usize,
+) -> Result<Vec<TrialRecord>, String> {
+    let spec = &manifest.shards[shard];
     let mut lines = body.lines();
-    check_header(lines.next().ok_or("empty shard file")?, manifest, shard)?;
-    let mut records = Vec::with_capacity(spec.jobs());
+    parse_json(lines.next().ok_or("empty shard file")?)
+        .and_then(|v| check_header(&v, manifest, shard))
+        .map_err(|e| format!("bad header: {e}"))?;
+    // Not `with_capacity(spec.jobs())`: the range comes from a manifest
+    // on disk, and a hostile one could ask for any allocation.
+    let mut records = Vec::new();
     let mut footer = None;
     for line in lines {
         if footer.is_some() {
             return Err("content after footer".into());
         }
-        if let Ok(v) = parse_json(line) {
-            if v.get("kind").and_then(JsonValue::as_str) == Some("footer") {
-                footer = Some(v.get("records").and_then(JsonValue::as_u64).ok_or("bad footer")?);
-                continue;
-            }
+        let v = parse_json(line).map_err(|e| format!("record {}: {e}", records.len()))?;
+        if v.get("kind").and_then(JsonValue::as_str) == Some("footer") {
+            footer = Some(v.usize_at("records").map_err(|e| format!("bad footer: {e}"))?);
+            continue;
         }
-        let rec = TrialRecord::parse(line).map_err(|e| format!("record {}: {e}", records.len()))?;
+        let rec =
+            TrialRecord::from_json(&v).map_err(|e| format!("record {}: {e}", records.len()))?;
         let want = spec.start + records.len();
         if rec.job != want {
             return Err(format!("record out of order: job {} where {want} expected", rec.job));
@@ -184,7 +189,7 @@ pub fn read_shard(
         records.push(rec);
     }
     let footer = footer.ok_or("missing footer (stream truncated)")?;
-    if footer != records.len() as u64 || records.len() != spec.jobs() {
+    if footer != records.len() || records.len() != spec.jobs() {
         return Err(format!(
             "record count mismatch: footer {footer}, read {}, range needs {}",
             records.len(),
@@ -253,6 +258,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// FNV-1a pin of a shard header and footer. To regenerate after an
+    /// intentional change:
+    ///
+    /// ```text
+    /// GOLDEN_PRINT=1 cargo test -q -p rica-fleet header_and_footer_bytes -- --nocapture
+    /// ```
+    #[test]
+    fn header_and_footer_bytes_are_pinned() {
+        const WANT: u64 = 0x60e9_eb50_f701_004e;
+        let (_, manifest, dir) = setup();
+        let _ = std::fs::remove_dir_all(&dir);
+        let lines = format!("{}\n{}\n", header_line(&manifest, 1), footer_line(7));
+        let hash = rica_exec::fnv1a(lines.as_bytes());
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("WANT = 0x{hash:016x};\n{lines}");
+            return;
+        }
+        assert_eq!(hash, WANT, "header/footer bytes drifted:\n{lines}");
+    }
+
     #[test]
     fn truncated_stream_is_invalid() {
         let (plan, manifest, dir) = setup();
@@ -268,6 +293,53 @@ mod tests {
             other => panic!("expected Invalid, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile input: every strict prefix of a shard stream is an error;
+    /// single-byte replacements give an error or records, never a panic;
+    /// deep nesting on a record line is an error through `read_shard`.
+    #[test]
+    fn hostile_streams_never_panic() {
+        let (plan, _, dir) = setup();
+        let manifest = FleetManifest::split(&plan, u8::to_string, 10);
+        let path =
+            run_shard(&plan, &manifest, 3, &dir, &ExecOptions::serial(), toy_runner).unwrap();
+        let body = std::fs::read_to_string(&path).unwrap();
+        let body = body.trim_end();
+        assert_eq!(parse_stream(body, &manifest, 3).unwrap().len(), 2);
+        for cut in 0..body.len() {
+            assert!(parse_stream(&body[..cut], &manifest, 3).is_err(), "{cut}-byte prefix read");
+        }
+        for at in 0..body.len() {
+            for &b in b"{}[]\",:19-e \n" {
+                let mut bytes = body.as_bytes().to_vec();
+                bytes[at] = b;
+                let _ = parse_stream(std::str::from_utf8(&bytes).unwrap(), &manifest, 3);
+            }
+        }
+        let deep =
+            body.replacen("\"throughput_kbps\":", &format!("\"k\":{}", "[".repeat(30_000)), 1);
+        std::fs::write(&path, deep).unwrap();
+        let err = read_shard(&manifest, 3, &dir).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_huge_manifest_range_is_not_preallocated() {
+        let jobs = 1 << 40;
+        let file = "shard_0.jsonl".to_string();
+        let manifest = FleetManifest {
+            plan_hash: 7,
+            jobs,
+            cells: 1 << 20,
+            trials: 1 << 20,
+            shards: vec![crate::manifest::ShardSpec { shard: 0, start: 0, end: jobs, file }],
+        };
+        manifest.validate().unwrap();
+        let body = format!("{}\n{}", header_line(&manifest, 0), footer_line(0));
+        let err = parse_stream(&body, &manifest, 0).unwrap_err();
+        assert!(err.contains("record count mismatch"), "{err}");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   `churn` (renewal up/down churn), `partition` (one
 //!   partition-and-heal episode) or `all` (the default: every kind at
 //!   once) — the combined preset exercises every fault trace event in
-//!   a single short trial, which is what `tools/trace_lint.sh` checks;
+//!   a single short trial, which `crates/harness/tests/inspect.rs`
+//!   checks;
 //! * `--trace[=PATH]` streams a JSONL event trace (default
 //!   `trace.jsonl`);
 //! * `--timeseries[=PATH]` writes the fixed-interval sampler artifact
@@ -27,7 +28,9 @@
 //!
 //! Tracing and sampling never change the numbers printed below — the
 //! summary is bit-identical with every combination of the flags
-//! (`--profile` only adds output, never changes the shared lines).
+//! (`--profile` only adds output, never changes the shared lines). If an
+//! artifact cannot be written, the summary is still printed and the
+//! exit code is 1.
 
 use rica_channel::{ChannelConfig, ChannelFidelity};
 use rica_faults::{FaultPlan, NodeGroup, NodeId};
@@ -103,20 +106,24 @@ fn main() {
     world.start();
     let end = world.now() + s.duration;
     world.step_until(end);
-    if let Some(path) = &trace_path {
-        if let Some(mut sink) = world.take_trace_sink() {
-            sink.flush();
-            let written = sink.downcast_mut::<JsonlSink>().map(|s| s.written()).unwrap_or_default();
-            eprintln!("trace: {written} events -> {path}");
+    // A failed artifact write still prints the summary, then exits 1.
+    let mut write_failed = false;
+    let mut report = |path: &str, written: Result<String, String>| match written {
+        Ok(what) => eprintln!("{what} -> {path}"),
+        Err(err) => {
+            eprintln!("cannot write {path}: {err}");
+            write_failed = true;
         }
+    };
+    if let (Some(path), Some(mut sink)) = (&trace_path, world.take_trace_sink()) {
+        sink.flush();
+        let sink = sink.downcast_mut::<JsonlSink>().expect("inspect traces to a JsonlSink");
+        let written = sink.error().map_or(Ok(sink.written()), |err| Err(err.to_string()));
+        report(path, written.map(|n| format!("trace: {n} events")));
     }
-    if let Some(path) = &timeseries_path {
-        if let Some(rec) = world.take_timeseries() {
-            match std::fs::write(path, rec.to_json()) {
-                Ok(()) => eprintln!("timeseries: {} samples -> {path}", rec.rows().len()),
-                Err(err) => eprintln!("cannot write {path}: {err}"),
-            }
-        }
+    if let (Some(path), Some(rec)) = (&timeseries_path, world.take_timeseries()) {
+        let written = std::fs::write(path, rec.to_json()).map_err(|err| err.to_string());
+        report(path, written.map(|()| format!("timeseries: {} samples", rec.rows().len())));
     }
     let diagnostics = profile.then(|| world.diagnostics());
     let r = world.finish();
@@ -195,6 +202,9 @@ fn main() {
                 );
             }
         }
+    }
+    if write_failed {
+        std::process::exit(1);
     }
 }
 

@@ -12,6 +12,7 @@
 use std::path::Path;
 
 use rica_exec::{ExecOptions, SweepPlan, SweepResult, TrialJob};
+use rica_metrics::json::{push_object, push_string};
 use rica_metrics::TrialSummary;
 use rica_trace::JsonlSink;
 use rica_traffic::WorkloadSpec;
@@ -125,25 +126,13 @@ pub fn sweeps_json(
     sweeps: &[(String, SweepResult<ProtocolKind>)],
     meta: &[(&str, String)],
 ) -> String {
-    let mut out = String::from("{\"schema\":1,\"meta\":{");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&rica_exec::json_string(k));
-        out.push(':');
-        out.push_str(&rica_exec::json_string(v));
-    }
-    out.push_str("},\"sweeps\":{");
-    for (i, (label, sweep)) in sweeps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&rica_exec::json_string(label));
-        out.push(':');
-        out.push_str(&rica_exec::sweep_json(sweep, |k| k.name().to_string(), &[]));
-    }
-    out.push_str("}}");
+    let mut out = String::from("{\"schema\":1,\"meta\":");
+    push_object(&mut out, meta.iter().map(|(k, v)| (k, v.as_str())), push_string);
+    out.push_str(",\"sweeps\":");
+    push_object(&mut out, sweeps.iter().map(|(label, sweep)| (label, sweep)), |out, sweep| {
+        out.push_str(&rica_exec::sweep_json(sweep, |k| k.name().to_string(), &[]))
+    });
+    out.push('}');
     out
 }
 

@@ -243,18 +243,18 @@ fn documented_above(file: &SourceFile, idx: usize) -> bool {
 struct FloatFmt;
 
 /// The one place float→text is pinned (shortest-roundtrip codec).
-const PINNED_CODEC: &str = "crates/metrics/src/stream.rs";
+const PINNED_CODEC: &str = "crates/metrics/src/json.rs";
 
 impl Rule for FloatFmt {
     fn id(&self) -> &'static str {
         "float-fmt"
     }
     fn summary(&self) -> &'static str {
-        "float formatting outside the pinned shortest-roundtrip codec (rica_metrics::stream)"
+        "float formatting outside the pinned shortest-roundtrip codec (rica_metrics::json)"
     }
     fn hint(&self) -> &'static str {
         "artifact floats must round-trip exactly: route them through \
-         rica_metrics::stream::push_f64/fmt_f64, or allow-annotate output that is \
+         rica_metrics::json::push_f64/fmt_f64, or allow-annotate output that is \
          presentation-only (human display, deliberately rounded)"
     }
     fn applies(&self, class: CrateClass) -> bool {

@@ -26,6 +26,7 @@
 mod aggregate;
 mod csv;
 mod diagnostics;
+pub mod json;
 mod recorder;
 mod stream;
 mod table;
@@ -34,11 +35,10 @@ mod welford;
 pub use aggregate::Aggregate;
 pub use csv::csv_document;
 pub use diagnostics::{EventKindStats, EventProfile, WorldDiagnostics};
+pub use json::{fmt_f64, parse_json, JsonValue};
 pub use recorder::{
     FaultKind, FlowSummary, Metrics, RecoverySummary, TrialSummary, WorkloadSummary,
 };
-pub use stream::{
-    fmt_f64, parse_json, push_f64, push_json_string, JsonValue, TrialRecord, TRIAL_RECORD_SCHEMA,
-};
+pub use stream::{TrialRecord, TRIAL_RECORD_SCHEMA};
 pub use table::{format_table, Align};
 pub use welford::Welford;

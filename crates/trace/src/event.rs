@@ -1,6 +1,7 @@
 //! The structured event vocabulary and its JSONL rendering.
 
 use rica_channel::ChannelClass;
+use rica_metrics::json::push_f64_or_null;
 use rica_net::{ControlKind, DropReason, FlowId, NodeId, RoutePhase};
 use rica_sim::SimTime;
 
@@ -358,7 +359,9 @@ impl TraceEvent {
     /// Schema: every line has `"t"` (sim time, integer nanoseconds — the
     /// exact internal representation, so artifacts are bit-stable) and
     /// `"ev"` (one of [`TraceEvent::NAMES`]), followed by the
-    /// variant-specific fields in a fixed order.
+    /// variant-specific fields in a fixed order. Strings are names from
+    /// closed vocabularies and need no escaping; the one float goes
+    /// through `rica_metrics::json`.
     pub fn to_json(&self, out: &mut String) {
         use std::fmt::Write;
         use TraceEvent::*;
@@ -409,9 +412,11 @@ impl TraceEvent {
             DataDelivered { node, flow, seq, delay_ms, hops, .. } => {
                 let _ = write!(
                     out,
-                    ",\"node\":{},\"flow\":{},\"seq\":{seq},\"delay_ms\":{delay_ms},\"hops\":{hops}",
+                    ",\"node\":{},\"flow\":{},\"seq\":{seq},\"delay_ms\":",
                     node.0, flow.0
                 );
+                push_f64_or_null(out, *delay_ms);
+                let _ = write!(out, ",\"hops\":{hops}");
             }
             DataDropped { node, flow, seq, reason, .. } => {
                 let _ = write!(
@@ -551,8 +556,8 @@ mod tests {
             let mut line = String::new();
             ev.to_json(&mut line);
             assert!(line.starts_with("{\"t\":0,\"ev\":\""), "{line}");
-            assert!(line.ends_with('}'), "{line}");
-            assert!(line.contains(&format!("\"ev\":\"{name}\"")), "{line}");
+            let v = rica_metrics::parse_json(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert_eq!(v.str_at("ev"), Ok(name), "{line}");
         }
     }
 

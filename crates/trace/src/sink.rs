@@ -48,11 +48,14 @@ impl TraceSink for NoopSink {
 }
 
 /// Streams events to a file as JSON Lines (one object per line, schema
-/// documented on [`TraceEvent::to_json`]).
+/// documented on [`TraceEvent::to_json`]). A trace must never abort the
+/// trial it observes, so the first I/O error stops the writing and waits
+/// in [`JsonlSink::error`] for the caller.
 pub struct JsonlSink {
     out: BufWriter<File>,
     line: String,
     written: u64,
+    error: Option<io::Error>,
 }
 
 impl JsonlSink {
@@ -62,6 +65,7 @@ impl JsonlSink {
             out: BufWriter::new(File::create(path)?),
             line: String::with_capacity(256),
             written: 0,
+            error: None,
         })
     }
 
@@ -69,21 +73,31 @@ impl JsonlSink {
     pub fn written(&self) -> u64 {
         self.written
     }
+
+    /// The first write or flush error; check it after [`TraceSink::flush`].
+    pub fn error(&self) -> Option<&io::Error> {
+        self.error.as_ref()
+    }
 }
 
 impl TraceSink for JsonlSink {
     fn record(&mut self, ev: &TraceEvent) {
+        if self.error.is_some() {
+            return;
+        }
         self.line.clear();
         ev.to_json(&mut self.line);
         self.line.push('\n');
-        // I/O errors surface on flush/drop; a trace must never abort the
-        // simulation it is observing.
-        let _ = self.out.write_all(self.line.as_bytes());
-        self.written += 1;
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(err) => self.error = Some(err),
+        }
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if let Err(err) = self.out.flush() {
+            self.error.get_or_insert(err);
+        }
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -193,5 +207,18 @@ mod tests {
         let lines: Vec<_> = body.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"t\":0,\"ev\":\"mac_busy\""));
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn jsonl_sink_keeps_its_first_io_error() {
+        let mut sink = JsonlSink::create("/dev/full").expect("open /dev/full");
+        for node in 0..10_000 {
+            sink.record(&ev(node));
+        }
+        sink.flush();
+        let err = sink.error().expect("a full device must surface an error");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull, "{err}");
+        assert!(sink.written() < 10_000, "writing stops at the first error");
     }
 }

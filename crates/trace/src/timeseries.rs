@@ -8,6 +8,7 @@
 
 use std::fmt::Write;
 
+use rica_metrics::json::{push_array, push_u64};
 use rica_net::FlowId;
 
 /// One fixed-interval snapshot of simulator state.
@@ -128,30 +129,17 @@ impl TimeseriesRecorder {
                 row.data_queued,
                 row.links_in_flight
             );
-            let _ = write!(
-                out,
-                ",\"class_census\":[{},{},{},{}]",
-                row.class_census[0], row.class_census[1], row.class_census[2], row.class_census[3]
-            );
-            push_u64_array(&mut out, ",\"flow_generated\":", &row.flow_generated);
-            push_u64_array(&mut out, ",\"flow_delivered\":", &row.flow_delivered);
+            out.push_str(",\"class_census\":");
+            push_array(&mut out, row.class_census.iter().map(|&n| n as u64), push_u64);
+            out.push_str(",\"flow_generated\":");
+            push_array(&mut out, row.flow_generated.iter().copied(), push_u64);
+            out.push_str(",\"flow_delivered\":");
+            push_array(&mut out, row.flow_delivered.iter().copied(), push_u64);
             out.push('}');
         }
         out.push_str("\n  ]\n}\n");
         out
     }
-}
-
-fn push_u64_array(out: &mut String, key: &str, values: &[u64]) {
-    out.push_str(key);
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
 }
 
 #[cfg(test)]
@@ -179,11 +167,12 @@ mod tests {
         ts.push_row(500, 9, 8, 7, 6, 5, [4, 3, 2, 1]);
         let doc = ts.to_json();
         assert!(doc.contains("\"schema\": \"rica-timeseries-v1\""));
-        assert!(doc.contains("\"interval_ns\": 500"));
         assert!(doc.contains("\"class_census\":[4,3,2,1]"));
-        assert_eq!(doc.matches("\"t_ns\":").count(), 2);
-        // Balanced braces/brackets — a cheap well-formedness check.
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert_eq!(doc.matches('[').count(), doc.matches(']').count());
+        let v = rica_metrics::parse_json(&doc).expect("the artifact is JSON");
+        assert_eq!(v.u64_at("interval_ns"), Ok(500));
+        let samples = v.array_at("samples").unwrap();
+        assert_eq!(samples.len(), 2);
+        assert_eq!(samples[1].u64_at("t_ns"), Ok(500));
+        assert_eq!(samples[1].array_at("flow_generated").unwrap().len(), 1);
     }
 }

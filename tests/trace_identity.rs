@@ -11,8 +11,12 @@
 //! attaches wall-clock diagnostics to the summary, so it stays off here
 //! and is covered separately below.)
 
+use std::collections::BTreeSet;
+
 use rica_channel::{ChannelConfig, ChannelFidelity};
+use rica_faults::{FaultPlan, NodeGroup, NodeId};
 use rica_harness::{ProtocolKind, Scenario, World};
+use rica_metrics::parse_json;
 use rica_sim::SimDuration;
 use rica_trace::{JsonlSink, RingSink, TraceEvent};
 
@@ -92,41 +96,105 @@ fn profiling_only_adds_diagnostics() {
     assert_eq!(stripped, plain, "profiling changed the physics, not just the diagnostics");
 }
 
-/// Every JSONL line a traced golden trial writes must parse back to a
-/// known schema: a `t` nanosecond timestamp, an `ev` from the published
-/// name table, and balanced JSON delimiters.
+/// Every artifact a traced golden trial writes, on both channel tiers and
+/// under faults, reads back through the one JSON reader: each trace line
+/// is an object that opens with a `t` nanosecond timestamp (never
+/// decreasing) and an `ev` from the published name table, and the
+/// timeseries document carries its schema stamp and one sample per
+/// second. The faulted trial traces every fault lifecycle event.
 #[test]
 fn jsonl_artifact_lines_follow_the_schema() {
-    let s = golden_mobile12(ChannelFidelity::Exact);
-    let path =
-        std::env::temp_dir().join(format!("rica_trace_identity_{}.jsonl", std::process::id()));
-    let mut world = World::new(&s, ProtocolKind::Rica, s.seed);
+    let exact = traced_artifacts(&golden_mobile12(ChannelFidelity::Exact));
+    let approx = traced_artifacts(&golden_mobile12(ChannelFidelity::Approx));
+    for (tier, (trace, timeseries)) in
+        [("exact", exact), ("approx", approx), ("faulted", faulted_artifacts())]
+    {
+        assert!(trace.lines().count() > 1_000, "{tier}: golden trial should emit a rich trace");
+        let mut last_t = 0;
+        let mut seen = BTreeSet::new();
+        for (i, line) in trace.lines().enumerate() {
+            let v = parse_json(line).unwrap_or_else(|e| panic!("{tier} line {i}: {e}: {line}"));
+            let keys: Vec<&str> =
+                v.as_object().unwrap_or_default().iter().map(|(k, _)| k.as_str()).collect();
+            assert!(keys.starts_with(&["t", "ev"]), "{tier} line {i}: not t, ev first: {line}");
+            let t = v.u64_at("t").unwrap_or_else(|e| panic!("{tier} line {i}: {e}"));
+            assert!(t >= last_t, "{tier} line {i}: timestamps must be non-decreasing");
+            last_t = t;
+            let ev = v.str_at("ev").unwrap_or_else(|e| panic!("{tier} line {i}: {e}"));
+            assert!(TraceEvent::NAMES.contains(&ev), "{tier} line {i}: unknown event {ev:?}");
+            seen.insert(ev.to_string());
+        }
+        if tier == "faulted" {
+            for ev in ["node_crashed", "node_rebooted", "partition_start", "partition_healed"] {
+                assert!(seen.contains(ev), "the faulted trial traced no {ev}");
+            }
+        }
+        let doc = parse_json(&timeseries).unwrap_or_else(|e| panic!("{tier} timeseries: {e}"));
+        assert_eq!(doc.str_at("schema"), Ok("rica-timeseries-v1"), "{tier}");
+        assert_eq!(doc.u64_at("interval_ns"), Ok(1_000_000_000), "{tier}");
+        let samples = doc.array_at("samples").unwrap();
+        assert_eq!(samples.len(), 31, "{tier}: 30 s at 1 Hz plus the t = 0 row");
+        let flows = doc.usize_at("flows").unwrap();
+        for row in samples {
+            assert_eq!(row.array_at("class_census").unwrap().len(), 4, "{tier}");
+            assert_eq!(row.array_at("flow_delivered").unwrap().len(), flows, "{tier}");
+        }
+    }
+}
+
+/// A trial traced to JSONL and sampled at 1 s: the trace file's bytes
+/// and the timeseries document.
+fn traced_artifacts(s: &Scenario) -> (String, String) {
+    let path = std::env::temp_dir().join(format!(
+        "rica_trace_identity_{}_{:?}.jsonl",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let mut world = World::new(s, ProtocolKind::Rica, s.seed);
     world.enable_trace(Box::new(JsonlSink::create(&path).expect("create artifact")));
+    world.enable_timeseries(SimDuration::from_secs(1));
     world.start();
     let end = world.now() + s.duration;
     world.step_until(end);
     drop(world.take_trace_sink());
-    let body = std::fs::read_to_string(&path).expect("read artifact back");
+    let timeseries = world.take_timeseries().expect("recorder was installed").to_json();
+    let trace = std::fs::read_to_string(&path).expect("read artifact back");
     let _ = std::fs::remove_file(&path);
-    assert!(body.lines().count() > 1_000, "golden trial should emit a rich trace");
-    let mut last_t = 0u64;
-    for (i, line) in body.lines().enumerate() {
-        let rest = line
-            .strip_prefix("{\"t\":")
-            .unwrap_or_else(|| panic!("line {i} lacks the t prefix: {line}"));
-        let (t_str, rest) =
-            rest.split_once(",\"ev\":\"").unwrap_or_else(|| panic!("line {i}: no ev: {line}"));
-        let t: u64 = t_str.parse().unwrap_or_else(|_| panic!("line {i}: bad t: {line}"));
-        assert!(t >= last_t, "line {i}: timestamps must be non-decreasing");
-        last_t = t;
-        let (name, _) =
-            rest.split_once('"').unwrap_or_else(|| panic!("line {i}: unterminated ev: {line}"));
-        assert!(TraceEvent::NAMES.contains(&name), "line {i}: unknown event name {name:?}");
-        assert!(line.ends_with('}'), "line {i} is not a closed object: {line}");
-        assert_eq!(
-            line.matches('{').count(),
-            line.matches('}').count(),
-            "line {i}: unbalanced braces: {line}"
+    (trace, timeseries)
+}
+
+/// The golden `mobile12` trial under a crash–reboot, churn and a
+/// partition-and-heal.
+fn faulted_artifacts() -> (String, String) {
+    let mut s = golden_mobile12(ChannelFidelity::Exact);
+    s.faults = FaultPlan::none()
+        .with_crash(NodeId(2), 7.5, Some(4.5))
+        .with_churn(12.0, 3.0, 6.0)
+        .with_partition(15.0, 22.5, NodeGroup::IdBelow(6));
+    traced_artifacts(&s)
+}
+
+/// FNV-1a pins of the faulted trial's JSONL trace and timeseries
+/// document. To regenerate after an intentional change:
+///
+/// ```text
+/// GOLDEN_PRINT=1 cargo test -q --test trace_identity faulted_artifact_bytes -- --nocapture
+/// ```
+#[test]
+fn faulted_artifact_bytes_are_pinned() {
+    const WANT_TRACE: u64 = 0x465d_89d2_788c_ac72;
+    const WANT_TIMESERIES: u64 = 0xcc52_d6ae_c691_2b23;
+    let (trace, timeseries) = faulted_artifacts();
+    let (trace_hash, timeseries_hash) =
+        (rica_exec::fnv1a(trace.as_bytes()), rica_exec::fnv1a(timeseries.as_bytes()));
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!(
+            "WANT_TRACE = 0x{trace_hash:016x}; WANT_TIMESERIES = 0x{timeseries_hash:016x}; \
+             ({} trace lines)",
+            trace.lines().count()
         );
+        return;
     }
+    assert_eq!(trace_hash, WANT_TRACE, "faulted trace bytes drifted");
+    assert_eq!(timeseries_hash, WANT_TIMESERIES, "timeseries bytes drifted:\n{timeseries}");
 }
