@@ -4,7 +4,8 @@
 //! 5 mean speeds × 25 seeded trials per point. The original harness ran
 //! that strictly sequentially; this crate turns a declarative
 //! [`SweepPlan`] into a job grid and fans it out over a [`std::thread`]
-//! worker pool with an mpsc result channel, streaming completed
+//! worker pool whose one dispatcher ([`SweepPlan::stream`]) favours the
+//! protocol with the longest measured trials, streaming completed
 //! [`TrialSummary`](rica_metrics::TrialSummary)s into mergeable
 //! [`Aggregate`](rica_metrics::Aggregate)s with live progress reporting.
 //!
@@ -16,10 +17,11 @@
 //! * every trial's seed is derived from the plan alone
 //!   ([`TrialJob::seed`]), never from scheduling;
 //! * each trial is an independent simulation with its own RNG;
-//! * results stream back tagged with their job index and are committed to
-//!   a pre-sized slot table, so the output order is the plan order even
-//!   though the completion order is racy;
-//! * per-cell aggregation folds the slot table in plan order.
+//! * results stream back tagged with their job index and reach the
+//!   caller in job order on the calling thread, so the output order is
+//!   the plan order even though the start and completion orders are
+//!   racy (measured run times decide only when a job starts);
+//! * per-cell aggregation folds the summaries in plan order.
 //!
 //! `tests/determinism.rs` (workspace root) enforces this end-to-end with
 //! 1, 2 and 8 workers over the real simulator.

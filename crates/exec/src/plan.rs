@@ -6,7 +6,7 @@ use rica_metrics::{Aggregate, TrialSummary};
 use rica_traffic::WorkloadSpec;
 
 use crate::axis::DynAxis;
-use crate::pool::{run_jobs, ExecOptions};
+use crate::pool::{dispatch, effective_workers, ExecOptions};
 
 /// A declarative experiment grid: protocols × speeds × node counts ×
 /// the sweep axes (workloads × fidelities × fault plans), with `trials`
@@ -201,7 +201,7 @@ impl<P: Copy> SweepPlan<P> {
     /// — and every seed in it — is a pure function of the plan, which is
     /// what makes execution results independent of scheduling.
     pub fn jobs(&self) -> Vec<TrialJob<P>> {
-        self.jobs_range(0, self.job_count())
+        (0..self.job_count()).map(|i| self.job_at(i)).collect()
     }
 
     /// Trial `trial` of grid cell `cell` (plan order) — the job
@@ -229,8 +229,10 @@ impl<P: Copy> SweepPlan<P> {
     }
 
     /// The job at flat index `index` of the grid — identical to
-    /// `self.jobs()[index]` but O(1), so a shard can derive its own
-    /// sub-range of a million-job plan without materialising the rest.
+    /// `self.jobs()[index]` but O(1), so a fleet pass can derive its
+    /// shards' jobs of a million-job plan without materialising the rest
+    /// (seeds included: they are a pure function of the plan, so any
+    /// shard assignment reproduces the exact single-shot trial stream).
     ///
     /// # Panics
     ///
@@ -238,19 +240,6 @@ impl<P: Copy> SweepPlan<P> {
     pub fn job_at(&self, index: usize) -> TrialJob<P> {
         assert!(index < self.job_count(), "job {index} out of range ({})", self.job_count());
         self.job(index / self.trials, index % self.trials)
-    }
-
-    /// The contiguous job sub-range `[start, end)` of the grid — the unit
-    /// a fleet shard executes. Identical to `self.jobs()[start..end]`
-    /// (seeds included: they are a pure function of the plan, so any
-    /// shard assignment reproduces the exact single-shot trial stream).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or inverted.
-    pub fn jobs_range(&self, start: usize, end: usize) -> Vec<TrialJob<P>> {
-        assert!(start <= end && end <= self.job_count(), "bad job range {start}..{end}");
-        (start..end).map(|i| self.job_at(i)).collect()
     }
 
     /// Assembles one summary per job, in job order, into the plan's
@@ -294,12 +283,54 @@ impl<P: Copy> SweepPlan<P> {
     {
         // rica-lint: allow(wall-clock, "diagnostics-only: wall_secs reports sweep wall time in artifact meta; fleet merges normalise it and no sim state ever reads it")
         let t0 = std::time::Instant::now();
+        let mut summaries = Vec::with_capacity(self.job_count());
+        let Ok(()) = self.stream(
+            self.job_count(),
+            |i| self.job_at(i),
+            opts,
+            &runner,
+            |_, s| {
+                summaries.push(s);
+                Ok::<(), std::convert::Infallible>(())
+            },
+        );
         SweepResult {
             plan: self.clone(),
-            cells: self.cells(run_jobs(&self.jobs(), opts, &runner)),
-            workers: crate::pool::effective_workers(opts.workers, self.job_count()),
+            cells: self.cells(summaries),
+            workers: effective_workers(opts.workers, self.job_count()),
             wall_secs: t0.elapsed().as_secs_f64(),
         }
+    }
+
+    /// Runs `total` of the plan's jobs, `job(i)` being the `i`-th, on the
+    /// shared dispatcher and hands each job with its summary to `commit`
+    /// in `i` order on the calling thread — the one path
+    /// [`SweepPlan::run`], adaptive rounds and fleet passes execute
+    /// through.
+    ///
+    /// A job's cost group is its protocol index: the plan's slowest axis,
+    /// and the one trial costs split on (a link-state trial pops several
+    /// times the events of an on-demand one). After one probe per
+    /// protocol, a free worker takes a job of the protocol with the
+    /// longest mean measured trial time, looking at most 64 jobs past the
+    /// oldest unfinished one, so at most `64 + workers` summaries wait for
+    /// `commit`. Run times decide only when a job starts, never what
+    /// `commit` receives; with one worker, jobs run inline in order and
+    /// no clock is read.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `commit` returns; no job starts after it.
+    pub fn stream<E>(
+        &self,
+        total: usize,
+        job: impl Fn(usize) -> TrialJob<P> + Sync,
+        opts: &ExecOptions,
+        runner: &(impl Fn(&TrialJob<P>) -> TrialSummary + Sync),
+        mut commit: impl FnMut(TrialJob<P>, TrialSummary) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let protocol = |i| self.coords(job(i).cell)[0];
+        dispatch(total, protocol, opts, &|i| runner(&job(i)), |i, s| commit(job(i), s))
     }
 }
 
@@ -494,10 +525,6 @@ mod tests {
         for (i, want) in jobs.iter().enumerate() {
             assert_eq!(plan.job_at(i), *want, "job_at({i}) diverged from jobs()");
         }
-        // Ranges are exactly the slices, including seeds.
-        assert_eq!(plan.jobs_range(0, jobs.len()), jobs);
-        assert_eq!(plan.jobs_range(5, 17), jobs[5..17].to_vec());
-        assert_eq!(plan.jobs_range(7, 7), Vec::new());
     }
 
     #[test]

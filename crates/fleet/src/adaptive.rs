@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use rica_exec::{run_jobs, ExecOptions, SweepPlan, TrialJob};
+use rica_exec::{ExecOptions, SweepPlan, TrialJob};
 use rica_metrics::json::{push_array, push_f64_or_null, push_members, push_object, push_string};
 use rica_metrics::{Aggregate, TrialSummary};
 
@@ -104,7 +104,7 @@ impl AdaptiveReport {
 /// Runs `plan` adaptively: every cell starts with the plan's `trials`
 /// (its minimum), then unconverged cells grow in `config.batch`-sized
 /// rounds until they meet the targets or hit `config.max_trials`. All
-/// cells' pending trials of a round are fanned out over the worker pool
+/// cells' pending trials of a round go through one dispatcher pass
 /// together, so wide grids stay parallel even as cells drop out.
 ///
 /// Determinism: trial `i` of a cell always runs seed `base_seed + i`,
@@ -154,11 +154,17 @@ where
                 })
             })
             .collect();
-        let summaries = run_jobs(&jobs, opts, &runner);
-        for (job, summary) in jobs.iter().zip(summaries) {
-            debug_assert_eq!(trials[job.cell].len(), job.trial, "trials grow in order");
-            trials[job.cell].push(summary);
-        }
+        let Ok(()) = plan.stream(
+            jobs.len(),
+            |i| jobs[i],
+            opts,
+            &runner,
+            |job, summary| {
+                debug_assert_eq!(trials[job.cell].len(), job.trial, "trials grow in order");
+                trials[job.cell].push(summary);
+                Ok::<(), std::convert::Infallible>(())
+            },
+        );
         pending.retain(|&cell| {
             trials[cell].len() < config.max_trials
                 && !config.met(&Aggregate::from_trials(&trials[cell]))

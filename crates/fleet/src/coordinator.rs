@@ -7,7 +7,7 @@ use rica_exec::{ExecOptions, SweepPlan, SweepResult, TrialJob};
 use rica_metrics::TrialSummary;
 
 use crate::manifest::FleetManifest;
-use crate::shard::{read_shard, run_shard, shard_state, ShardState};
+use crate::shard::{read_shard, run_shards, shard_state, ShardState};
 
 /// File name of the manifest inside a fleet directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -56,9 +56,10 @@ pub fn ensure_manifest<P: Copy>(
 }
 
 /// Runs (or resumes) a sharded sweep in `dir`: scans every shard stream,
-/// keeps the complete ones, and re-runs only the missing or invalid
-/// ones. Idempotent — a second call over a finished directory runs
-/// nothing.
+/// keeps the complete ones, and re-runs the missing or invalid ones in
+/// one dispatcher pass ([`SweepPlan::stream`]), so the protocol with the
+/// longest measured trials goes first whichever shard holds its jobs.
+/// Idempotent — a second call over a finished directory runs nothing.
 ///
 /// # Errors
 ///
@@ -77,17 +78,10 @@ where
     F: Fn(&TrialJob<P>) -> TrialSummary + Sync,
 {
     let manifest = ensure_manifest(plan, &label, dir, shard_count)?;
-    let mut ran = Vec::new();
-    let mut reused = Vec::new();
-    for shard in 0..manifest.shards.len() {
-        match shard_state(&manifest, shard, dir) {
-            ShardState::Complete => reused.push(shard),
-            ShardState::Missing | ShardState::Invalid(_) => {
-                run_shard(plan, &manifest, shard, dir, opts, &runner)
-                    .map_err(|e| format!("shard {shard}: {e}"))?;
-                ran.push(shard);
-            }
-        }
+    let (reused, ran): (Vec<usize>, Vec<usize>) = (0..manifest.shards.len())
+        .partition(|&shard| shard_state(&manifest, shard, dir) == ShardState::Complete);
+    if !ran.is_empty() {
+        run_shards(plan, &manifest, &ran, dir, opts, runner).map_err(|e| e.to_string())?;
     }
     Ok(FleetReport { manifest, ran, reused })
 }
@@ -264,6 +258,138 @@ mod tests {
             run_fleet(&p, u8::to_string, &dir, 9, &ExecOptions::serial(), toy_runner).unwrap();
         assert_eq!(report.manifest.shards.len(), 4);
         assert!(report.ran.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The merged artifact of `dir`, rendered as `sweep_results.json`.
+    fn merged_doc(p: &SweepPlan<u8>, dir: &Path) -> String {
+        rica_exec::sweep_json(&merge_fleet(p, u8::to_string, dir).unwrap(), |x| x.to_string(), &[])
+    }
+
+    /// A single-shot `SweepPlan::run` of `p`, rendered like a merge.
+    fn direct_doc(p: &SweepPlan<u8>, opts: &ExecOptions) -> String {
+        let mut direct = p.run(opts, toy_runner);
+        direct.workers = 0;
+        direct.wall_secs = 0.0;
+        rica_exec::sweep_json(&direct, |x| x.to_string(), &[])
+    }
+
+    #[test]
+    fn dispatch_order_never_changes_stream_or_artifact_bytes() {
+        // Later protocols sleep longer, so the dispatcher starts them
+        // ahead of plan order.
+        let p = SweepPlan::new(vec![1u8, 2, 3], vec![0.0, 36.0], vec![10], 3, 42);
+        let want = direct_doc(&p, &ExecOptions::serial());
+        assert_eq!(direct_doc(&p, &ExecOptions::with_workers(8)), want);
+        for shards in [1, 3, 4] {
+            let mut serial_streams = None;
+            for workers in [1, 2, 8] {
+                let dir = tmp_dir(&format!("order_s{shards}_w{workers}"));
+                let starts = std::sync::Mutex::new(Vec::new());
+                let sleepy = |job: &TrialJob<u8>| {
+                    starts.lock().unwrap().push(job.index);
+                    std::thread::sleep(std::time::Duration::from_millis(job.protocol as u64));
+                    toy_runner(job)
+                };
+                let opts = ExecOptions::with_workers(workers);
+                let report = run_fleet(&p, u8::to_string, &dir, shards, &opts, sleepy).unwrap();
+                let starts = starts.into_inner().unwrap();
+                let in_plan_order = starts == (0..p.job_count()).collect::<Vec<_>>();
+                assert_eq!(in_plan_order, workers == 1, "{workers} workers started {starts:?}");
+                let streams: Vec<Vec<u8>> = (0..report.manifest.shards.len())
+                    .map(|shard| std::fs::read(report.manifest.shard_path(&dir, shard)).unwrap())
+                    .collect();
+                let serial = serial_streams.get_or_insert_with(|| streams.clone());
+                assert!(
+                    streams == *serial,
+                    "{shards} shards, {workers} workers: stream bytes moved"
+                );
+                assert_eq!(merged_doc(&p, &dir), want, "{shards} shards, {workers} workers");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    /// Whether shard `shard`'s stream under `dir` ends in its footer.
+    fn has_footer(manifest: &FleetManifest, shard: usize, dir: &Path) -> bool {
+        let body = std::fs::read_to_string(manifest.shard_path(dir, shard)).unwrap();
+        body.lines().last().is_some_and(|line| line.contains("\"kind\":\"footer\""))
+    }
+
+    #[test]
+    fn a_job_panicking_mid_pass_leaves_its_shard_unfinished_for_resume() {
+        let p = plan();
+        let want = direct_doc(&p, &ExecOptions::serial());
+        for workers in [1, 2] {
+            let dir = tmp_dir(&format!("panic_w{workers}"));
+            let opts = ExecOptions::with_workers(workers);
+            // Job 13 sits in shard 1 of 4 (jobs 8..16).
+            let panicky = |job: &TrialJob<u8>| {
+                assert_ne!(job.index, 13, "trial crashed");
+                toy_runner(job)
+            };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_fleet(&p, u8::to_string, &dir, 4, &opts, panicky)
+            }));
+            assert!(run.is_err(), "the panic must reach the caller");
+            let manifest = load_manifest(&dir).unwrap().unwrap();
+            let footers: Vec<bool> = (0..4).map(|s| has_footer(&manifest, s, &dir)).collect();
+            assert!(!footers[1], "{workers} workers: the panicked job's shard has a footer");
+            if workers == 1 {
+                assert_eq!(footers, [true, false, false, false], "serial passes finish shard 0");
+            }
+            for shard in (0..4).filter(|&s| footers[s]) {
+                assert_eq!(shard_state(&manifest, shard, &dir), ShardState::Complete);
+            }
+            let resumed = run_fleet(&p, u8::to_string, &dir, 4, &opts, toy_runner).unwrap();
+            let unfinished: Vec<usize> = (0..4).filter(|&s| !footers[s]).collect();
+            assert_eq!(resumed.ran, unfinished, "resume re-runs exactly the footerless shards");
+            assert_eq!(merged_doc(&p, &dir), want, "{workers} workers");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_broken_or_reordered_record_reruns_exactly_its_shard() {
+        let p = plan();
+        let dir = tmp_dir("records");
+        let opts = ExecOptions::with_workers(2);
+        let first = run_fleet(&p, u8::to_string, &dir, 4, &opts, toy_runner).unwrap();
+        let want = merged_doc(&p, &dir);
+        let edit = |shard: usize, f: &dyn Fn(&mut Vec<String>)| {
+            let path = first.manifest.shard_path(&dir, shard);
+            let mut lines: Vec<String> =
+                std::fs::read_to_string(&path).unwrap().lines().map(str::to_string).collect();
+            f(&mut lines);
+            std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        };
+        // One byte of a record replaced, so its JSON no longer parses.
+        edit(2, &|lines| lines[3] = lines[3].replacen(':', ";", 1));
+        assert!(matches!(shard_state(&first.manifest, 2, &dir), ShardState::Invalid(_)));
+        let resumed = run_fleet(&p, u8::to_string, &dir, 4, &opts, toy_runner).unwrap();
+        assert_eq!(resumed.ran, [2]);
+        // Two valid records swapped.
+        edit(3, &|lines| lines.swap(2, 5));
+        match shard_state(&first.manifest, 3, &dir) {
+            ShardState::Invalid(reason) => assert!(reason.contains("out of order"), "{reason}"),
+            other => panic!("a reordered stream read as {other:?}"),
+        }
+        let resumed = run_fleet(&p, u8::to_string, &dir, 4, &opts, toy_runner).unwrap();
+        assert_eq!(resumed.ran, [3]);
+        assert_eq!(merged_doc(&p, &dir), want, "resume reproduces the clean bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_path_that_cannot_be_created_is_an_error() {
+        let p = plan();
+        let dir = tmp_dir("blocked");
+        std::fs::create_dir_all(dir.join("shard_1.jsonl")).unwrap();
+        for workers in [1, 2] {
+            let opts = ExecOptions::with_workers(workers);
+            let err = run_fleet(&p, u8::to_string, &dir, 4, &opts, toy_runner).unwrap_err();
+            assert!(err.contains("shard_1.jsonl"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

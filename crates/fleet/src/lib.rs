@@ -12,16 +12,18 @@
 //!   stream.
 //! * **Streaming artifacts** ([`shard`]) — each shard streams one JSONL
 //!   [`TrialRecord`](rica_metrics::TrialRecord) per finished trial, in
-//!   plan order, memory bounded by the execution chunk rather than the
-//!   sweep. The codec round-trips every float bit-exactly, which is
+//!   plan order. A pass runs all its shards through one dispatcher that
+//!   favours the protocol with the longest measured trials and holds at
+//!   most `64 + workers` results back for ordering, whatever the sweep's
+//!   size. The codec round-trips every float bit-exactly, which is
 //!   what lets [`merge_fleet`] reassemble a
 //!   [`SweepResult`](rica_exec::SweepResult) whose legacy
 //!   `sweep_results.json` is **byte-identical** to a single-shot run.
 //! * **Resumable checkpoints** ([`run_fleet`]) — on startup the
 //!   coordinator validates every shard stream against the manifest
 //!   (plan hash, job range, record count) and re-runs only the missing
-//!   or truncated ones. Killing a fleet mid-sweep loses at most the
-//!   partial shards.
+//!   or truncated ones. Killing a fleet mid-sweep loses only the shards
+//!   without a footer.
 //! * **Adaptive stopping** ([`run_adaptive`]) — optional per-cell CI
 //!   half-width targets on delivery and delay; cells run trial batches
 //!   in rounds and stop individually once precise enough, recording

@@ -1,4 +1,5 @@
-//! Shard streams: run one job sub-range, streaming per-trial JSONL.
+//! Shard streams: run shards in one dispatcher pass, streaming
+//! per-trial JSONL.
 //!
 //! A shard file is self-describing and self-checking:
 //!
@@ -9,23 +10,25 @@
 //! {"kind":"footer","records":7}
 //! ```
 //!
-//! The header binds the file to a manifest (plan hash + range); the
-//! footer arrives only after every record flushed, so a killed run
-//! leaves a file the resume scan provably classifies as truncated. The
-//! writer executes the range in bounded chunks over the `rica-exec`
-//! worker pool and appends each chunk as it completes: memory is
-//! bounded by the chunk, not the shard, and output order is plan order
-//! regardless of worker scheduling.
+//! The header binds the file to a manifest (plan hash + range). A pass
+//! sends the jobs of all its shards through the `rica-exec` dispatcher
+//! at once, which favours the protocol with the longest measured
+//! trials, and writes every shard's header before any job runs. Summaries come back in plan
+//! order, so each shard's records follow as its prefix completes, and
+//! its footer only after its last record. A file without a footer is an
+//! unfinished shard, so a kill loses only the shards without one. The
+//! dispatcher holds at most `64 + workers` summaries back for ordering,
+//! and scheduling never changes a byte of any stream.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
-use rica_exec::{run_jobs, ExecOptions, SweepPlan, TrialJob};
+use rica_exec::{ExecOptions, SweepPlan, TrialJob};
 use rica_metrics::json::{parse_json, push_string, JsonValue};
 use rica_metrics::{TrialRecord, TrialSummary};
 
-use crate::manifest::{hash_hex, parse_hash_hex, FleetManifest};
+use crate::manifest::{hash_hex, parse_hash_hex, FleetManifest, ShardSpec};
 
 /// Shard-stream schema version (header lines; records carry
 /// [`rica_metrics::TRIAL_RECORD_SCHEMA`]).
@@ -59,9 +62,7 @@ pub fn footer_line(records: usize) -> String {
 
 /// Executes shard `shard` of `plan` as `manifest` cut it, streaming
 /// records into the shard's file under `dir` (truncating any previous
-/// attempt). Chunked fan-out: at most `chunk × workers`-ish summaries
-/// are ever held in memory, and every completed chunk is already on
-/// disk when the next one starts.
+/// attempt): the one-shard case of a fleet pass.
 ///
 /// # Errors
 ///
@@ -83,36 +84,80 @@ where
     P: Copy + Send + Sync,
     F: Fn(&TrialJob<P>) -> TrialSummary + Sync,
 {
-    let spec = &manifest.shards[shard];
-    let path = manifest.shard_path(dir, shard);
-    let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(out, "{}", header_line(manifest, shard))?;
-    // Chunks keep memory bounded and still feed every worker: a few
-    // jobs per worker per chunk amortises the pool's spawn/join cost.
-    let chunk = (opts.workers.max(1) * 4).max(16);
-    let mut written = 0;
-    let mut start = spec.start;
-    while start < spec.end {
-        let end = (start + chunk).min(spec.end);
-        let jobs = plan.jobs_range(start, end);
-        let summaries = run_jobs(&jobs, opts, &runner);
-        for (job, summary) in jobs.iter().zip(summaries) {
-            let rec = TrialRecord {
-                job: job.index,
-                cell: job.cell,
-                trial: job.trial,
-                seed: job.seed,
-                summary,
-            };
-            writeln!(out, "{}", rec.to_line())?;
-            written += 1;
-        }
-        out.flush()?;
-        start = end;
+    run_shards(plan, manifest, &[shard], dir, opts, runner)?;
+    Ok(manifest.shard_path(dir, shard))
+}
+
+/// Executes shards `shards` (ascending) of `plan` as `manifest` cut
+/// them in one dispatcher pass, streaming each into its file under
+/// `dir`. Every file first restarts as a bare header, so until its
+/// footer lands the resume scan reads it as unfinished.
+pub(crate) fn run_shards<P, F>(
+    plan: &SweepPlan<P>,
+    manifest: &FleetManifest,
+    shards: &[usize],
+    dir: &Path,
+    opts: &ExecOptions,
+    runner: F,
+) -> std::io::Result<()>
+where
+    P: Copy + Send + Sync,
+    F: Fn(&TrialJob<P>) -> TrialSummary + Sync,
+{
+    let specs: Vec<&ShardSpec> = shards.iter().map(|&s| &manifest.shards[s]).collect();
+    for spec in &specs {
+        let path = dir.join(&spec.file);
+        let header = format!("{}\n", header_line(manifest, spec.shard));
+        std::fs::write(&path, header).map_err(|e| at(&path, e))?;
     }
-    writeln!(out, "{}", footer_line(written))?;
-    out.flush()?;
-    Ok(path)
+    // Pass position of each shard's first job.
+    let firsts: Vec<usize> = specs
+        .iter()
+        .scan(0, |next, spec| {
+            let first = *next;
+            *next += spec.jobs();
+            Some(first)
+        })
+        .collect();
+    let job = |i: usize| {
+        let k = firsts.partition_point(|&first| first <= i) - 1;
+        plan.job_at(specs[k].start + i - firsts[k])
+    };
+    let total = specs.iter().map(|spec| spec.jobs()).sum();
+    // The shard being written, its records so far and its open file.
+    let (mut k, mut written, mut open) = (0, 0, None);
+    let pass = plan.stream(total, job, opts, &runner, |job, summary| {
+        let spec = specs[k];
+        let mut out = match open.take() {
+            Some(out) => out,
+            None => {
+                BufWriter::new(std::fs::OpenOptions::new().append(true).open(dir.join(&spec.file))?)
+            }
+        };
+        let rec = TrialRecord {
+            job: job.index,
+            cell: job.cell,
+            trial: job.trial,
+            seed: job.seed,
+            summary,
+        };
+        writeln!(out, "{}", rec.to_line())?;
+        written += 1;
+        if written < spec.jobs() {
+            open = Some(out);
+        } else {
+            writeln!(out, "{}", footer_line(written))?;
+            out.flush()?;
+            (k, written) = (k + 1, 0);
+        }
+        Ok(())
+    });
+    pass.map_err(|e| at(&dir.join(&specs[k].file), e))
+}
+
+/// Names the file an I/O error hit.
+fn at(path: &Path, e: std::io::Error) -> std::io::Error {
+    std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
 fn check_header(v: &JsonValue, manifest: &FleetManifest, shard: usize) -> Result<(), String> {

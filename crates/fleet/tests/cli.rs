@@ -1,8 +1,9 @@
 //! The `fleet` binary end to end: a sharded sweep whose manifest and
 //! streams read back through the library readers, a kill (one stream
 //! deleted, one truncated) that resume repairs by re-running exactly the
-//! damaged shards, and merged `--legacy` bytes that do not depend on the
-//! kill, the shard cut or the worker count.
+//! damaged shards, merged `--legacy` bytes that do not depend on the
+//! kill, the shard cut or the worker count, and one progress count per
+//! pass.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -99,4 +100,39 @@ fn sweep_kill_resume_and_merge_through_the_cli() {
     sweep(&b, "2", "4");
     assert!(merge(&b, "results.json") == merged, "shard cut or workers changed the bytes");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The `# exec: N jobs over W workers` headers in a stderr log.
+fn progress_headers(log: &str) -> Vec<&str> {
+    log.split(['\n', '\r'])
+        .filter(|l| l.starts_with("# exec:") && l.contains("jobs over"))
+        .collect()
+}
+
+#[test]
+fn a_pass_counts_all_its_jobs_under_one_progress_header() {
+    let dir = std::env::temp_dir().join(format!("rica_fleet_cli_progress_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sweep = || {
+        let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+            .args(["sweep", "--dir", dir.to_str().unwrap(), "--shards", "2", "--workers", "2"])
+            .args(["--protocols", "rica,aodv", "--speeds", "0,36", "--nodes", "12"])
+            .args(["--trials", "10", "--duration", "2"])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "fleet sweep failed: {stderr}");
+        stderr
+    };
+    let log = sweep();
+    assert_eq!(progress_headers(&log), ["# exec: 40 jobs over 2 workers"], "{log}");
+    assert!(log.contains("# exec: 40/40 trials (100%)"), "{log}");
+
+    // Resume after losing one 20-job shard: the pass counts only its jobs.
+    std::fs::remove_file(dir.join("shard_1.jsonl")).unwrap();
+    let log = sweep();
+    assert_eq!(progress_headers(&log), ["# exec: 20 jobs over 2 workers"], "{log}");
+    assert!(log.contains("# exec: 20/20 trials (100%)"), "{log}");
+    assert!(log.contains("ran 1 shard(s), reused 1"), "{log}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

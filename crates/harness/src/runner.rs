@@ -11,7 +11,8 @@ use crate::{ProtocolKind, Scenario, World};
 
 /// Runs `trials` independent trials (seeds `scenario.seed + 0..trials`)
 /// over the default worker pool (available parallelism, or
-/// `RICA_WORKERS`), in deterministic result order.
+/// `RICA_WORKERS`), in deterministic result order. Every trial runs one
+/// protocol, so all share one cost group and start in seed order.
 pub fn run_trials(scenario: &Scenario, kind: ProtocolKind, trials: usize) -> Vec<TrialSummary> {
     run_trials_with(scenario, kind, trials, &ExecOptions::default())
 }

@@ -9,10 +9,13 @@
 //!
 //! Three acts:
 //!
-//! 1. **Sharded run** — the plan is split into 4 shard manifests; each
-//!    shard streams `TrialRecord` JSONL to its own file under
-//!    `fleet_sweep_out/`, so memory stays bounded by one chunk and a
-//!    killed run loses at most the unflushed tail.
+//! 1. **Sharded run** — the plan is split into 4 shard manifests and all
+//!    of them run in one dispatcher pass, which probes each protocol once
+//!    and then favours the one with the longest measured trials
+//!    (LinkState); each shard streams `TrialRecord` JSONL in plan order
+//!    to its own file under `fleet_sweep_out/`, at most `64 + workers`
+//!    results wait in memory, and a killed run loses only the shards
+//!    without a footer.
 //! 2. **Resume + merge** — a second `run_fleet` pass validates every
 //!    stream against the manifest and re-runs nothing; `merge_fleet`
 //!    folds the streams back into a `SweepResult` whose artifact is
@@ -36,7 +39,9 @@ fn main() {
     let opts = ExecOptions { workers, progress: Progress::Stderr };
 
     // Protocols × speeds × workloads, small enough to finish in seconds:
-    // 2 protocols × 2 speeds × 2 workloads × 2 trials = 16 jobs.
+    // 3 protocols × 2 speeds × 2 workloads × 2 trials = 24 jobs. LinkState,
+    // last in plan order, costs the most, so dispatch order differs from
+    // plan order and the merge below checks that no byte moves.
     let bursty = WorkloadSpec {
         arrival: ArrivalSpec::OnOffBurst {
             on_mean_secs: 0.5,
@@ -46,7 +51,7 @@ fn main() {
         size: SizeSpec::Fixed,
     };
     let plan = SweepPlan::new(
-        vec![ProtocolKind::Rica, ProtocolKind::Aodv],
+        vec![ProtocolKind::Rica, ProtocolKind::Aodv, ProtocolKind::LinkState],
         vec![0.0, 36.0],
         vec![20],
         2,
