@@ -3,8 +3,8 @@
 use crate::state::{Candidate, DestState, FlowKey, SourceState, Tables};
 use crate::{PossibleRoute, RouteEntry};
 use rica_net::{
-    ControlPacket, DataPacket, DropReason, KeyMap, NodeCtx, NodeId, PendingBuffer, RoutePhase,
-    RoutingProtocol, RxInfo, Timer,
+    ControlPacket, DataPacket, Discovery, DropReason, NodeCtx, NodeId, RoutePhase, RoutingProtocol,
+    RxInfo, Timer,
 };
 
 /// The RICA protocol (§II of the paper). One instance runs on every
@@ -13,8 +13,8 @@ use rica_net::{
 #[derive(Debug, Default)]
 pub struct Rica {
     t: Tables,
-    pending: Option<PendingBuffer>,
-    next_rreq_bcast: u64,
+    /// Source side: packets awaiting a route, RREQ floods and retries.
+    discovery: Discovery,
 }
 
 impl Rica {
@@ -39,28 +39,7 @@ impl Rica {
         self.t.sources.get(dst).and_then(|s| s.next_hop)
     }
 
-    fn pending(&mut self, ctx: &dyn NodeCtx) -> &mut PendingBuffer {
-        let cfg = ctx.config();
-        self.pending
-            .get_or_insert_with(|| PendingBuffer::new(cfg.pending_cap, cfg.max_queue_residency))
-    }
-
     // ---------------------------------------------------------------- source
-
-    /// Starts (or restarts) a RREQ discovery for `dst`.
-    fn start_discovery(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId, retries: u32) {
-        let bcast_id = self.next_rreq_bcast;
-        self.next_rreq_bcast += 1;
-        let me = ctx.id();
-        let phase =
-            if retries == 0 { RoutePhase::DiscoveryStart } else { RoutePhase::DiscoveryRetry };
-        ctx.note_route_phase(phase, me, dst);
-        ctx.broadcast(ControlPacket::Rreq { src: me, dst, bcast_id, csi_hops: 0.0, topo_hops: 0 });
-        let timeout = ctx.config().rreq_retry_timeout;
-        let token = ctx.set_timer(timeout, Timer::RreqRetry { dst });
-        let st = self.t.sources.get_or_insert_with(dst, SourceState::default);
-        st.discovery = Some((bcast_id, retries, token));
-    }
 
     /// Feeds a route candidate into the source's 40 ms combining window,
     /// opening the window if necessary (§II.D).
@@ -90,9 +69,7 @@ impl Rica {
         st.next_hop = Some(cand.via);
         st.route_metric = cand.metric;
         // A fresh route supersedes any discovery in progress.
-        if let Some((_, _, token)) = st.discovery.take() {
-            ctx.cancel_timer(token);
-        }
+        self.discovery.conclude(ctx, dst);
         if cand.needs_rupd && switched {
             ctx.unicast(cand.via, ControlPacket::Rupd { src: me, dst });
             st.send_update_flag = true;
@@ -102,18 +79,7 @@ impl Rica {
             RouteEntry { upstream: None, downstream: Some(cand.via), last_used: now },
         );
         ctx.note_route_phase(RoutePhase::RouteSelected, me, dst);
-        self.flush_pending(ctx, dst);
-    }
-
-    /// Sends every buffered packet for `dst` (called when a route appears).
-    fn flush_pending(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) {
-        let now = ctx.now();
-        let mut expired = Vec::new();
-        let fresh = self.pending(ctx).take_for(dst, now, &mut expired);
-        for pkt in expired {
-            ctx.drop_data(pkt, DropReason::BufferTimeout);
-        }
-        for pkt in fresh {
+        for pkt in self.discovery.flush(ctx, dst) {
             self.send_as_source(ctx, pkt);
         }
     }
@@ -137,17 +103,13 @@ impl Rica {
         }
         // No route: buffer and make sure a discovery (or a CSI wave) will
         // produce one. While CSI checks for this flow are arriving, the
-        // next wave (at most one period away) is trusted to deliver a route
-        // — the same arbitration as on REER (§II.D scenario 1).
-        let period = ctx.config().csi_check_period;
-        let checks_flowing =
-            st.last_csi_rx.is_some_and(|t| now.saturating_since(t) <= period.mul_f64(1.5));
-        let discovering = st.discovery.is_some() || st.window.is_some();
-        if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-            ctx.drop_data(rejected, DropReason::BufferOverflow);
-        }
-        if !discovering && !checks_flowing {
-            self.start_discovery(ctx, dst, 0);
+        // next wave is trusted to deliver a route — the same arbitration
+        // as on REER (§II.D scenario 1). An open combining window will
+        // commit a route too.
+        let waits = st.window.is_some() || st.checks_flowing(now, ctx.config().csi_check_period);
+        self.discovery.buffer(ctx, pkt);
+        if !waits {
+            self.discovery.start(ctx, dst);
         }
     }
 
@@ -177,11 +139,10 @@ impl Rica {
                 }
             }
         }
-        match self.t.routes.get_mut(&key) {
-            Some(e) if e.downstream.is_some() && e.is_fresh(now, cfg_idle) => {
-                e.last_used = now;
-                let nh = e.downstream.expect("checked above");
-                ctx.send_data(nh, pkt);
+        match self.t.routes.get_mut(&key).filter(|e| e.is_fresh(now, cfg_idle)) {
+            Some(RouteEntry { downstream: Some(nh), last_used, .. }) => {
+                *last_used = now;
+                ctx.send_data(*nh, pkt);
             }
             _ => {
                 // No active entry, but the last CSI check wave may have left
@@ -309,10 +270,9 @@ impl Rica {
         }
         // Intermediate: history-table dedup, remember the reverse pointer,
         // accumulate the CSI distance, re-broadcast.
-        if self.t.rreq_reverse.get(&key).is_some_and(|m| m.contains_key(&bcast_id)) {
+        if !self.t.rreq_reverse.first_copy(key, bcast_id, rx.from) {
             return;
         }
-        self.t.rreq_reverse.or_insert_with(key, KeyMap::new).insert(bcast_id, rx.from);
         ctx.broadcast(ControlPacket::Rreq {
             src,
             dst,
@@ -352,7 +312,7 @@ impl Rica {
         }
         // Intermediate terminal on the chosen route: install the entry and
         // pass the reply towards the source (§II.B).
-        let Some(&upstream) = self.t.rreq_reverse.get(&key).and_then(|m| m.get(&seq)) else {
+        let Some(upstream) = self.t.rreq_reverse.toward_origin(key, seq) else {
             return; // reverse pointer lost/expired: reply dies here
         };
         self.t.routes.insert(
@@ -433,7 +393,6 @@ impl Rica {
     }
 
     fn on_rerr(&mut self, ctx: &mut dyn NodeCtx, rx: RxInfo, src: NodeId, dst: NodeId) {
-        let me = ctx.id();
         let key: FlowKey = (src, dst);
         // §II.D: "The upstream terminal first checks whether the terminal
         // unicasting the REER is its downstream terminal ... If not, it
@@ -441,19 +400,24 @@ impl Rica {
         // which is out of date".
         let from_downstream =
             self.t.routes.get(&key).is_some_and(|e| e.downstream == Some(rx.from));
-        if !from_downstream {
+        if from_downstream {
+            self.lose_downstream(ctx, key);
+        }
+    }
+
+    /// The flow's downstream is gone (it sent a REER, or the link to it
+    /// broke): the source applies §II.D's arbitration; a relay invalidates
+    /// its entry and reports upstream.
+    fn lose_downstream(&mut self, ctx: &mut dyn NodeCtx, (src, dst): FlowKey) {
+        let me = ctx.id();
+        if src == me {
+            self.handle_source_route_loss(ctx, dst);
             return;
         }
-        if me == src {
-            self.handle_source_route_loss(ctx, dst);
-        } else {
-            let upstream = self.t.routes.get(&key).and_then(|e| e.upstream);
-            if let Some(e) = self.t.routes.get_mut(&key) {
-                e.downstream = None;
-            }
-            if let Some(up) = upstream {
-                ctx.unicast(up, ControlPacket::Rerr { src, dst, reporter: me });
-            }
+        let Some(e) = self.t.routes.get_mut(&(src, dst)) else { return };
+        e.downstream = None;
+        if let Some(up) = e.upstream {
+            ctx.unicast(up, ControlPacket::Rerr { src, dst, reporter: me });
         }
     }
 
@@ -469,38 +433,14 @@ impl Rica {
         st.next_hop = None;
         // Scenario 1: CSI checks are flowing — the next wave (≤ one period
         // away) will deliver fresh candidates; do not flood.
-        let checks_flowing =
-            st.last_csi_rx.is_some_and(|t| now.saturating_since(t) <= period.mul_f64(1.5));
-        let discovering = st.discovery.is_some();
-        if !checks_flowing && !discovering {
+        if !st.checks_flowing(now, period) {
             // Scenario 2: no checks — search with a RREQ. Whatever arrives
             // first (RREP or a check wave) re-establishes the route.
-            self.start_discovery(ctx, dst, 0);
+            self.discovery.start(ctx, dst);
         }
     }
 
     // --------------------------------------------------------------- timers
-
-    fn on_rreq_retry(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) {
-        let max_retries = ctx.config().rreq_max_retries;
-        let st = self.t.sources.get_or_insert_with(dst, SourceState::default);
-        let Some((_, retries, _)) = st.discovery else {
-            return; // discovery already concluded
-        };
-        if st.next_hop.is_some() {
-            st.discovery = None;
-            return;
-        }
-        if retries >= max_retries {
-            st.discovery = None;
-            let dropped = self.pending(ctx).drop_for(dst);
-            for pkt in dropped {
-                ctx.drop_data(pkt, DropReason::NoRoute);
-            }
-            return;
-        }
-        self.start_discovery(ctx, dst, retries + 1);
-    }
 
     fn on_reply_window(&mut self, ctx: &mut dyn NodeCtx, src: NodeId, dst: NodeId) {
         debug_assert_eq!(dst, ctx.id());
@@ -580,7 +520,10 @@ impl RoutingProtocol for Rica {
 
     fn on_timer(&mut self, ctx: &mut dyn NodeCtx, timer: Timer) {
         match timer {
-            Timer::RreqRetry { dst } => self.on_rreq_retry(ctx, dst),
+            Timer::RreqRetry { dst } => {
+                let routed = self.next_hop_to(dst).is_some();
+                self.discovery.retry(ctx, dst, routed);
+            }
             Timer::ReplyWindow { src, dst } => self.on_reply_window(ctx, src, dst),
             Timer::SelectionWindow { dst } => self.commit_candidate(ctx, dst),
             Timer::CsiBroadcast { src } => self.broadcast_csi_check(ctx, src),
@@ -610,18 +553,7 @@ impl RoutingProtocol for Rica {
             .map(|(k, _)| *k)
             .collect();
         for key in affected {
-            let (src, dst) = key;
-            if src == me {
-                self.handle_source_route_loss(ctx, dst);
-            } else {
-                let upstream = self.t.routes.get(&key).and_then(|e| e.upstream);
-                if let Some(e) = self.t.routes.get_mut(&key) {
-                    e.downstream = None;
-                }
-                if let Some(up) = upstream {
-                    ctx.unicast(up, ControlPacket::Rerr { src, dst, reporter: me });
-                }
-            }
+            self.lose_downstream(ctx, key);
         }
         // Salvage what we can: packets we originated return to the pending
         // buffer (a new route may appear within their lifetime); forwarded
@@ -632,9 +564,7 @@ impl RoutingProtocol for Rica {
         for pkt in undelivered {
             if pkt.src == me {
                 let dst = pkt.dst;
-                if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-                    ctx.drop_data(rejected, DropReason::BufferOverflow);
-                }
+                self.discovery.buffer(ctx, pkt);
                 let st = self.t.sources.get_or_insert_with(dst, SourceState::default);
                 if st.next_hop == Some(neighbor) {
                     st.next_hop = None;

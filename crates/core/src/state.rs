@@ -1,6 +1,6 @@
 //! RICA's per-node routing state.
 
-use rica_net::{IdMap, KeyMap, NodeId, TimerToken};
+use rica_net::{FloodHistory, IdMap, KeyMap, NodeId};
 use rica_sim::{SimDuration, SimTime};
 
 /// A flow is identified by its (source, destination) pair, as in the paper
@@ -72,8 +72,6 @@ pub(crate) struct SourceState {
     pub next_hop: Option<NodeId>,
     /// CSI metric of the current route (diagnostics).
     pub route_metric: f64,
-    /// In-progress discovery: (bcast id, retries so far, retry timer).
-    pub discovery: Option<(u64, u32, TimerToken)>,
     /// Open combining window: best candidate so far.
     pub window: Option<Candidate>,
     /// Last instant a CSI check for this flow reached us (REER arbitration,
@@ -81,6 +79,15 @@ pub(crate) struct SourceState {
     pub last_csi_rx: Option<SimTime>,
     /// The next data packet sent must carry the route-update flag.
     pub send_update_flag: bool,
+}
+
+impl SourceState {
+    /// Whether CSI checks for this flow are arriving: the last one came
+    /// within 1.5 check periods, so the next wave (at most one period
+    /// away) can be trusted to deliver a route (§II.D scenario 1).
+    pub fn checks_flowing(&self, now: SimTime, period: SimDuration) -> bool {
+        self.last_csi_rx.is_some_and(|t| now.saturating_since(t) <= period.mul_f64(1.5))
+    }
 }
 
 /// Destination-side per-source state (the receiver initiates CSI checks).
@@ -130,9 +137,9 @@ pub(crate) struct Tables {
     pub routes: KeyMap<FlowKey, RouteEntry>,
     /// Possible routes from CSI checks, by flow.
     pub possible: KeyMap<FlowKey, PossibleRoute>,
-    /// RREQ floods already seen, per flow: bcast id → upstream (reverse
-    /// pointer towards the source).
-    pub rreq_reverse: KeyMap<FlowKey, KeyMap<u64, NodeId>>,
+    /// RREQ floods already seen, per flow, with the reverse pointer
+    /// towards the source.
+    pub rreq_reverse: FloodHistory<u64>,
     /// CSI-check waves already re-broadcast (dedup).
     pub csi_seen: KeyMap<FlowKey, u64>,
     /// Source-side state per destination.

@@ -11,7 +11,10 @@
 //!   sum of traversed link rates).
 //! * [`LinkQueue`] — the per-connection FCFS buffer: capacity 10 packets,
 //!   3-second maximum residency (§III.A).
-//! * [`PendingBuffer`] — source-side packets awaiting route discovery.
+//! * [`Discovery`] — the source side of on-demand route discovery that
+//!   RICA, AODV, ABR and BGCA share: packets waiting for a route, query
+//!   floods, retries and giving up. [`FloodHistory`] is the relay side:
+//!   which floods were seen, and the reverse path each came along.
 //! * [`RoutingProtocol`] / [`NodeCtx`] — the protocol ↔ node boundary. A
 //!   protocol is a *pure state machine* over packets and timers; the context
 //!   supplies every side effect (transmission, timers, CSI measurement).
@@ -23,26 +26,28 @@
 //!   with `BTreeMap` iteration order, shared by all protocol
 //!   implementations (their tables sit on the per-event hot path).
 //!
-//! The crate deliberately contains **no protocol logic and no event loop**.
+//! The crate deliberately contains **no event loop and no protocol logic**
+//! beyond the one source-side discovery policy the on-demand protocols
+//! share ([`Discovery`]).
 
 #![warn(missing_docs)]
 
 mod config;
+mod discovery;
 mod flatmap;
 mod ids;
 mod packet;
-mod pending;
 mod queue;
 mod routing;
 pub mod testing;
 
 pub use config::ProtocolConfig;
+pub use discovery::{Discovery, FloodBuilder, FloodHistory};
 pub use flatmap::{IdMap, KeyMap};
 pub use ids::{FlowId, NodeId};
 pub use packet::{
     ControlKind, ControlPacket, DataPacket, LsuEntry, DATA_ACK_BYTES, DATA_HEADER_BYTES,
 };
-pub use pending::PendingBuffer;
 pub use queue::LinkQueue;
 pub use routing::{
     DropReason, NodeCtx, RoutePhase, RoutingProtocol, RxInfo, Timer, TimerToken, TopologySnapshot,

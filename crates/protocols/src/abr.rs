@@ -3,13 +3,10 @@
 //! awareness, and localized-query (LQ) repair at the break point while data
 //! waits in the repairing terminal.
 
-use rica_net::{
-    ControlPacket, DataPacket, DropReason, IdMap, KeyMap, NodeCtx, NodeId, PendingBuffer,
-    RoutePhase, RoutingProtocol, RxInfo, Timer, TimerToken,
-};
+use rica_net::{ControlPacket, DataPacket, IdMap, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer};
 use rica_sim::SimTime;
 
-use crate::common::{FlowEntry, FlowKey, Repair};
+use crate::common::FlowRouter;
 
 /// Route score under ABR's selection rules: prefer more stable links, then
 /// lighter load, then fewer hops.
@@ -27,29 +24,27 @@ impl Score {
     }
 }
 
-/// The ABR baseline.
-#[derive(Debug, Default)]
+/// ABR's discovery flood: a broadcast query that accumulates route
+/// stability and load on its way to the destination.
+fn bq_flood(src: NodeId, dst: NodeId, bcast_id: u64) -> ControlPacket {
+    ControlPacket::Bq { src, dst, bcast_id, topo_hops: 0, stable_links: 0, load: 0 }
+}
+
+/// The ABR baseline. Flow routing and LQ repair are the shared
+/// `FlowRouter` (`common.rs`); ABR adds associativity and its route score.
+#[derive(Debug)]
 pub struct Abr {
     /// Associativity ticks per neighbour: (consecutive beacons, last heard).
     ticks: IdMap<(u32, SimTime)>,
-    /// Per-flow BQ dedup + reverse pointers: bcast id → upstream.
-    reverse: KeyMap<FlowKey, KeyMap<u64, NodeId>>,
-    /// Per-flow LQ dedup + reverse pointers: (origin, bcast) → towards
-    /// origin.
-    lq_reverse: KeyMap<FlowKey, KeyMap<(NodeId, u64), NodeId>>,
-    /// Per-flow route entries.
-    routes: KeyMap<FlowKey, FlowEntry>,
     /// Destination-side BQ collection window per source.
     windows: IdMap<(u64, Score, NodeId)>,
-    /// Destination-side: highest BQ flood already answered, per source.
-    replied: IdMap<u64>,
-    /// Source-side discovery state per destination.
-    discovery: IdMap<(u64, u32, TimerToken)>,
-    /// In-progress local repairs per flow.
-    repairs: KeyMap<FlowKey, Repair>,
-    pending: Option<PendingBuffer>,
-    next_bcast: u64,
-    next_lq: u64,
+    router: FlowRouter,
+}
+
+impl Default for Abr {
+    fn default() -> Self {
+        Abr { ticks: IdMap::new(), windows: IdMap::new(), router: FlowRouter::new(bq_flood) }
+    }
 }
 
 impl Abr {
@@ -65,112 +60,11 @@ impl Abr {
 
     /// The downstream of the flow `(src, dst)` at this terminal, if routed.
     pub fn downstream_of(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.routes.get(&(src, dst)).and_then(|e| e.downstream)
-    }
-
-    fn pending(&mut self, ctx: &dyn NodeCtx) -> &mut PendingBuffer {
-        let cfg = ctx.config();
-        self.pending
-            .get_or_insert_with(|| PendingBuffer::new(cfg.pending_cap, cfg.max_queue_residency))
+        self.router.downstream(src, dst)
     }
 
     fn is_stable(&self, neighbor: NodeId, ctx: &dyn NodeCtx) -> bool {
         self.ticks_for(neighbor) >= ctx.config().abr_stability_ticks
-    }
-
-    fn start_discovery(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId, retries: u32) {
-        let bcast_id = self.next_bcast;
-        self.next_bcast += 1;
-        let me = ctx.id();
-        let phase =
-            if retries == 0 { RoutePhase::DiscoveryStart } else { RoutePhase::DiscoveryRetry };
-        ctx.note_route_phase(phase, me, dst);
-        ctx.broadcast(ControlPacket::Bq {
-            src: me,
-            dst,
-            bcast_id,
-            topo_hops: 0,
-            stable_links: 0,
-            load: 0,
-        });
-        let token = ctx.set_timer(ctx.config().rreq_retry_timeout, Timer::RreqRetry { dst });
-        self.discovery.insert(dst, (bcast_id, retries, token));
-    }
-
-    fn send_as_source(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket) {
-        let me = ctx.id();
-        let now = ctx.now();
-        let dst = pkt.dst;
-        let idle = ctx.config().aodv_route_timeout;
-        let nh = self
-            .routes
-            .get(&(me, dst))
-            .filter(|e| e.is_fresh(now, idle))
-            .and_then(|e| e.downstream);
-        if let Some(nh) = nh {
-            self.routes.get_mut(&(me, dst)).expect("exists").last_used = now;
-            ctx.send_data(nh, pkt);
-            return;
-        }
-        let discovering = self.discovery.contains(dst);
-        if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-            ctx.drop_data(rejected, DropReason::BufferOverflow);
-        }
-        if !discovering {
-            self.start_discovery(ctx, dst, 0);
-        }
-    }
-
-    fn flush_pending(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) {
-        let now = ctx.now();
-        let mut expired = Vec::new();
-        let fresh = self.pending(ctx).take_for(dst, now, &mut expired);
-        for pkt in expired {
-            ctx.drop_data(pkt, DropReason::BufferTimeout);
-        }
-        for pkt in fresh {
-            self.send_as_source(ctx, pkt);
-        }
-    }
-
-    /// Starts a localized query for the flow at this (intermediate)
-    /// terminal; the packets in `held` wait for the partial route.
-    fn start_repair(&mut self, ctx: &mut dyn NodeCtx, key: FlowKey, held: Vec<DataPacket>) {
-        let me = ctx.id();
-        let bcast_id = self.next_lq;
-        self.next_lq += 1;
-        let slack = ctx.config().lq_ttl_slack;
-        let ttl =
-            self.routes.get(&key).map(|e| e.hops_to_dst).unwrap_or(2).saturating_add(slack).max(1);
-        self.repairs.insert(key, Repair { bcast_id, held, link_down: true });
-        if let Some(e) = self.routes.get_mut(&key) {
-            e.downstream = None;
-        }
-        ctx.note_route_phase(RoutePhase::RepairStart, key.0, key.1);
-        ctx.broadcast(ControlPacket::Lq {
-            src: key.0,
-            dst: key.1,
-            origin: me,
-            bcast_id,
-            ttl,
-            csi_hops: 0.0,
-            topo_hops: 0,
-        });
-        ctx.set_timer(ctx.config().lq_timeout, Timer::LqTimeout { src: key.0, dst: key.1 });
-    }
-
-    fn fail_repair(&mut self, ctx: &mut dyn NodeCtx, key: FlowKey) {
-        let me = ctx.id();
-        let Some(repair) = self.repairs.remove(&key) else { return };
-        for pkt in repair.held {
-            ctx.drop_data(pkt, DropReason::LinkBreak);
-        }
-        // Notify the source (the paper's RN / route notification).
-        let upstream = self.routes.get(&key).and_then(|e| e.upstream);
-        self.routes.remove(&key);
-        if let Some(up) = upstream {
-            ctx.unicast(up, ControlPacket::Rerr { src: key.0, dst: key.1, reporter: me });
-        }
     }
 }
 
@@ -212,12 +106,11 @@ impl RoutingProtocol for Abr {
                 if src == me {
                     return;
                 }
-                let key: FlowKey = (src, dst);
                 let stable_inc = u8::from(self.is_stable(rx.from, ctx));
                 let new_stable = stable_links.saturating_add(stable_inc);
                 let new_topo = topo_hops.saturating_add(1);
                 if dst == me {
-                    if self.replied.get(src).is_some_and(|&b| bcast_id <= b) {
+                    if self.router.answered(src, bcast_id) {
                         return;
                     }
                     let score = Score { stable_links: new_stable, load, topo: new_topo };
@@ -239,10 +132,9 @@ impl RoutingProtocol for Abr {
                     }
                     return;
                 }
-                if self.reverse.get(&key).is_some_and(|m| m.contains_key(&bcast_id)) {
+                if !self.router.floods.first_copy((src, dst), bcast_id, rx.from) {
                     return;
                 }
-                self.reverse.or_insert_with(key, KeyMap::new).insert(bcast_id, rx.from);
                 let new_load = load.saturating_add(ctx.data_queue_total() as u32);
                 ctx.broadcast(ControlPacket::Bq {
                     src,
@@ -253,174 +145,12 @@ impl RoutingProtocol for Abr {
                     load: new_load,
                 });
             }
-            ControlPacket::Rrep { src, dst, seq, csi_hops, topo_hops } => {
-                let key: FlowKey = (src, dst);
-                if src == me {
-                    if let Some((_, _, token)) = self.discovery.remove(dst) {
-                        ctx.cancel_timer(token);
-                    }
-                    let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                    e.downstream = Some(rx.from);
-                    e.upstream = None;
-                    e.last_used = now;
-                    e.route_len = topo_hops.max(1);
-                    e.hops_to_dst = topo_hops.max(1);
-                    ctx.note_route_phase(RoutePhase::RouteSelected, me, dst);
-                    self.flush_pending(ctx, dst);
-                    return;
-                }
-                let Some(&up) = self.reverse.get(&key).and_then(|m| m.get(&seq)) else { return };
-                let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                e.upstream = Some(up);
-                e.downstream = Some(rx.from);
-                e.last_used = now;
-                e.route_len = topo_hops.max(1);
-                e.hops_to_dst = topo_hops.max(1); // refined by passing data
-                ctx.unicast(up, ControlPacket::Rrep { src, dst, seq, csi_hops, topo_hops });
-            }
-            ControlPacket::Lq { src, dst, origin, bcast_id, ttl, csi_hops, topo_hops } => {
-                if origin == me {
-                    return;
-                }
-                let key: FlowKey = (src, dst);
-                if self.lq_reverse.get(&key).is_some_and(|m| m.contains_key(&(origin, bcast_id))) {
-                    return;
-                }
-                self.lq_reverse
-                    .or_insert_with(key, KeyMap::new)
-                    .insert((origin, bcast_id), rx.from);
-                let new_csi = csi_hops + rx.class.csi_hops();
-                let new_topo = topo_hops.saturating_add(1);
-                if dst == me {
-                    // First copy wins (partial routes are short; the full
-                    // stability selection applies only to BQ floods).
-                    ctx.unicast(
-                        rx.from,
-                        ControlPacket::LqRep {
-                            src,
-                            dst,
-                            origin,
-                            seq: bcast_id,
-                            csi_hops: new_csi,
-                            topo_hops: new_topo,
-                        },
-                    );
-                    return;
-                }
-                let new_ttl = ttl.saturating_sub(1);
-                if new_ttl == 0 {
-                    return;
-                }
-                ctx.broadcast(ControlPacket::Lq {
-                    src,
-                    dst,
-                    origin,
-                    bcast_id,
-                    ttl: new_ttl,
-                    csi_hops: new_csi,
-                    topo_hops: new_topo,
-                });
-            }
-            ControlPacket::LqRep { src, dst, origin, seq, csi_hops, topo_hops } => {
-                let key: FlowKey = (src, dst);
-                if origin == me {
-                    // Our repair succeeded: splice the partial route in and
-                    // release the held packets.
-                    let Some(repair) = self.repairs.remove(&key) else { return };
-                    if repair.bcast_id != seq {
-                        self.repairs.insert(key, repair); // answer to an old query
-                        return;
-                    }
-                    let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                    e.downstream = Some(rx.from);
-                    e.last_used = now;
-                    e.hops_to_dst = topo_hops.max(1);
-                    e.route_len = e.route_len.max(topo_hops);
-                    for pkt in repair.held {
-                        ctx.send_data(rx.from, pkt);
-                    }
-                    return;
-                }
-                let Some(&toward_origin) =
-                    self.lq_reverse.get(&key).and_then(|m| m.get(&(origin, seq)))
-                else {
-                    return;
-                };
-                let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                e.upstream = Some(toward_origin);
-                e.downstream = Some(rx.from);
-                e.last_used = now;
-                ctx.unicast(
-                    toward_origin,
-                    ControlPacket::LqRep { src, dst, origin, seq, csi_hops, topo_hops },
-                );
-            }
-            ControlPacket::Rerr { src, dst, .. } => {
-                let key: FlowKey = (src, dst);
-                let from_downstream =
-                    self.routes.get(&key).is_some_and(|e| e.downstream == Some(rx.from));
-                if !from_downstream {
-                    return;
-                }
-                if src == me {
-                    self.routes.remove(&key);
-                    if !self.discovery.contains(dst) {
-                        self.start_discovery(ctx, dst, 0);
-                    }
-                } else {
-                    let upstream = self.routes.get(&key).and_then(|e| e.upstream);
-                    self.routes.remove(&key);
-                    if let Some(up) = upstream {
-                        ctx.unicast(up, ControlPacket::Rerr { src, dst, reporter: me });
-                    }
-                }
-            }
-            _ => {}
+            _ => self.router.on_control(ctx, pkt, rx),
         }
     }
 
     fn on_data(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket, rx: Option<RxInfo>) {
-        let me = ctx.id();
-        let now = ctx.now();
-        if pkt.dst == me {
-            ctx.deliver_local(pkt);
-            return;
-        }
-        if pkt.src == me && rx.is_none() {
-            self.send_as_source(ctx, pkt);
-            return;
-        }
-        let Some(rx) = rx else {
-            ctx.drop_data(pkt, DropReason::NoRoute);
-            return;
-        };
-        let key: FlowKey = (pkt.src, pkt.dst);
-        // A repair in progress holds the flow's packets (§III.B: "the
-        // packets accumulate in the upstream terminal performing the local
-        // search until a partial route is found").
-        if let Some(repair) = self.repairs.get_mut(&key) {
-            let cap = ctx.config().pending_cap;
-            if repair.held.len() < cap {
-                repair.held.push(pkt);
-            } else {
-                ctx.drop_data(pkt, DropReason::BufferOverflow);
-            }
-            return;
-        }
-        let idle = ctx.config().aodv_route_timeout;
-        match self.routes.get_mut(&key) {
-            Some(e) if e.downstream.is_some() && e.is_fresh(now, idle) => {
-                e.last_used = now;
-                e.upstream = Some(rx.from);
-                e.observe_data_hops(pkt.hops);
-                let nh = e.downstream.expect("checked");
-                ctx.send_data(nh, pkt);
-            }
-            _ => {
-                ctx.unicast(rx.from, ControlPacket::Rerr { src: key.0, dst: key.1, reporter: me });
-                ctx.drop_data(pkt, DropReason::NoRoute);
-            }
-        }
+        self.router.on_data(ctx, pkt, rx);
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NodeCtx, timer: Timer) {
@@ -430,53 +160,16 @@ impl RoutingProtocol for Abr {
                 let period = ctx.config().beacon_period;
                 ctx.set_timer(period, Timer::Beacon);
             }
-            Timer::RreqRetry { dst } => {
-                let Some(&(_, retries, _)) = self.discovery.get(dst) else { return };
-                let me = ctx.id();
-                if self.routes.get(&(me, dst)).is_some_and(|e| e.downstream.is_some()) {
-                    self.discovery.remove(dst);
-                    return;
-                }
-                if retries >= ctx.config().rreq_max_retries {
-                    self.discovery.remove(dst);
-                    let dropped = self.pending(ctx).drop_for(dst);
-                    for pkt in dropped {
-                        ctx.drop_data(pkt, DropReason::NoRoute);
-                    }
-                    return;
-                }
-                self.start_discovery(ctx, dst, retries + 1);
-            }
-            Timer::ReplyWindow { src, dst } => {
-                debug_assert_eq!(dst, ctx.id());
-                let now = ctx.now();
+            Timer::ReplyWindow { src, .. } => {
                 let Some((bcast_id, score, via)) = self.windows.remove(src) else { return };
-                self.replied.insert(src, bcast_id);
-                let e = self.routes.or_insert_with((src, dst), || FlowEntry::new(now));
-                e.upstream = Some(via);
-                e.last_used = now;
-                ctx.unicast(
-                    via,
-                    ControlPacket::Rrep {
-                        src,
-                        dst,
-                        seq: bcast_id,
-                        csi_hops: 0.0,
-                        topo_hops: score.topo,
-                    },
-                );
+                self.router.answer(ctx, src, bcast_id, via, 0.0, score.topo);
             }
-            Timer::LqTimeout { src, dst }
-                // Still repairing when the deadline hits: give up.
-                if self.repairs.contains_key(&(src, dst)) => {
-                    self.fail_repair(ctx, (src, dst));
-                }
-            _ => {}
+            _ => self.router.on_timer(ctx, timer),
         }
     }
 
     fn current_downstream(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.routes.get(&(src, dst)).and_then(|e| e.downstream)
+        self.router.downstream(src, dst)
     }
 
     fn on_link_failure(
@@ -485,45 +178,8 @@ impl RoutingProtocol for Abr {
         neighbor: NodeId,
         undelivered: Vec<DataPacket>,
     ) {
-        let me = ctx.id();
-        let now = ctx.now();
         self.ticks.remove(neighbor);
-        // Group the stranded packets per flow.
-        let mut per_flow: KeyMap<FlowKey, Vec<DataPacket>> = KeyMap::new();
-        for pkt in undelivered {
-            per_flow.or_insert_with((pkt.src, pkt.dst), Vec::new).push(pkt);
-        }
-        let affected: Vec<FlowKey> = self
-            .routes
-            .iter()
-            .filter(|(_, e)| e.downstream == Some(neighbor))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in affected {
-            let held = per_flow.remove(&key).unwrap_or_default();
-            if key.0 == me {
-                // Source: re-discover; salvage our packets.
-                ctx.note_route_phase(RoutePhase::RouteLost, key.0, key.1);
-                self.routes.remove(&key);
-                for pkt in held {
-                    if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-                        ctx.drop_data(rejected, DropReason::BufferOverflow);
-                    }
-                }
-                if !self.discovery.contains(key.1) {
-                    self.start_discovery(ctx, key.1, 0);
-                }
-            } else if !self.repairs.contains_key(&key) {
-                // Intermediate terminal: localized query, data waits here.
-                self.start_repair(ctx, key, held);
-            }
-        }
-        // Packets of flows we have no entry for cannot be salvaged.
-        for (_, pkts) in per_flow {
-            for pkt in pkts {
-                ctx.drop_data(pkt, DropReason::LinkBreak);
-            }
-        }
+        self.router.on_link_failure(ctx, neighbor, undelivered, |_| {});
     }
 }
 
@@ -532,7 +188,7 @@ mod tests {
     use super::*;
     use rica_channel::ChannelClass;
     use rica_net::testing::ScriptedCtx;
-    use rica_net::FlowId;
+    use rica_net::{DropReason, FlowId};
     use rica_sim::SimDuration;
 
     fn rx(from: u32) -> RxInfo {

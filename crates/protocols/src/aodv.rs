@@ -2,8 +2,8 @@
 //! RREQ copy; no channel awareness; break → REER to source → full re-flood.
 
 use rica_net::{
-    ControlPacket, DataPacket, DropReason, IdMap, KeyMap, NodeCtx, NodeId, PendingBuffer,
-    RoutePhase, RoutingProtocol, RxInfo, Timer, TimerToken,
+    ControlPacket, DataPacket, Discovery, DropReason, FloodHistory, IdMap, KeyMap, NodeCtx, NodeId,
+    RoutePhase, RoutingProtocol, RxInfo, Timer,
 };
 use rica_sim::SimTime;
 
@@ -23,18 +23,16 @@ struct Route {
 /// paper's point of comparison.
 #[derive(Debug, Default)]
 pub struct Aodv {
-    /// Per-flow dedup + reverse pointers: bcast id → upstream.
-    reverse: KeyMap<FlowKey, KeyMap<u64, NodeId>>,
+    /// Per-flow RREQ dedup + reverse pointers.
+    reverse: FloodHistory<u64>,
     /// At a destination: highest flood id already answered, per source.
     replied: IdMap<u64>,
     /// Destination-keyed forwarding table.
     routes: IdMap<Route>,
     /// Per-flow upstream neighbour (learned from passing data packets).
     flow_upstream: KeyMap<FlowKey, NodeId>,
-    /// Source-side discovery state per destination.
-    discovery: IdMap<(u64, u32, TimerToken)>,
-    pending: Option<PendingBuffer>,
-    next_bcast: u64,
+    /// Source side: packets awaiting a route, RREQ floods and retries.
+    discovery: Discovery,
 }
 
 impl Aodv {
@@ -48,59 +46,25 @@ impl Aodv {
         self.routes.get(dst).map(|r| r.next_hop)
     }
 
-    fn pending(&mut self, ctx: &dyn NodeCtx) -> &mut PendingBuffer {
-        let cfg = ctx.config();
-        self.pending
-            .get_or_insert_with(|| PendingBuffer::new(cfg.pending_cap, cfg.max_queue_residency))
-    }
-
-    fn fresh_route(&self, dst: NodeId, now: SimTime, ctx: &dyn NodeCtx) -> Option<NodeId> {
+    /// The next hop towards `dst`, if the route has not idled past the
+    /// AODV route timeout; marks the route used.
+    fn use_route(&mut self, ctx: &dyn NodeCtx, dst: NodeId) -> Option<NodeId> {
+        let now = ctx.now();
         let timeout = ctx.config().aodv_route_timeout;
-        self.routes
-            .get(dst)
-            .filter(|r| now.saturating_since(r.last_used) <= timeout)
-            .map(|r| r.next_hop)
-    }
-
-    fn start_discovery(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId, retries: u32) {
-        let bcast_id = self.next_bcast;
-        self.next_bcast += 1;
-        let me = ctx.id();
-        let phase =
-            if retries == 0 { RoutePhase::DiscoveryStart } else { RoutePhase::DiscoveryRetry };
-        ctx.note_route_phase(phase, me, dst);
-        ctx.broadcast(ControlPacket::Rreq { src: me, dst, bcast_id, csi_hops: 0.0, topo_hops: 0 });
-        let token = ctx.set_timer(ctx.config().rreq_retry_timeout, Timer::RreqRetry { dst });
-        self.discovery.insert(dst, (bcast_id, retries, token));
+        let route =
+            self.routes.get_mut(dst).filter(|r| now.saturating_since(r.last_used) <= timeout)?;
+        route.last_used = now;
+        Some(route.next_hop)
     }
 
     fn send_as_source(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket) {
-        let now = ctx.now();
         let dst = pkt.dst;
-        if let Some(nh) = self.fresh_route(dst, now, ctx) {
-            self.routes.get_mut(dst).expect("exists").last_used = now;
+        if let Some(nh) = self.use_route(ctx, dst) {
             ctx.send_data(nh, pkt);
             return;
         }
-        let discovering = self.discovery.contains(dst);
-        if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-            ctx.drop_data(rejected, DropReason::BufferOverflow);
-        }
-        if !discovering {
-            self.start_discovery(ctx, dst, 0);
-        }
-    }
-
-    fn flush_pending(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) {
-        let now = ctx.now();
-        let mut expired = Vec::new();
-        let fresh = self.pending(ctx).take_for(dst, now, &mut expired);
-        for pkt in expired {
-            ctx.drop_data(pkt, DropReason::BufferTimeout);
-        }
-        for pkt in fresh {
-            self.send_as_source(ctx, pkt);
-        }
+        self.discovery.buffer(ctx, pkt);
+        self.discovery.start(ctx, dst);
     }
 }
 
@@ -124,11 +88,9 @@ impl RoutingProtocol for Aodv {
                 if src == me {
                     return;
                 }
-                let key: FlowKey = (src, dst);
-                if self.reverse.get(&key).is_some_and(|m| m.contains_key(&bcast_id)) {
+                if !self.reverse.first_copy((src, dst), bcast_id, rx.from) {
                     return; // history table
                 }
-                self.reverse.or_insert_with(key, KeyMap::new).insert(bcast_id, rx.from);
                 if dst == me {
                     // Paper's AODV: reply to the FIRST copy, immediately.
                     if self.replied.get(src).is_some_and(|&b| bcast_id <= b) {
@@ -159,14 +121,14 @@ impl RoutingProtocol for Aodv {
                 // The node the reply came from is our next hop towards dst.
                 self.routes.insert(dst, Route { next_hop: rx.from, last_used: now });
                 if src == me {
-                    if let Some((_, _, token)) = self.discovery.remove(dst) {
-                        ctx.cancel_timer(token);
-                    }
+                    self.discovery.conclude(ctx, dst);
                     ctx.note_route_phase(RoutePhase::RouteSelected, me, dst);
-                    self.flush_pending(ctx, dst);
+                    for pkt in self.discovery.flush(ctx, dst) {
+                        self.send_as_source(ctx, pkt);
+                    }
                     return;
                 }
-                let Some(&up) = self.reverse.get(&(src, dst)).and_then(|m| m.get(&seq)) else {
+                let Some(up) = self.reverse.toward_origin((src, dst), seq) else {
                     return; // reverse pointer lost; reply dies
                 };
                 ctx.unicast(up, ControlPacket::Rrep { src, dst, seq, csi_hops, topo_hops });
@@ -179,9 +141,7 @@ impl RoutingProtocol for Aodv {
                 self.routes.remove(dst);
                 if src == me {
                     // Full re-discovery if traffic is waiting or recent.
-                    if !self.discovery.contains(dst) {
-                        self.start_discovery(ctx, dst, 0);
-                    }
+                    self.discovery.start(ctx, dst);
                 } else if let Some(&up) = self.flow_upstream.get(&(src, dst)) {
                     ctx.unicast(up, ControlPacket::Rerr { src, dst, reporter: me });
                 }
@@ -192,7 +152,6 @@ impl RoutingProtocol for Aodv {
 
     fn on_data(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket, rx: Option<RxInfo>) {
         let me = ctx.id();
-        let now = ctx.now();
         if pkt.dst == me {
             ctx.deliver_local(pkt);
             return;
@@ -206,11 +165,8 @@ impl RoutingProtocol for Aodv {
             return;
         };
         self.flow_upstream.insert((pkt.src, pkt.dst), rx.from);
-        match self.fresh_route(pkt.dst, now, ctx) {
-            Some(nh) => {
-                self.routes.get_mut(pkt.dst).expect("exists").last_used = now;
-                ctx.send_data(nh, pkt);
-            }
+        match self.use_route(ctx, pkt.dst) {
+            Some(nh) => ctx.send_data(nh, pkt),
             None => {
                 // Route gone: tell the source and drop.
                 let (src, dst) = (pkt.src, pkt.dst);
@@ -221,21 +177,10 @@ impl RoutingProtocol for Aodv {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NodeCtx, timer: Timer) {
-        let Timer::RreqRetry { dst } = timer else { return };
-        let Some(&(_, retries, _)) = self.discovery.get(dst) else { return };
-        if self.routes.contains(dst) {
-            self.discovery.remove(dst);
-            return;
+        if let Timer::RreqRetry { dst } = timer {
+            let routed = self.routes.contains(dst);
+            self.discovery.retry(ctx, dst, routed);
         }
-        if retries >= ctx.config().rreq_max_retries {
-            self.discovery.remove(dst);
-            let dropped = self.pending(ctx).drop_for(dst);
-            for pkt in dropped {
-                ctx.drop_data(pkt, DropReason::NoRoute);
-            }
-            return;
-        }
-        self.start_discovery(ctx, dst, retries + 1);
     }
 
     fn current_downstream(&self, _src: NodeId, dst: NodeId) -> Option<NodeId> {
@@ -249,7 +194,6 @@ impl RoutingProtocol for Aodv {
         undelivered: Vec<DataPacket>,
     ) {
         let me = ctx.id();
-        let now = ctx.now();
         self.routes.retain(|dst, r| {
             let keep = r.next_hop != neighbor;
             if !keep {
@@ -262,12 +206,8 @@ impl RoutingProtocol for Aodv {
             if pkt.src == me {
                 // Salvage our own packets; a re-discovery will flush them.
                 let dst = pkt.dst;
-                if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-                    ctx.drop_data(rejected, DropReason::BufferOverflow);
-                }
-                if !self.discovery.contains(dst) {
-                    self.start_discovery(ctx, dst, 0);
-                }
+                self.discovery.buffer(ctx, pkt);
+                self.discovery.start(ctx, dst);
             } else {
                 // §III.B: "packets in the original broken route usually is
                 // discarded".

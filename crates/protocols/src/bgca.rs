@@ -6,37 +6,23 @@
 //! query that splices a partial route in.
 
 use rica_net::{
-    ControlPacket, DataPacket, DropReason, IdMap, KeyMap, NodeCtx, NodeId, PendingBuffer,
-    RoutePhase, RoutingProtocol, RxInfo, Timer, TimerToken,
+    ControlPacket, DataPacket, IdMap, KeyMap, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer,
 };
+use rica_sim::SimTime;
 
-use crate::common::{FlowEntry, FlowKey, Repair};
+use crate::common::{FlowKey, FlowRouter};
 
-/// The BGCA baseline.
+/// The BGCA baseline. Flow routing, local repair and RREQ discovery are
+/// the shared `FlowRouter` (`common.rs`); BGCA adds CSI-shortest route
+/// selection and the bandwidth guard.
 #[derive(Debug, Default)]
 pub struct Bgca {
-    /// Per-flow RREQ dedup + reverse pointers: bcast id → upstream.
-    reverse: KeyMap<FlowKey, KeyMap<u64, NodeId>>,
-    /// Per-flow GQ (guarded/local query) dedup + reverse pointers:
-    /// (origin, bcast) → towards origin.
-    lq_reverse: KeyMap<FlowKey, KeyMap<(NodeId, u64), NodeId>>,
-    /// Per-flow route entries.
-    routes: KeyMap<FlowKey, FlowEntry>,
     /// Destination-side RREQ collection window per source:
     /// (bcast, best CSI, best topo, via).
     windows: IdMap<(u64, f64, u8, NodeId)>,
-    /// Destination-side: highest flood already answered per source.
-    replied: IdMap<u64>,
-    /// Source-side discovery per destination.
-    discovery: IdMap<(u64, u32, TimerToken)>,
-    /// In-progress repairs per flow (guard-triggered or break-triggered).
-    repairs: KeyMap<FlowKey, Repair>,
     /// Last repair start per flow (guard cooldown).
-    last_repair: KeyMap<FlowKey, rica_sim::SimTime>,
-    pending: Option<PendingBuffer>,
-    next_bcast: u64,
-    next_lq: u64,
-    monitor_armed: bool,
+    last_repair: KeyMap<FlowKey, SimTime>,
+    router: FlowRouter,
 }
 
 impl Bgca {
@@ -47,127 +33,12 @@ impl Bgca {
 
     /// The downstream of the flow `(src, dst)` at this terminal, if routed.
     pub fn downstream_of(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.routes.get(&(src, dst)).and_then(|e| e.downstream)
+        self.router.downstream(src, dst)
     }
 
     /// Whether this terminal is currently repairing the flow.
     pub fn is_repairing(&self, src: NodeId, dst: NodeId) -> bool {
-        self.repairs.contains_key(&(src, dst))
-    }
-
-    fn pending(&mut self, ctx: &dyn NodeCtx) -> &mut PendingBuffer {
-        let cfg = ctx.config();
-        self.pending
-            .get_or_insert_with(|| PendingBuffer::new(cfg.pending_cap, cfg.max_queue_residency))
-    }
-
-    fn arm_monitor(&mut self, ctx: &mut dyn NodeCtx) {
-        if !self.monitor_armed {
-            self.monitor_armed = true;
-            ctx.set_timer(ctx.config().bgca_monitor_period, Timer::LinkMonitor);
-        }
-    }
-
-    fn start_discovery(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId, retries: u32) {
-        let bcast_id = self.next_bcast;
-        self.next_bcast += 1;
-        let me = ctx.id();
-        let phase =
-            if retries == 0 { RoutePhase::DiscoveryStart } else { RoutePhase::DiscoveryRetry };
-        ctx.note_route_phase(phase, me, dst);
-        ctx.broadcast(ControlPacket::Rreq { src: me, dst, bcast_id, csi_hops: 0.0, topo_hops: 0 });
-        let token = ctx.set_timer(ctx.config().rreq_retry_timeout, Timer::RreqRetry { dst });
-        self.discovery.insert(dst, (bcast_id, retries, token));
-    }
-
-    fn send_as_source(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket) {
-        let me = ctx.id();
-        let now = ctx.now();
-        let dst = pkt.dst;
-        let idle = ctx.config().aodv_route_timeout;
-        let nh = self
-            .routes
-            .get(&(me, dst))
-            .filter(|e| e.is_fresh(now, idle))
-            .and_then(|e| e.downstream);
-        if let Some(nh) = nh {
-            self.routes.get_mut(&(me, dst)).expect("exists").last_used = now;
-            ctx.send_data(nh, pkt);
-            return;
-        }
-        let discovering = self.discovery.contains(dst);
-        if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-            ctx.drop_data(rejected, DropReason::BufferOverflow);
-        }
-        if !discovering {
-            self.start_discovery(ctx, dst, 0);
-        }
-    }
-
-    fn flush_pending(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) {
-        let now = ctx.now();
-        let mut expired = Vec::new();
-        let fresh = self.pending(ctx).take_for(dst, now, &mut expired);
-        for pkt in expired {
-            ctx.drop_data(pkt, DropReason::BufferTimeout);
-        }
-        for pkt in fresh {
-            self.send_as_source(ctx, pkt);
-        }
-    }
-
-    /// Launches a guarded/local query for the flow. `link_down == false`
-    /// means the guard fired on a degraded (but live) link: data keeps
-    /// flowing on the old route while the search runs.
-    fn start_repair(
-        &mut self,
-        ctx: &mut dyn NodeCtx,
-        key: FlowKey,
-        held: Vec<DataPacket>,
-        link_down: bool,
-    ) {
-        let me = ctx.id();
-        self.last_repair.insert(key, ctx.now());
-        let bcast_id = self.next_lq;
-        self.next_lq += 1;
-        let slack = ctx.config().lq_ttl_slack;
-        let ttl =
-            self.routes.get(&key).map(|e| e.hops_to_dst).unwrap_or(2).saturating_add(slack).max(1);
-        self.repairs.insert(key, Repair { bcast_id, held, link_down });
-        if link_down {
-            if let Some(e) = self.routes.get_mut(&key) {
-                e.downstream = None;
-            }
-        }
-        ctx.note_route_phase(RoutePhase::RepairStart, key.0, key.1);
-        ctx.broadcast(ControlPacket::Lq {
-            src: key.0,
-            dst: key.1,
-            origin: me,
-            bcast_id,
-            ttl,
-            csi_hops: 0.0,
-            topo_hops: 0,
-        });
-        ctx.set_timer(ctx.config().lq_timeout, Timer::LqTimeout { src: key.0, dst: key.1 });
-    }
-
-    fn fail_repair(&mut self, ctx: &mut dyn NodeCtx, key: FlowKey) {
-        let me = ctx.id();
-        let Some(repair) = self.repairs.remove(&key) else { return };
-        if !repair.link_down {
-            // Guard repair found nothing better: keep using the old route.
-            debug_assert!(repair.held.is_empty());
-            return;
-        }
-        for pkt in repair.held {
-            ctx.drop_data(pkt, DropReason::LinkBreak);
-        }
-        let upstream = self.routes.get(&key).and_then(|e| e.upstream);
-        self.routes.remove(&key);
-        if let Some(up) = upstream {
-            ctx.unicast(up, ControlPacket::Rerr { src: key.0, dst: key.1, reporter: me });
-        }
+        self.router.repairs.contains_key(&(src, dst))
     }
 
     /// The bandwidth guard (§I): checks every on-route downstream link
@@ -180,25 +51,26 @@ impl Bgca {
         // Only links that carried traffic very recently are guarded.
         let active = rica_sim::SimDuration::from_millis(500);
         let keys: Vec<(FlowKey, NodeId)> = self
+            .router
             .routes
             .iter()
             .filter(|(key, e)| {
-                e.downstream.is_some()
-                    && e.is_fresh(now, active)
-                    && !self.repairs.contains_key(key)
+                e.is_fresh(now, active)
+                    && !self.router.repairs.contains_key(key)
                     && self
                         .last_repair
                         .get(key)
                         .is_none_or(|&t| now.saturating_since(t) >= cooldown)
             })
-            .map(|(k, e)| (*k, e.downstream.expect("filtered")))
+            .filter_map(|(k, e)| Some((*k, e.downstream?)))
             .collect();
         for (key, downstream) in keys {
             match ctx.link_class_to(downstream) {
                 Some(class) if class.rate_kbps() < needed_kbps => {
                     // Deep fade: search a partial substitute route while the
                     // old one keeps (slowly) carrying data.
-                    self.start_repair(ctx, key, Vec::new(), false);
+                    self.last_repair.insert(key, now);
+                    self.router.start_repair(ctx, key, Vec::new(), false);
                 }
                 _ => {}
             }
@@ -212,7 +84,7 @@ impl RoutingProtocol for Bgca {
     }
 
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        self.arm_monitor(ctx);
+        ctx.set_timer(ctx.config().bgca_monitor_period, Timer::LinkMonitor);
     }
 
     fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
@@ -224,18 +96,16 @@ impl RoutingProtocol for Bgca {
 
     fn on_control(&mut self, ctx: &mut dyn NodeCtx, pkt: &ControlPacket, rx: RxInfo) {
         let me = ctx.id();
-        let now = ctx.now();
         match *pkt {
             ControlPacket::Rreq { src, dst, bcast_id, csi_hops, topo_hops } => {
                 if src == me {
                     return;
                 }
-                let key: FlowKey = (src, dst);
                 let new_csi = csi_hops + rx.class.csi_hops();
                 let new_topo = topo_hops.saturating_add(1);
                 if dst == me {
                     // CSI-shortest selection with a reply window, like RICA.
-                    if self.replied.get(src).is_some_and(|&b| bcast_id <= b) {
+                    if self.router.answered(src, bcast_id) {
                         return;
                     }
                     match self.windows.get_mut(src) {
@@ -257,10 +127,9 @@ impl RoutingProtocol for Bgca {
                     }
                     return;
                 }
-                if self.reverse.get(&key).is_some_and(|m| m.contains_key(&bcast_id)) {
+                if !self.router.floods.first_copy((src, dst), bcast_id, rx.from) {
                     return;
                 }
-                self.reverse.or_insert_with(key, KeyMap::new).insert(bcast_id, rx.from);
                 ctx.broadcast(ControlPacket::Rreq {
                     src,
                     dst,
@@ -269,175 +138,12 @@ impl RoutingProtocol for Bgca {
                     topo_hops: new_topo,
                 });
             }
-            ControlPacket::Rrep { src, dst, seq, csi_hops, topo_hops } => {
-                let key: FlowKey = (src, dst);
-                if src == me {
-                    if let Some((_, _, token)) = self.discovery.remove(dst) {
-                        ctx.cancel_timer(token);
-                    }
-                    let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                    e.downstream = Some(rx.from);
-                    e.upstream = None;
-                    e.last_used = now;
-                    e.route_len = topo_hops.max(1);
-                    e.hops_to_dst = topo_hops.max(1);
-                    ctx.note_route_phase(RoutePhase::RouteSelected, me, dst);
-                    self.arm_monitor(ctx);
-                    self.flush_pending(ctx, dst);
-                    return;
-                }
-                let Some(&up) = self.reverse.get(&key).and_then(|m| m.get(&seq)) else { return };
-                let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                e.upstream = Some(up);
-                e.downstream = Some(rx.from);
-                e.last_used = now;
-                e.route_len = topo_hops.max(1);
-                e.hops_to_dst = topo_hops.max(1);
-                self.arm_monitor(ctx);
-                ctx.unicast(up, ControlPacket::Rrep { src, dst, seq, csi_hops, topo_hops });
-            }
-            ControlPacket::Lq { src, dst, origin, bcast_id, ttl, csi_hops, topo_hops } => {
-                if origin == me {
-                    return;
-                }
-                let key: FlowKey = (src, dst);
-                if self.lq_reverse.get(&key).is_some_and(|m| m.contains_key(&(origin, bcast_id))) {
-                    return;
-                }
-                self.lq_reverse
-                    .or_insert_with(key, KeyMap::new)
-                    .insert((origin, bcast_id), rx.from);
-                let new_csi = csi_hops + rx.class.csi_hops();
-                let new_topo = topo_hops.saturating_add(1);
-                if dst == me {
-                    ctx.unicast(
-                        rx.from,
-                        ControlPacket::LqRep {
-                            src,
-                            dst,
-                            origin,
-                            seq: bcast_id,
-                            csi_hops: new_csi,
-                            topo_hops: new_topo,
-                        },
-                    );
-                    return;
-                }
-                let new_ttl = ttl.saturating_sub(1);
-                if new_ttl == 0 {
-                    return;
-                }
-                ctx.broadcast(ControlPacket::Lq {
-                    src,
-                    dst,
-                    origin,
-                    bcast_id,
-                    ttl: new_ttl,
-                    csi_hops: new_csi,
-                    topo_hops: new_topo,
-                });
-            }
-            ControlPacket::LqRep { src, dst, origin, seq, csi_hops, topo_hops } => {
-                let key: FlowKey = (src, dst);
-                if origin == me {
-                    let Some(repair) = self.repairs.remove(&key) else { return };
-                    if repair.bcast_id != seq {
-                        self.repairs.insert(key, repair);
-                        return;
-                    }
-                    // Splice the partial route in (guard or break repair).
-                    let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                    e.downstream = Some(rx.from);
-                    e.last_used = now;
-                    e.hops_to_dst = topo_hops.max(1);
-                    e.route_len = e.route_len.max(topo_hops);
-                    for pkt in repair.held {
-                        ctx.send_data(rx.from, pkt);
-                    }
-                    return;
-                }
-                let Some(&toward_origin) =
-                    self.lq_reverse.get(&key).and_then(|m| m.get(&(origin, seq)))
-                else {
-                    return;
-                };
-                let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                e.upstream = Some(toward_origin);
-                e.downstream = Some(rx.from);
-                e.last_used = now;
-                self.arm_monitor(ctx);
-                ctx.unicast(
-                    toward_origin,
-                    ControlPacket::LqRep { src, dst, origin, seq, csi_hops, topo_hops },
-                );
-            }
-            ControlPacket::Rerr { src, dst, .. } => {
-                let key: FlowKey = (src, dst);
-                let from_downstream =
-                    self.routes.get(&key).is_some_and(|e| e.downstream == Some(rx.from));
-                if !from_downstream {
-                    return;
-                }
-                if src == me {
-                    self.routes.remove(&key);
-                    if !self.discovery.contains(dst) {
-                        self.start_discovery(ctx, dst, 0);
-                    }
-                } else {
-                    let upstream = self.routes.get(&key).and_then(|e| e.upstream);
-                    self.routes.remove(&key);
-                    if let Some(up) = upstream {
-                        ctx.unicast(up, ControlPacket::Rerr { src, dst, reporter: me });
-                    }
-                }
-            }
-            _ => {}
+            _ => self.router.on_control(ctx, pkt, rx),
         }
     }
 
     fn on_data(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket, rx: Option<RxInfo>) {
-        let me = ctx.id();
-        let now = ctx.now();
-        if pkt.dst == me {
-            ctx.deliver_local(pkt);
-            return;
-        }
-        if pkt.src == me && rx.is_none() {
-            self.send_as_source(ctx, pkt);
-            return;
-        }
-        let Some(rx) = rx else {
-            ctx.drop_data(pkt, DropReason::NoRoute);
-            return;
-        };
-        let key: FlowKey = (pkt.src, pkt.dst);
-        // Break repairs hold the flow; guard repairs keep forwarding on the
-        // degraded link meanwhile.
-        if let Some(repair) = self.repairs.get_mut(&key) {
-            if repair.link_down {
-                let cap = ctx.config().pending_cap;
-                if repair.held.len() < cap {
-                    repair.held.push(pkt);
-                } else {
-                    ctx.drop_data(pkt, DropReason::BufferOverflow);
-                }
-                return;
-            }
-        }
-        let idle = ctx.config().aodv_route_timeout;
-        match self.routes.get_mut(&key) {
-            Some(e) if e.downstream.is_some() && e.is_fresh(now, idle) => {
-                e.last_used = now;
-                e.upstream = Some(rx.from);
-                e.observe_data_hops(pkt.hops);
-                let nh = e.downstream.expect("checked");
-                ctx.send_data(nh, pkt);
-            }
-            _ => {
-                ctx.unicast(rx.from, ControlPacket::Rerr { src: key.0, dst: key.1, reporter: me });
-                ctx.drop_data(pkt, DropReason::NoRoute);
-            }
-        }
+        self.router.on_data(ctx, pkt, rx);
     }
 
     fn on_timer(&mut self, ctx: &mut dyn NodeCtx, timer: Timer) {
@@ -447,45 +153,16 @@ impl RoutingProtocol for Bgca {
                 let period = ctx.config().bgca_monitor_period;
                 ctx.set_timer(period, Timer::LinkMonitor);
             }
-            Timer::RreqRetry { dst } => {
-                let Some(&(_, retries, _)) = self.discovery.get(dst) else { return };
-                let me = ctx.id();
-                if self.routes.get(&(me, dst)).is_some_and(|e| e.downstream.is_some()) {
-                    self.discovery.remove(dst);
-                    return;
-                }
-                if retries >= ctx.config().rreq_max_retries {
-                    self.discovery.remove(dst);
-                    let dropped = self.pending(ctx).drop_for(dst);
-                    for pkt in dropped {
-                        ctx.drop_data(pkt, DropReason::NoRoute);
-                    }
-                    return;
-                }
-                self.start_discovery(ctx, dst, retries + 1);
-            }
-            Timer::ReplyWindow { src, dst } => {
-                debug_assert_eq!(dst, ctx.id());
-                let now = ctx.now();
+            Timer::ReplyWindow { src, .. } => {
                 let Some((bcast_id, csi, topo, via)) = self.windows.remove(src) else { return };
-                self.replied.insert(src, bcast_id);
-                let e = self.routes.or_insert_with((src, dst), || FlowEntry::new(now));
-                e.upstream = Some(via);
-                e.last_used = now;
-                ctx.unicast(
-                    via,
-                    ControlPacket::Rrep { src, dst, seq: bcast_id, csi_hops: csi, topo_hops: topo },
-                );
+                self.router.answer(ctx, src, bcast_id, via, csi, topo);
             }
-            Timer::LqTimeout { src, dst } if self.repairs.contains_key(&(src, dst)) => {
-                self.fail_repair(ctx, (src, dst));
-            }
-            _ => {}
+            _ => self.router.on_timer(ctx, timer),
         }
     }
 
     fn current_downstream(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        self.routes.get(&(src, dst)).and_then(|e| e.downstream)
+        self.router.downstream(src, dst)
     }
 
     fn on_link_failure(
@@ -494,48 +171,11 @@ impl RoutingProtocol for Bgca {
         neighbor: NodeId,
         undelivered: Vec<DataPacket>,
     ) {
-        let me = ctx.id();
         let now = ctx.now();
-        let mut per_flow: KeyMap<FlowKey, Vec<DataPacket>> = KeyMap::new();
-        for pkt in undelivered {
-            per_flow.or_insert_with((pkt.src, pkt.dst), Vec::new).push(pkt);
-        }
-        let affected: Vec<FlowKey> = self
-            .routes
-            .iter()
-            .filter(|(_, e)| e.downstream == Some(neighbor))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in affected {
-            let held = per_flow.remove(&key).unwrap_or_default();
-            if key.0 == me {
-                ctx.note_route_phase(RoutePhase::RouteLost, key.0, key.1);
-                self.routes.remove(&key);
-                for pkt in held {
-                    if let Some(rejected) = self.pending(ctx).push(now, pkt) {
-                        ctx.drop_data(rejected, DropReason::BufferOverflow);
-                    }
-                }
-                if !self.discovery.contains(key.1) {
-                    self.start_discovery(ctx, key.1, 0);
-                }
-            } else if let Some(repair) = self.repairs.get_mut(&key) {
-                // A guard repair was already searching: it now also carries
-                // the stranded packets and becomes a break repair.
-                repair.link_down = true;
-                repair.held.extend(held);
-                if let Some(e) = self.routes.get_mut(&key) {
-                    e.downstream = None;
-                }
-            } else {
-                self.start_repair(ctx, key, held, true);
-            }
-        }
-        for (_, pkts) in per_flow {
-            for pkt in pkts {
-                ctx.drop_data(pkt, DropReason::LinkBreak);
-            }
-        }
+        let last_repair = &mut self.last_repair;
+        self.router.on_link_failure(ctx, neighbor, undelivered, |key| {
+            last_repair.insert(key, now);
+        });
     }
 }
 

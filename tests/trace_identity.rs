@@ -32,6 +32,20 @@ fn golden_mobile12(fidelity: ChannelFidelity) -> Scenario {
         .build()
 }
 
+/// The golden `mobile25` trial (`tests/golden_metrics.rs`): 25 nodes at
+/// 72 km/h, fast enough that routes break often and the local-repair
+/// paths of ABR and BGCA run.
+fn golden_mobile25() -> Scenario {
+    Scenario::builder()
+        .nodes(25)
+        .flows(5)
+        .rate_pps(10.0)
+        .duration_secs(20.0)
+        .mean_speed_kmh(72.0)
+        .seed(11)
+        .build()
+}
+
 #[test]
 fn tracing_and_sampling_are_bit_invisible_for_every_protocol() {
     // Both channel tiers: the tracer observes their shared broadcast
@@ -104,10 +118,10 @@ fn profiling_only_adds_diagnostics() {
 /// second. The faulted trial traces every fault lifecycle event.
 #[test]
 fn jsonl_artifact_lines_follow_the_schema() {
-    let exact = traced_artifacts(&golden_mobile12(ChannelFidelity::Exact));
-    let approx = traced_artifacts(&golden_mobile12(ChannelFidelity::Approx));
-    for (tier, (trace, timeseries)) in
-        [("exact", exact), ("approx", approx), ("faulted", faulted_artifacts())]
+    let exact = traced_artifacts(&golden_mobile12(ChannelFidelity::Exact), ProtocolKind::Rica);
+    let approx = traced_artifacts(&golden_mobile12(ChannelFidelity::Approx), ProtocolKind::Rica);
+    let faulted = faulted_artifacts(ProtocolKind::Rica);
+    for (tier, (trace, timeseries)) in [("exact", exact), ("approx", approx), ("faulted", faulted)]
     {
         assert!(trace.lines().count() > 1_000, "{tier}: golden trial should emit a rich trace");
         let mut last_t = 0;
@@ -144,13 +158,13 @@ fn jsonl_artifact_lines_follow_the_schema() {
 
 /// A trial traced to JSONL and sampled at 1 s: the trace file's bytes
 /// and the timeseries document.
-fn traced_artifacts(s: &Scenario) -> (String, String) {
+fn traced_artifacts(s: &Scenario, kind: ProtocolKind) -> (String, String) {
     let path = std::env::temp_dir().join(format!(
         "rica_trace_identity_{}_{:?}.jsonl",
         std::process::id(),
         std::thread::current().id()
     ));
-    let mut world = World::new(s, ProtocolKind::Rica, s.seed);
+    let mut world = World::new(s, kind, s.seed);
     world.enable_trace(Box::new(JsonlSink::create(&path).expect("create artifact")));
     world.enable_timeseries(SimDuration::from_secs(1));
     world.start();
@@ -165,36 +179,63 @@ fn traced_artifacts(s: &Scenario) -> (String, String) {
 
 /// The golden `mobile12` trial under a crash–reboot, churn and a
 /// partition-and-heal.
-fn faulted_artifacts() -> (String, String) {
+fn faulted_artifacts(kind: ProtocolKind) -> (String, String) {
     let mut s = golden_mobile12(ChannelFidelity::Exact);
     s.faults = FaultPlan::none()
         .with_crash(NodeId(2), 7.5, Some(4.5))
         .with_churn(12.0, 3.0, 6.0)
         .with_partition(15.0, 22.5, NodeGroup::IdBelow(6));
-    traced_artifacts(&s)
+    traced_artifacts(&s, kind)
 }
 
-/// FNV-1a pins of the faulted trial's JSONL trace and timeseries
-/// document. To regenerate after an intentional change:
+/// FNV-1a pins of every protocol's JSONL trace on two trials: the
+/// faulted `mobile12` trial and the golden `mobile25` trial, where route
+/// repairs run. A trace records every route phase and every control
+/// transmission in the order the protocol issued them, which the summary
+/// goldens cannot see. The faulted RICA timeseries document is pinned too.
+/// To regenerate after an intentional change:
 ///
 /// ```text
 /// GOLDEN_PRINT=1 cargo test -q --test trace_identity faulted_artifact_bytes -- --nocapture
 /// ```
 #[test]
 fn faulted_artifact_bytes_are_pinned() {
-    const WANT_TRACE: u64 = 0x465d_89d2_788c_ac72;
+    /// `(protocol, faulted mobile12 trace, mobile25 trace)`.
+    const WANT_TRACES: [(ProtocolKind, u64, u64); 5] = [
+        (ProtocolKind::Rica, 0x465d_89d2_788c_ac72, 0x06ef_dc67_3f9a_eb75),
+        (ProtocolKind::Bgca, 0x2c74_8606_a77a_d238, 0x2205_6383_9316_be4a),
+        (ProtocolKind::Abr, 0x2dd3_0a4d_83a2_285a, 0x1252_5431_d212_af63),
+        (ProtocolKind::Aodv, 0xc852_ecf9_b636_0627, 0x7792_5203_88da_7f5b),
+        (ProtocolKind::LinkState, 0xac99_615d_30c7_4362, 0x7323_fde3_6f3f_ad39),
+    ];
     const WANT_TIMESERIES: u64 = 0xcc52_d6ae_c691_2b23;
-    let (trace, timeseries) = faulted_artifacts();
-    let (trace_hash, timeseries_hash) =
-        (rica_exec::fnv1a(trace.as_bytes()), rica_exec::fnv1a(timeseries.as_bytes()));
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        println!(
-            "WANT_TRACE = 0x{trace_hash:016x}; WANT_TIMESERIES = 0x{timeseries_hash:016x}; \
-             ({} trace lines)",
-            trace.lines().count()
-        );
-        return;
+    let print = std::env::var("GOLDEN_PRINT").is_ok();
+    for (kind, want_faulted, want_mobile25) in WANT_TRACES {
+        let (faulted, timeseries) = faulted_artifacts(kind);
+        let (mobile25, _) = traced_artifacts(&golden_mobile25(), kind);
+        let faulted_hash = rica_exec::fnv1a(faulted.as_bytes());
+        let mobile25_hash = rica_exec::fnv1a(mobile25.as_bytes());
+        if print {
+            println!(
+                "(ProtocolKind::{kind:?}, 0x{faulted_hash:016x}, 0x{mobile25_hash:016x}), \
+                 // {} + {} trace lines",
+                faulted.lines().count(),
+                mobile25.lines().count()
+            );
+        } else {
+            assert_eq!(faulted_hash, want_faulted, "{kind}: faulted mobile12 trace bytes drifted");
+            assert_eq!(mobile25_hash, want_mobile25, "{kind}: mobile25 trace bytes drifted");
+        }
+        if kind == ProtocolKind::Rica {
+            let timeseries_hash = rica_exec::fnv1a(timeseries.as_bytes());
+            if print {
+                println!("WANT_TIMESERIES = 0x{timeseries_hash:016x};");
+            } else {
+                assert_eq!(
+                    timeseries_hash, WANT_TIMESERIES,
+                    "timeseries bytes drifted:\n{timeseries}"
+                );
+            }
+        }
     }
-    assert_eq!(trace_hash, WANT_TRACE, "faulted trace bytes drifted");
-    assert_eq!(timeseries_hash, WANT_TIMESERIES, "timeseries bytes drifted:\n{timeseries}");
 }
