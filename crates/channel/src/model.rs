@@ -39,7 +39,7 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// Storage is a flat triangular `u32` indirection table over a dense state
 /// vector: the unordered pair `(lo, hi)` owns slot `hi·(hi−1)/2 + lo`,
 /// which holds the pair's index into a dense `Vec<PairState>` (or
-/// [`EMPTY_SLOT`]). The hot per-reception CSI lookup is two bounds-checked
+/// `EMPTY_SLOT`). The hot per-reception CSI lookup is two bounds-checked
 /// indexes into contiguous memory — no hash, no `Option<Box>` pointer
 /// chase — while the O(n²) part of the footprint stays 4 bytes per
 /// *potential* pair; real state is paid only by pairs that interact.

@@ -74,7 +74,7 @@ impl OuProcess {
     ///
     /// Bit-identical to the uncached path for any query schedule: the cache
     /// is keyed by the exact bits of `dt` and stores exactly what
-    /// [`decay_coefficients`] would return, and `f64::exp`/`sqrt` are
+    /// `decay_coefficients` would return, and `f64::exp`/`sqrt` are
     /// deterministic functions of their input bits.
     ///
     /// # Panics
@@ -176,7 +176,7 @@ fn decay_coefficients(dt: f64, sigma: f64, tau: f64) -> (f64, f64) {
 const DT_GRID_MANTISSA_BITS: u32 = 6;
 
 /// Snaps a positive step `dt` (seconds) down onto a geometric grid with
-/// [`DT_GRID_MANTISSA_BITS`] mantissa bits (64 points per power of two),
+/// `DT_GRID_MANTISSA_BITS` mantissa bits (64 points per power of two),
 /// by truncating the low mantissa bits of its IEEE representation.
 ///
 /// Purpose: reception-time `dt` values carry per-packet jitter, so the

@@ -470,10 +470,6 @@ impl Rica {
 }
 
 impl RoutingProtocol for Rica {
-    fn name(&self) -> &'static str {
-        "RICA"
-    }
-
     fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
         // Cold restart: routing tables, pending discoveries and CSI
         // bookkeeping died with the node; receivers re-initiate routes

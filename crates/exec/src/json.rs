@@ -1,6 +1,6 @@
 //! Machine-readable sweep artifacts (`sweep_results.json`).
 //!
-//! The CSV/table renderers in `rica-metrics` serve human eyes; bench
+//! The table renderer in `rica-metrics` serves human eyes; bench
 //! trajectories across PRs need a stable machine-readable artifact. This
 //! module renders a [`SweepResult`] as JSON through the workspace's one
 //! codec, `rica_metrics::json`.

@@ -6,8 +6,9 @@
 //! [`SweepPlan`] into a job grid and fans it out over a [`std::thread`]
 //! worker pool whose one dispatcher ([`SweepPlan::stream`]) favours the
 //! protocol with the longest measured trials, streaming completed
-//! [`TrialSummary`](rica_metrics::TrialSummary)s into mergeable
-//! [`Aggregate`](rica_metrics::Aggregate)s with live progress reporting.
+//! [`TrialSummary`](rica_metrics::TrialSummary)s back in job order with
+//! live progress reporting; [`SweepPlan::cells`] folds each cell's
+//! trials into one [`Aggregate`](rica_metrics::Aggregate).
 //!
 //! ## Determinism — the hard invariant
 //!

@@ -42,10 +42,6 @@ pub struct SweepPlan<P> {
     /// all cells share common random numbers across the protocol axis
     /// (paired comparison, as the paper's 25-trial averages do).
     pub base_seed: u64,
-    /// Cells (plan-order indices) whose trials the runner should trace.
-    /// Empty (the default) means no tracing; the sweep JSON artifact is
-    /// unaffected either way — tracing writes separate per-trial files.
-    pub traced_cells: Vec<usize>,
 }
 
 /// One executable unit: a single seeded trial of a single grid cell.
@@ -77,7 +73,7 @@ pub struct TrialJob<P> {
 }
 
 /// One grid cell after execution: the per-trial summaries (in trial
-/// order) and their merged aggregate.
+/// order) and their aggregate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell<P> {
     /// Protocol label.
@@ -131,7 +127,6 @@ impl<P: Copy> SweepPlan<P> {
             faults: vec![FaultPlan::default()],
             trials,
             base_seed,
-            traced_cells: Vec::new(),
         };
         assert!(plan.cell_count() > 0, "sweep plan has an empty axis");
         assert!(plan.trials > 0, "sweep plan needs at least one trial per cell");
@@ -181,19 +176,6 @@ impl<P: Copy> SweepPlan<P> {
         assert!(!faults.is_empty(), "sweep plan has an empty axis");
         self.faults = faults;
         self
-    }
-
-    /// Marks cells (by plan-order index) for tracing by trace-aware
-    /// runners; indexes are validated lazily by [`SweepPlan::cell_traced`]
-    /// (an out-of-range index simply never matches).
-    pub fn with_traced_cells(mut self, cells: Vec<usize>) -> SweepPlan<P> {
-        self.traced_cells = cells;
-        self
-    }
-
-    /// Whether the plan marks `cell` for tracing.
-    pub fn cell_traced(&self, cell: usize) -> bool {
-        self.traced_cells.contains(&cell)
     }
 
     /// Derives the flat job grid, protocol-major then speed then nodes
@@ -396,8 +378,6 @@ impl<P> SweepPlan<P> {
     /// A stable content hash of everything that determines the plan's
     /// results: protocol labels (via `label`), speeds (exact f64 bits),
     /// node counts, trials, base seed and the sweep axes' entry labels.
-    /// `traced_cells` is deliberately excluded — tracing never changes
-    /// results.
     ///
     /// Shard manifests and fleet artifacts stamp this hash so a resumed
     /// sweep can prove its shard files came from the same plan; the
@@ -539,8 +519,6 @@ mod tests {
         let base = SweepPlan::new(vec![1u8, 2], vec![0.0, 36.0], vec![10], 4, 100);
         let label = |p: &u8| format!("P{p}");
         let h = base.content_hash(label);
-        // Same plan, same hash; traced cells are excluded by design.
-        assert_eq!(base.clone().with_traced_cells(vec![0]).content_hash(label), h);
         // Every results-relevant axis moves the hash.
         let mut speeds = base.clone();
         speeds.speeds_kmh[1] = 37.0;

@@ -38,12 +38,6 @@ impl ExecOptions {
     pub fn with_workers(workers: usize) -> ExecOptions {
         ExecOptions { workers: workers.max(1), progress: Progress::Silent }
     }
-
-    /// Replaces the progress sink.
-    pub fn progress(mut self, progress: Progress) -> ExecOptions {
-        self.progress = progress;
-        self
-    }
 }
 
 /// Worker threads actually used for `total` jobs under a configured

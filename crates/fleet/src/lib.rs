@@ -6,10 +6,8 @@
 //!
 //! * **Shard manifests** ([`FleetManifest`]) — a serialisable split of a
 //!   [`SweepPlan`](rica_exec::SweepPlan) into contiguous job-index
-//!   sub-ranges, each runnable in-process or by a separate `fleet
-//!   run-shard` child process. Seeds are a pure function of the plan,
-//!   so any shard assignment reproduces the exact single-shot trial
-//!   stream.
+//!   sub-ranges. Seeds are a pure function of the plan, so any shard
+//!   assignment reproduces the exact single-shot trial stream.
 //! * **Streaming artifacts** ([`shard`]) — each shard streams one JSONL
 //!   [`TrialRecord`](rica_metrics::TrialRecord) per finished trial, in
 //!   plan order. A pass runs all its shards through one dispatcher that
@@ -45,4 +43,4 @@ pub use coordinator::{
     ensure_manifest, load_manifest, merge_fleet, run_fleet, FleetReport, MANIFEST_FILE,
 };
 pub use manifest::{hash_hex, parse_hash_hex, FleetManifest, ShardSpec, MANIFEST_SCHEMA};
-pub use shard::{read_shard, run_shard, shard_state, ShardState, SHARD_SCHEMA};
+pub use shard::{read_shard, SHARD_SCHEMA};

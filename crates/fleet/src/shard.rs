@@ -22,7 +22,7 @@
 
 use std::fmt::Write as _;
 use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rica_exec::{ExecOptions, SweepPlan, TrialJob};
 use rica_metrics::json::{parse_json, push_string, JsonValue};
@@ -36,7 +36,7 @@ pub const SHARD_SCHEMA: u32 = 1;
 
 /// What the resume scan concluded about one shard's stream file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardState {
+pub(crate) enum ShardState {
     /// Header, every record, and footer all present and consistent.
     Complete,
     /// No file on disk.
@@ -58,34 +58,6 @@ pub fn header_line(manifest: &FleetManifest, shard: usize) -> String {
 /// The footer line that certifies a complete stream.
 pub fn footer_line(records: usize) -> String {
     format!("{{\"kind\":\"footer\",\"records\":{records}}}")
-}
-
-/// Executes shard `shard` of `plan` as `manifest` cut it, streaming
-/// records into the shard's file under `dir` (truncating any previous
-/// attempt): the one-shard case of a fleet pass.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the stream file.
-///
-/// # Panics
-///
-/// Panics if `shard` is out of range for the manifest, or if the
-/// manifest does not describe `plan` (debug-checked via job bounds).
-pub fn run_shard<P, F>(
-    plan: &SweepPlan<P>,
-    manifest: &FleetManifest,
-    shard: usize,
-    dir: &Path,
-    opts: &ExecOptions,
-    runner: F,
-) -> std::io::Result<PathBuf>
-where
-    P: Copy + Send + Sync,
-    F: Fn(&TrialJob<P>) -> TrialSummary + Sync,
-{
-    run_shards(plan, manifest, &[shard], dir, opts, runner)?;
-    Ok(manifest.shard_path(dir, shard))
 }
 
 /// Executes shards `shards` (ascending) of `plan` as `manifest` cut
@@ -245,7 +217,7 @@ fn parse_stream(
 }
 
 /// Classifies shard `shard`'s stream file for the resume scan.
-pub fn shard_state(manifest: &FleetManifest, shard: usize, dir: &Path) -> ShardState {
+pub(crate) fn shard_state(manifest: &FleetManifest, shard: usize, dir: &Path) -> ShardState {
     if !manifest.shard_path(dir, shard).exists() {
         return ShardState::Missing;
     }
@@ -286,7 +258,8 @@ mod tests {
         let (plan, manifest, dir) = setup();
         for shard in 0..manifest.shards.len() {
             assert_eq!(shard_state(&manifest, shard, &dir), ShardState::Missing);
-            run_shard(&plan, &manifest, shard, &dir, &ExecOptions::serial(), toy_runner).unwrap();
+            run_shards(&plan, &manifest, &[shard], &dir, &ExecOptions::serial(), toy_runner)
+                .unwrap();
             assert_eq!(shard_state(&manifest, shard, &dir), ShardState::Complete);
             let records = read_shard(&manifest, shard, &dir).unwrap();
             let spec = &manifest.shards[shard];
@@ -326,8 +299,8 @@ mod tests {
     #[test]
     fn truncated_stream_is_invalid() {
         let (plan, manifest, dir) = setup();
-        let path =
-            run_shard(&plan, &manifest, 1, &dir, &ExecOptions::serial(), toy_runner).unwrap();
+        run_shards(&plan, &manifest, &[1], &dir, &ExecOptions::serial(), toy_runner).unwrap();
+        let path = manifest.shard_path(&dir, 1);
         let body = std::fs::read_to_string(&path).unwrap();
         // Drop the footer — simulates a kill mid-write.
         let cut: String =
@@ -347,8 +320,8 @@ mod tests {
     fn hostile_streams_never_panic() {
         let (plan, _, dir) = setup();
         let manifest = FleetManifest::split(&plan, u8::to_string, 10);
-        let path =
-            run_shard(&plan, &manifest, 3, &dir, &ExecOptions::serial(), toy_runner).unwrap();
+        run_shards(&plan, &manifest, &[3], &dir, &ExecOptions::serial(), toy_runner).unwrap();
+        let path = manifest.shard_path(&dir, 3);
         let body = std::fs::read_to_string(&path).unwrap();
         let body = body.trim_end();
         assert_eq!(parse_stream(body, &manifest, 3).unwrap().len(), 2);
@@ -395,7 +368,7 @@ mod tests {
         let mut other_plan = plan.clone();
         other_plan.base_seed += 1;
         let other = FleetManifest::split(&other_plan, u8::to_string, 3);
-        run_shard(&other_plan, &other, 0, &dir, &ExecOptions::serial(), toy_runner).unwrap();
+        run_shards(&other_plan, &other, &[0], &dir, &ExecOptions::serial(), toy_runner).unwrap();
         match shard_state(&manifest, 0, &dir) {
             ShardState::Invalid(reason) => assert!(reason.contains("plan"), "{reason}"),
             other => panic!("expected Invalid, got {other:?}"),
@@ -406,10 +379,10 @@ mod tests {
     #[test]
     fn parallel_and_serial_streams_are_byte_identical() {
         let (plan, manifest, dir) = setup();
-        let path =
-            run_shard(&plan, &manifest, 0, &dir, &ExecOptions::serial(), toy_runner).unwrap();
+        let path = manifest.shard_path(&dir, 0);
+        run_shards(&plan, &manifest, &[0], &dir, &ExecOptions::serial(), toy_runner).unwrap();
         let serial = std::fs::read_to_string(&path).unwrap();
-        let path = run_shard(&plan, &manifest, 0, &dir, &ExecOptions::with_workers(4), toy_runner)
+        run_shards(&plan, &manifest, &[0], &dir, &ExecOptions::with_workers(4), toy_runner)
             .unwrap();
         let parallel = std::fs::read_to_string(&path).unwrap();
         assert_eq!(serial, parallel, "worker count must not change stream bytes");

@@ -2,8 +2,9 @@
 //! streams read back through the library readers, a kill (one stream
 //! deleted, one truncated) that resume repairs by re-running exactly the
 //! damaged shards, merged `--legacy` bytes that do not depend on the
-//! kill, the shard cut or the worker count, and one progress count per
-//! pass.
+//! kill, the shard cut or the worker count, one progress count per
+//! pass, and an adaptive run whose report does not depend on the worker
+//! count.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -11,6 +12,7 @@ use std::process::Command;
 use rica_exec::SweepPlan;
 use rica_fleet::{load_manifest, read_shard};
 use rica_harness::ProtocolKind;
+use rica_metrics::json::{parse_json, JsonValue};
 
 const PLAN: &[&str] = &[
     "--protocols",
@@ -134,5 +136,38 @@ fn a_pass_counts_all_its_jobs_under_one_progress_header() {
     assert_eq!(progress_headers(&log), ["# exec: 20 jobs over 2 workers"], "{log}");
     assert!(log.contains("# exec: 20/20 trials (100%)"), "{log}");
     assert!(log.contains("ran 1 shard(s), reused 1"), "{log}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn adaptive_reports_realised_trials_independent_of_workers() {
+    let dir = std::env::temp_dir().join(format!("rica_fleet_cli_adaptive_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = |workers: &str| {
+        let json = dir.join(format!("adaptive_{workers}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+            .args(["adaptive", "--protocols", "rica", "--speeds", "0,36", "--nodes", "6"])
+            .args(["--flows", "1", "--duration", "2", "--trials", "2", "--ci-delivery", "50"])
+            .args(["--max-trials", "6", "--workers", workers, "--json", json.to_str().unwrap()])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "fleet adaptive --workers {workers} failed: {stderr}");
+        std::fs::read(json).unwrap()
+    };
+    let serial = report("1");
+    assert!(report("2") == serial, "the worker count changed the adaptive report");
+
+    let doc = parse_json(std::str::from_utf8(&serial).unwrap()).unwrap();
+    assert_eq!(doc.u64_at("schema"), Ok(2));
+    assert_eq!(doc.str_at("kind"), Ok("adaptive-report"));
+    assert_eq!((doc.u64_at("min_trials"), doc.u64_at("max_trials")), (Ok(2), Ok(6)));
+    let targets = doc.get("targets").expect("targets");
+    assert_eq!(targets.get("delay_hw_ms"), Some(&JsonValue::Null));
+    let cells = doc.array_at("cells").unwrap();
+    assert_eq!(cells.len(), 2);
+    let trials: Vec<u64> = cells.iter().map(|c| c.u64_at("trials").unwrap()).collect();
+    assert!(trials.iter().all(|t| (2..=6).contains(t)), "{trials:?}");
+    assert_eq!(doc.u64_at("total_trials"), Ok(trials.iter().sum()));
     let _ = std::fs::remove_dir_all(&dir);
 }

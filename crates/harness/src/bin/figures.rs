@@ -15,8 +15,9 @@
 //! paper's ten; `ablation` is the design-parameter ablation) print to
 //! stdout, and the raw sweeps behind them are written as a
 //! machine-readable artifact (`--json PATH`, default
-//! `sweep_results.json`). The README's "Quickstart" section lists the
-//! common invocations.
+//! `sweep_results.json`); if it cannot be written, the tables are still
+//! printed and the exit code is 1. The README's "Quickstart" section
+//! lists the common invocations.
 
 use rica_exec::{ExecOptions, Progress};
 use rica_harness::experiments::{run_figures, Scale};
@@ -77,9 +78,10 @@ fn main() {
         ("trials", scale.trials.to_string()),
         ("nodes", scale.nodes.to_string()),
     ];
-    match std::fs::write(&json_path, set.sweeps_json(&meta)) {
-        Ok(()) => eprintln!("# wrote {}", json_path.display()),
-        Err(e) => eprintln!("# could not write {}: {e}", json_path.display()),
+    if let Err(e) = std::fs::write(&json_path, set.sweeps_json(&meta)) {
+        eprintln!("# could not write {}: {e}", json_path.display());
+        std::process::exit(1);
     }
+    eprintln!("# wrote {}", json_path.display());
     eprintln!("# total {:.1} s", t0.elapsed().as_secs_f64());
 }

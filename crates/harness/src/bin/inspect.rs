@@ -8,7 +8,9 @@
 //! ```
 //!
 //! Positional arguments select the trial (defaults: RICA, 36 km/h,
-//! 10 pkt/s, 60 s). The observability flags are independent opt-ins:
+//! 10 pkt/s, 60 s); an unknown protocol or a malformed number exits 2
+//! before anything runs. The observability flags are independent
+//! opt-ins:
 //!
 //! * `--approx` runs the trial on the fast-approx channel tier
 //!   ([`ChannelFidelity::Approx`]) instead of the bit-pinned default;
@@ -60,22 +62,18 @@ fn main() {
         } else if arg == "--profile" {
             profile = true;
         } else if arg.starts_with("--") {
-            eprintln!("unknown flag {arg}");
-            std::process::exit(2);
+            usage_error(&format!("unknown flag {arg}"));
         } else {
             positional.push(arg);
         }
     }
-    let kind = match positional.first().map(|s| s.to_lowercase()) {
-        Some(ref s) if s == "bgca" => ProtocolKind::Bgca,
-        Some(ref s) if s == "abr" => ProtocolKind::Abr,
-        Some(ref s) if s == "aodv" => ProtocolKind::Aodv,
-        Some(ref s) if s == "linkstate" || s == "ls" => ProtocolKind::LinkState,
-        _ => ProtocolKind::Rica,
+    let kind = match positional.first() {
+        Some(name) => name.parse().unwrap_or_else(|e: String| usage_error(&e)),
+        None => ProtocolKind::Rica,
     };
-    let speed: f64 = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(36.0);
-    let rate: f64 = positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(10.0);
-    let secs: f64 = positional.get(3).and_then(|s| s.parse().ok()).unwrap_or(60.0);
+    let speed = number(&positional, 1, "speed_kmh", 36.0);
+    let rate = number(&positional, 2, "rate_pps", 10.0);
+    let secs = number(&positional, 3, "secs", 60.0);
     let mut s = Scenario::builder()
         .mean_speed_kmh(speed)
         .rate_pps(rate)
@@ -222,11 +220,24 @@ fn fault_preset(spec: &str, nodes: usize, secs: f64) -> FaultPlan {
         "crash" => crash(FaultPlan::none()),
         "churn" => churn(FaultPlan::none()),
         "partition" => partition(FaultPlan::none()),
-        other => {
-            eprintln!("unknown fault preset {other:?}; use crash, churn, partition or all");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!(
+            "unknown fault preset {other:?}; use crash, churn, partition or all"
+        )),
     }
+}
+
+/// Positional argument `at` as a number, or `default` when absent; a
+/// malformed number is a usage error.
+fn number(positional: &[String], at: usize, what: &str, default: f64) -> f64 {
+    positional.get(at).map_or(default, |raw| {
+        raw.parse().unwrap_or_else(|_| usage_error(&format!("{what} {raw:?} is not a number")))
+    })
+}
+
+/// Reports a malformed command line and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("inspect: {msg}");
+    std::process::exit(2);
 }
 
 /// `""` → the default; `"=x"` → `x`; anything else is a usage error.
@@ -234,9 +245,6 @@ fn parse_path(rest: &str, default: &str) -> String {
     match rest.strip_prefix('=') {
         Some(path) if !path.is_empty() => path.to_string(),
         None if rest.is_empty() => default.to_string(),
-        _ => {
-            eprintln!("bad flag syntax near {rest:?}; use --flag or --flag=PATH");
-            std::process::exit(2);
-        }
+        _ => usage_error(&format!("bad flag syntax near {rest:?}; use --flag or --flag=PATH")),
     }
 }

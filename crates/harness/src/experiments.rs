@@ -162,54 +162,6 @@ impl SpeedSweep {
             a.overhead_kbps.mean()
         })
     }
-
-    /// CSV rendering of one metric (columns: speed, then one per protocol;
-    /// values are `mean` and `std` columns interleaved).
-    pub fn csv_of<F: Fn(&rica_metrics::Welford) -> (f64, f64)>(
-        &self,
-        metric: impl Fn(&Aggregate) -> rica_metrics::Welford,
-        fmt: F,
-    ) -> String {
-        let mut headers: Vec<String> = vec!["speed_kmh".into()];
-        for (k, _) in &self.results {
-            headers.push(format!("{}_mean", k.name()));
-            headers.push(format!("{}_std", k.name()));
-        }
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let rows: Vec<Vec<String>> = self
-            .speeds
-            .iter()
-            .enumerate()
-            .map(|(i, speed)| {
-                let mut row = vec![format!("{speed}")];
-                for (_, aggs) in &self.results {
-                    let w = metric(&aggs[i]);
-                    let (m, s) = fmt(&w);
-                    // rica-lint: allow(float-fmt, "paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics")
-                    row.push(format!("{m:.4}"));
-                    // rica-lint: allow(float-fmt, "paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics")
-                    row.push(format!("{s:.4}"));
-                }
-                row
-            })
-            .collect();
-        rica_metrics::csv_document(&header_refs, &rows)
-    }
-
-    /// CSV of the delay metric (Figure 2 data).
-    pub fn delay_csv(&self) -> String {
-        self.csv_of(|a| a.delay_ms, |w| (w.mean(), w.sample_std()))
-    }
-
-    /// CSV of the delivery metric (Figure 3 data).
-    pub fn delivery_csv(&self) -> String {
-        self.csv_of(|a| a.delivery_pct, |w| (w.mean(), w.sample_std()))
-    }
-
-    /// CSV of the overhead metric (Figure 4 data).
-    pub fn overhead_csv(&self) -> String {
-        self.csv_of(|a| a.overhead_kbps, |w| (w.mean(), w.sample_std()))
-    }
 }
 
 /// Runs the Figure 2/3/4 sweep at the given load for all five protocols
@@ -309,46 +261,6 @@ impl ThroughputSeries {
             self.rate_pps,
             format_table(&header_refs, &aligns, &rows)
         )
-    }
-
-    /// CSV of the throughput series (Figure 6 data): `t_secs` then one
-    /// column per protocol.
-    pub fn csv(&self) -> String {
-        let mut headers: Vec<String> = vec!["t_secs".into()];
-        headers.extend(self.results.iter().map(|(k, _)| k.name().to_string()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let bins = self.results.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-        let rows: Vec<Vec<String>> = (0..bins)
-            .map(|b| {
-                let mut row = vec![format!("{}", (b + 1) * 4)];
-                row.extend(
-                    self.results
-                        .iter()
-                        // rica-lint: allow(float-fmt, "figure-6 CSV is a plotting input at fixed precision, not a resumable artifact; exact results stream through rica_metrics")
-                        .map(|(_, v)| v.get(b).map_or(String::new(), |x| format!("{x:.4}"))),
-                );
-                row
-            })
-            .collect();
-        rica_metrics::csv_document(&header_refs, &rows)
-    }
-
-    /// Mean over the second half of the run (steady state), per protocol —
-    /// a scalar view of Fig. 6 for assertions and summaries.
-    pub fn steady_state_mean(&self) -> Vec<(ProtocolKind, f64)> {
-        self.results
-            .iter()
-            .map(|(k, v)| {
-                let half = v.len() / 2;
-                let tail = &v[half.min(v.len().saturating_sub(1))..];
-                let mean = if tail.is_empty() {
-                    0.0
-                } else {
-                    tail.iter().sum::<f64>() / tail.len() as f64
-                };
-                (*k, mean)
-            })
-            .collect()
     }
 }
 
@@ -687,7 +599,6 @@ mod tests {
         for (_, v) in &ts.results {
             assert_eq!(v.len(), 2);
         }
-        assert_eq!(ts.steady_state_mean().len(), 5);
         assert!(ts.table().contains("t(s)"));
     }
 }

@@ -62,8 +62,24 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
-/// One traffic flow: a source/destination pair with a mean rate, a mean
-/// packet size and (optionally) its own workload shape.
+impl std::str::FromStr for ProtocolKind {
+    type Err = String;
+
+    /// Parses a [`ProtocolKind::name`] in any case, or `ls` for
+    /// [`ProtocolKind::LinkState`]; the error lists the valid names.
+    fn from_str(s: &str) -> Result<ProtocolKind, String> {
+        if s.eq_ignore_ascii_case("ls") {
+            return Ok(ProtocolKind::LinkState);
+        }
+        ProtocolKind::ALL.into_iter().find(|k| k.name().eq_ignore_ascii_case(s)).ok_or_else(|| {
+            let names: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.name()).collect();
+            format!("unknown protocol {s:?}; expected one of {} (any case) or ls", names.join(", "))
+        })
+    }
+}
+
+/// One traffic flow: a source/destination pair with a mean rate and a
+/// mean packet size; its shape is the scenario's [`Scenario::workload`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// Source terminal.
@@ -76,21 +92,12 @@ pub struct Flow {
     /// Payload size in bytes (the exact size under the default fixed-size
     /// workload; the anchor for [`rica_traffic::SizeSpec::Fixed`] otherwise).
     pub packet_bytes: u32,
-    /// Per-flow workload override; `None` inherits the scenario's
-    /// [`Scenario::workload`].
-    pub workload: Option<WorkloadSpec>,
 }
 
 impl Flow {
-    /// A flow with the scenario's workload (the common case).
+    /// A flow from `src` to `dst`.
     pub fn new(src: NodeId, dst: NodeId, rate_pps: f64, packet_bytes: u32) -> Flow {
-        Flow { src, dst, rate_pps, packet_bytes, workload: None }
-    }
-
-    /// Overrides this flow's workload shape.
-    pub fn with_workload(mut self, workload: WorkloadSpec) -> Flow {
-        self.workload = Some(workload);
-        self
+        Flow { src, dst, rate_pps, packet_bytes }
     }
 }
 
@@ -113,9 +120,9 @@ pub struct Scenario {
     pub rate_pps: f64,
     /// Data payload size (paper: 512 bytes).
     pub packet_bytes: u32,
-    /// Workload shape applied to every flow that has no per-flow override
-    /// (paper default: Poisson arrivals of fixed-size packets, which
-    /// reproduces the legacy traffic stream bit for bit).
+    /// Workload shape applied to every flow (paper default: Poisson
+    /// arrivals of fixed-size packets, which reproduces the legacy
+    /// traffic stream bit for bit).
     pub workload: WorkloadSpec,
     /// Explicit flow list (overrides random flow selection).
     pub explicit_flows: Option<Vec<Flow>>,
@@ -351,9 +358,6 @@ impl ScenarioBuilder {
                     "flow rate must be positive and finite, got {}",
                     f.rate_pps
                 );
-                if let Some(w) = &f.workload {
-                    w.validate().expect("invalid per-flow workload spec");
-                }
             }
         }
         s.channel.validate().expect("invalid channel config");
@@ -424,9 +428,6 @@ mod tests {
         let bursty = WorkloadSpec { arrival: ArrivalSpec::Cbr, size: SizeSpec::Fixed };
         let s = Scenario::builder().workload(bursty.clone()).build();
         assert_eq!(s.workload, bursty);
-        // Per-flow overrides ride on the flow itself.
-        let f = Flow::new(NodeId(0), NodeId(1), 5.0, 256).with_workload(bursty.clone());
-        assert_eq!(f.workload, Some(bursty));
     }
 
     #[test]
@@ -443,9 +444,22 @@ mod tests {
         assert_eq!(ProtocolKind::ALL.len(), 5);
         let names: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names, vec!["RICA", "BGCA", "ABR", "AODV", "LinkState"]);
+    }
+
+    #[test]
+    fn protocol_names_parse_in_any_case() {
         for kind in ProtocolKind::ALL {
-            assert_eq!(kind.make().name(), kind.name());
+            assert_eq!(kind.name().parse(), Ok(kind));
+            assert_eq!(kind.name().to_lowercase().parse(), Ok(kind));
+            assert_eq!(kind.name().to_uppercase().parse(), Ok(kind));
         }
+        assert_eq!("LS".parse(), Ok(ProtocolKind::LinkState));
+        let err = "rcia".parse::<ProtocolKind>().unwrap_err();
+        assert!(
+            err.contains("\"rcia\"") && err.contains("RICA, BGCA, ABR, AODV, LinkState"),
+            "{err}"
+        );
+        assert!("".parse::<ProtocolKind>().is_err());
     }
 
     #[test]

@@ -3,19 +3,15 @@
 //! `rica-exec` is deliberately ignorant of what a scenario is: its
 //! [`SweepPlan`] carries protocol labels, speeds, node counts and trial
 //! seeds, and the caller supplies the function that turns one
-//! [`TrialJob`] into a [`TrialSummary`](rica_metrics::TrialSummary).
-//! This module supplies that function for the paper's simulator: a base
-//! [`Scenario`] acts as the template, and each job overrides the swept
-//! axes (nodes, mean speed, workload, channel fidelity, fault plan)
-//! before running one seeded [`World`] trial.
-
-use std::path::Path;
+//! [`TrialJob`] into a [`TrialSummary`]. This module supplies that
+//! function for the paper's simulator: a base [`Scenario`] acts as the
+//! template, and each job overrides the swept axes (nodes, mean speed,
+//! workload, channel fidelity, fault plan) before running one seeded
+//! [`World`] trial.
 
 use rica_exec::{ExecOptions, SweepPlan, SweepResult, TrialJob};
 use rica_metrics::json::{push_object, push_string};
 use rica_metrics::TrialSummary;
-use rica_trace::JsonlSink;
-use rica_traffic::WorkloadSpec;
 
 use crate::{ProtocolKind, Scenario, World};
 
@@ -35,17 +31,6 @@ pub fn run_job(
     plan: &SweepPlan<ProtocolKind>,
     job: &TrialJob<ProtocolKind>,
 ) -> TrialSummary {
-    let scenario = job_scenario(base, plan, job);
-    World::new(&scenario, job.protocol, job.seed).run()
-}
-
-/// The job's concrete scenario: the template with the swept axes applied
-/// (and the template invariants re-checked — see [`run_job`]).
-fn job_scenario(
-    base: &Scenario,
-    plan: &SweepPlan<ProtocolKind>,
-    job: &TrialJob<ProtocolKind>,
-) -> Scenario {
     assert!(job.nodes >= 2, "sweep node count must be at least 2, got {}", job.nodes);
     if let Some(pinned) = &base.pinned_positions {
         assert!(
@@ -56,16 +41,15 @@ fn job_scenario(
             job.nodes
         );
     }
-    let workload: &WorkloadSpec = &plan.workloads[job.workload];
     let faults = &plan.faults[job.faults];
     faults.validate(job.nodes).expect("invalid fault plan for swept node count");
     let mut scenario = base.clone();
     scenario.nodes = job.nodes;
     scenario.mean_speed_kmh = job.speed_kmh;
-    scenario.workload = workload.clone();
+    scenario.workload = plan.workloads[job.workload].clone();
     scenario.channel.fidelity = job.fidelity;
     scenario.faults = faults.clone();
-    scenario
+    World::new(&scenario, job.protocol, job.seed).run()
 }
 
 /// Executes `plan` over the worker pool: every job runs `base` with the
@@ -74,49 +58,13 @@ fn job_scenario(
 ///
 /// The template's own `nodes`, `mean_speed_kmh`, `workload`,
 /// `channel.fidelity`, `faults` and `seed` are ignored — the plan's axes
-/// are authoritative. (Per-flow workload overrides on explicit template
-/// flows still win over the plan axis, like every other per-flow field.)
+/// are authoritative.
 pub fn run_plan(
     plan: &SweepPlan<ProtocolKind>,
     base: &Scenario,
     opts: &ExecOptions,
 ) -> SweepResult<ProtocolKind> {
     plan.run(opts, |job| run_job(base, plan, job))
-}
-
-/// Like [`run_plan`], but jobs of cells marked by
-/// [`SweepPlan::with_traced_cells`] additionally stream a JSONL event
-/// trace into `trace_dir/trace_c<cell>_t<trial>.jsonl`.
-///
-/// Every job writes its own file, so worker scheduling cannot interleave
-/// traces, and tracing never touches the summaries: the sweep result —
-/// and the sweep JSON rendered from it — is bit-identical to
-/// [`run_plan`]'s (pinned by the tests here and the trace-identity
-/// suite).
-///
-/// # Panics
-///
-/// Panics if `trace_dir` cannot be created.
-pub fn run_plan_traced(
-    plan: &SweepPlan<ProtocolKind>,
-    base: &Scenario,
-    opts: &ExecOptions,
-    trace_dir: &Path,
-) -> SweepResult<ProtocolKind> {
-    std::fs::create_dir_all(trace_dir).expect("create trace directory");
-    plan.run(opts, |job| {
-        if !plan.cell_traced(job.cell) {
-            return run_job(base, plan, job);
-        }
-        let scenario = job_scenario(base, plan, job);
-        let mut world = World::new(&scenario, job.protocol, job.seed);
-        let path = trace_dir.join(format!("trace_c{}_t{}.jsonl", job.cell, job.trial));
-        match JsonlSink::create(&path) {
-            Ok(sink) => world.enable_trace(Box::new(sink)),
-            Err(err) => eprintln!("warning: cannot trace to {}: {err}", path.display()),
-        }
-        world.run()
-    })
 }
 
 /// Renders a labeled set of executed sweeps as one JSON artifact
@@ -194,7 +142,7 @@ mod tests {
 
     #[test]
     fn workload_axis_overrides_template() {
-        use rica_traffic::{ArrivalSpec, Dwell, SizeSpec};
+        use rica_traffic::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};
         let base = tiny_base();
         let bursty = WorkloadSpec {
             arrival: ArrivalSpec::OnOffBurst {
@@ -289,29 +237,6 @@ mod tests {
         let doc = rica_exec::sweep_json(&result, |k| k.name().to_string(), &[]);
         assert!(doc.contains("\"faults\":[\"none\",\"churn(up12s,down4s,from2s)\"]"), "{doc}");
         assert!(doc.contains("\"recovery\":{\"crashes\":"), "{doc}");
-    }
-
-    #[test]
-    fn traced_plan_matches_untraced_and_writes_files() {
-        let base = tiny_base();
-        let plan =
-            SweepPlan::new(vec![ProtocolKind::Rica, ProtocolKind::Aodv], vec![18.0], vec![6], 2, 7)
-                .with_traced_cells(vec![1]);
-        let dir = std::env::temp_dir().join(format!("rica_sweep_trace_{}", std::process::id()));
-        let traced = run_plan_traced(&plan, &base, &ExecOptions::serial(), &dir);
-        let plain = run_plan(&plan, &base, &ExecOptions::serial());
-        assert_eq!(traced.cells.len(), plain.cells.len());
-        for (a, b) in traced.cells.iter().zip(&plain.cells) {
-            assert_eq!(a.trials, b.trials, "tracing must not perturb summaries");
-        }
-        // Only cell 1's trials traced; one file per (cell, trial).
-        assert!(!dir.join("trace_c0_t0.jsonl").exists());
-        for trial in 0..2 {
-            let path = dir.join(format!("trace_c1_t{trial}.jsonl"));
-            let body = std::fs::read_to_string(&path).expect("trace file written");
-            assert!(body.lines().count() > 0, "trace for trial {trial} is empty");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -392,18 +392,15 @@ impl<'s> World<'s> {
             .iter()
             .enumerate()
             .map(|(i, f)| {
-                let spec = f.workload.as_ref().unwrap_or(&scenario.workload);
-                spec.build(f.rate_pps, f.packet_bytes, master.fork(4_000 + i as u64))
+                scenario.workload.build(f.rate_pps, f.packet_bytes, master.fork(4_000 + i as u64))
             })
             .collect();
         // Workload accounting (offered load, per-flow breakdowns) is
         // opt-in so default-workload summaries — and the golden hashes
-        // pinned over them — keep their exact historical shape.
+        // pinned over them — keep their exact historical shape. A trial
+        // without flows has nothing to account.
         let mut metrics = Metrics::new();
-        if flows
-            .iter()
-            .any(|f| !f.workload.as_ref().unwrap_or(&scenario.workload).is_paper_default())
-        {
+        if !flows.is_empty() && !scenario.workload.is_paper_default() {
             metrics.enable_workload(flows.len());
         }
         // Resolve the fault plan once, up front: churn draws come from
@@ -706,24 +703,19 @@ impl<'s> World<'s> {
         let until = until.min(self.end);
         let mut events = 0u64;
         // `max_events` is the safety valve against pathological storms;
-        // results remain valid up to the instant the valve trips. The
-        // profiled loop is split out so the unprofiled hot path pays no
-        // clock reads.
-        if self.profiler.is_some() {
-            while events < self.max_events {
-                let Some((_, ev)) = self.sim.step_at_or_before(until) else { break };
-                events += 1;
-                let kind = ev.kind();
-                let profiler = self.profiler.as_ref().expect("profiling enabled");
-                let t0 = profiler.start();
+        // results remain valid up to the instant the valve trips. Only a
+        // profiled world reads the clock.
+        while events < self.max_events {
+            let Some((_, ev)) = self.sim.step_at_or_before(until) else { break };
+            events += 1;
+            let Some(profiler) = &self.profiler else {
                 self.handle(ev);
-                self.profiler.as_mut().expect("profiling enabled").stop(kind, t0);
-            }
-        } else {
-            while events < self.max_events {
-                let Some((_, ev)) = self.sim.step_at_or_before(until) else { break };
-                events += 1;
-                self.handle(ev);
+                continue;
+            };
+            let (kind, t0) = (ev.kind(), profiler.start());
+            self.handle(ev);
+            if let Some(profiler) = &mut self.profiler {
+                profiler.stop(kind, t0);
             }
         }
         events
@@ -1472,9 +1464,6 @@ impl NodeCtx for Ctx<'_, '_> {
 struct NullProto;
 
 impl RoutingProtocol for NullProto {
-    fn name(&self) -> &'static str {
-        "null"
-    }
     fn on_control(&mut self, _: &mut dyn NodeCtx, _: &ControlPacket, _: RxInfo) {
         unreachable!("re-entrant protocol dispatch");
     }

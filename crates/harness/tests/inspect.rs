@@ -1,6 +1,7 @@
-//! The `inspect` binary's artifact flags, end to end: a faulted trial's
-//! `--trace` and `--timeseries` files read back through the one JSON
-//! reader, and a write failure turns into exit code 1.
+//! The `inspect` binary end to end: a faulted trial's `--trace` and
+//! `--timeseries` files read back through the one JSON reader, a write
+//! failure turns into exit code 1, and a mistyped trial exits 2 before
+//! anything runs.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -84,4 +85,27 @@ fn unwritable_artifacts_exit_1() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `inspect args`, asserts it exits 2 without printing a summary,
+/// and returns its stderr.
+fn usage_error(args: &[&str]) -> String {
+    let out = inspect(args);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "inspect {args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "inspect {args:?} ran a trial");
+    stderr
+}
+
+#[test]
+fn a_mistyped_protocol_exits_2_naming_the_valid_ones() {
+    let stderr = usage_error(&["rcia", "36", "10", "1"]);
+    assert!(stderr.contains("unknown protocol \"rcia\""), "{stderr}");
+    assert!(stderr.contains("RICA, BGCA, ABR, AODV, LinkState"), "{stderr}");
+}
+
+#[test]
+fn a_malformed_number_exits_2() {
+    let stderr = usage_error(&["rica", "3x6", "10", "1"]);
+    assert!(stderr.contains("speed_kmh \"3x6\" is not a number"), "{stderr}");
 }

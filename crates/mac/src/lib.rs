@@ -11,24 +11,26 @@
 //!   [`CommonMedium`] models it: active transmissions are tracked with their
 //!   geometry, senders carrier-sense within radio range, and a receiver
 //!   loses a packet if two overlapping transmissions are both in its range.
-//! * **Data channels** — one per directed terminal pair, separated by PN
-//!   (pseudo-random noise) codes ([`PnCode`]); code separation means data
+//! * **Data channels** — one per *directed* terminal pair, separated by
+//!   PN (pseudo-random noise) codes: "A sends packet to B using the PN
+//!   code PN(A, B), while B sends packet to A using PN code PN(B, A),
+//!   these two codes are different" (§II.D). Code separation means data
 //!   transmissions do not contend with each other or with the common
-//!   channel. Their instantaneous bit rate is the link's ABICM class rate.
+//!   channel, so the harness keys each data link by its `(from, to)`
+//!   pair and never builds a code. A data channel's instantaneous bit
+//!   rate is the link's ABICM class rate.
 //!
 //! The *policy* half of CSMA/CA (queues, attempt scheduling) lives in the
 //! harness, which owns the event loop; this crate provides the mechanism —
-//! the medium bookkeeping, backoff arithmetic, and code assignment — in a
-//! form that is directly unit-testable.
+//! the medium bookkeeping and backoff arithmetic — in a form that is
+//! directly unit-testable.
 
 #![warn(missing_docs)]
 
 mod backoff;
 mod config;
 mod medium;
-mod pn;
 
 pub use backoff::backoff_delay;
 pub use config::MacConfig;
 pub use medium::{CommonMedium, TxId};
-pub use pn::PnCode;

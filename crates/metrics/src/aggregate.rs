@@ -10,12 +10,6 @@ use crate::{TrialSummary, Welford};
 ///
 /// Scalar metrics are averaged with mean ± sample std; the throughput time
 /// series is averaged element-wise (Fig. 6 plots the mean curve).
-///
-/// Aggregates are **mergeable**: [`Aggregate::merge`] combines two
-/// aggregates into the aggregate of the union of their trials (pairwise
-/// Welford combination for the mean/std metrics, trial-count-weighted
-/// means for the rest), so a sweep can be aggregated shard-by-shard —
-/// the substrate `rica-exec` builds on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {
     /// Number of trials aggregated.
@@ -41,25 +35,6 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
-    /// The aggregate of zero trials — the identity of [`Aggregate::merge`]
-    /// (merging it in either direction changes nothing and produces no
-    /// NaNs), and the natural fold seed for streaming paths that merge
-    /// results as they arrive without knowing the count up front.
-    pub fn empty() -> Self {
-        Aggregate {
-            trials: 0,
-            delay_ms: Welford::new(),
-            delivery_pct: Welford::new(),
-            overhead_kbps: Welford::new(),
-            link_throughput_kbps: Welford::new(),
-            hops: Welford::new(),
-            throughput_kbps: Vec::new(),
-            drops: BTreeMap::new(),
-            collisions: 0.0,
-            link_breaks: 0.0,
-        }
-    }
-
     /// Aggregates a non-empty set of trial summaries.
     ///
     /// # Panics
@@ -113,11 +88,6 @@ impl Aggregate {
         }
     }
 
-    /// The aggregate of a single trial (useful as a merge seed).
-    pub fn of_trial(summary: &TrialSummary) -> Self {
-        Aggregate::from_trials(std::slice::from_ref(summary))
-    }
-
     /// Half-width of the confidence interval on the mean delivery
     /// percentage at critical value `z` (infinite below 2 trials) — the
     /// quantity adaptive sweeps drive to a target.
@@ -129,58 +99,6 @@ impl Aggregate {
     /// delay (ms) at critical value `z` (infinite below 2 trials).
     pub fn delay_ci_half_width(&self, z: f64) -> f64 {
         self.delay_ms.ci_half_width(z)
-    }
-
-    /// Merges `other` into `self`, producing the aggregate of the union
-    /// of both trial sets.
-    ///
-    /// Welford-backed metrics combine exactly (parallel Welford); the
-    /// pre-averaged metrics (drops, collisions, link breaks, the
-    /// throughput series) recombine as trial-count-weighted means, with
-    /// ragged throughput series zero-padded exactly like
-    /// [`Aggregate::from_trials`] pads them. Merging split halves
-    /// therefore agrees with single-pass accumulation up to floating-point
-    /// rounding (see the property tests).
-    pub fn merge(&mut self, other: &Aggregate) {
-        // Zero-trial aggregates are the merge identity in both
-        // directions. Without these guards the trial-count-weighted means
-        // below divide by n = 0 and poison every metric with NaN — the
-        // exact edge the streaming fleet path hits when a cell's first
-        // batch merges into an [`Aggregate::empty`] seed.
-        if other.trials == 0 {
-            return;
-        }
-        if self.trials == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.trials as f64;
-        let n2 = other.trials as f64;
-        let n = n1 + n2;
-        self.delay_ms.merge(&other.delay_ms);
-        self.delivery_pct.merge(&other.delivery_pct);
-        self.overhead_kbps.merge(&other.overhead_kbps);
-        self.link_throughput_kbps.merge(&other.link_throughput_kbps);
-        self.hops.merge(&other.hops);
-        for (reason, &mean2) in &other.drops {
-            let mean1 = self.drops.get(reason).copied().unwrap_or(0.0);
-            self.drops.insert(*reason, (mean1 * n1 + mean2 * n2) / n);
-        }
-        for (reason, mean1) in self.drops.iter_mut() {
-            if !other.drops.contains_key(reason) {
-                *mean1 = *mean1 * n1 / n;
-            }
-        }
-        if self.throughput_kbps.len() < other.throughput_kbps.len() {
-            self.throughput_kbps.resize(other.throughput_kbps.len(), 0.0);
-        }
-        for (i, v) in self.throughput_kbps.iter_mut().enumerate() {
-            let v2 = other.throughput_kbps.get(i).copied().unwrap_or(0.0);
-            *v = (*v * n1 + v2 * n2) / n;
-        }
-        self.collisions = (self.collisions * n1 + other.collisions * n2) / n;
-        self.link_breaks = (self.link_breaks * n1 + other.link_breaks * n2) / n;
-        self.trials += other.trials;
     }
 }
 
@@ -243,282 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_merge_is_identity_and_nan_free() {
-        let mut s1 = summary(100.0, 8, 10);
-        s1.drops.insert(DropReason::NoRoute, 2);
-        let real = Aggregate::of_trial(&s1);
-        // nonempty ⊕ empty: unchanged.
-        let mut a = real.clone();
-        a.merge(&Aggregate::empty());
-        assert_eq!(a, real);
-        // empty ⊕ nonempty: becomes the nonempty side.
-        let mut b = Aggregate::empty();
-        b.merge(&real);
-        assert_eq!(b, real);
-        // empty ⊕ empty: still empty, and every metric is a number.
-        let mut e = Aggregate::empty();
-        e.merge(&Aggregate::empty());
-        assert_eq!(e.trials, 0);
-        assert!(e.collisions == 0.0 && e.link_breaks == 0.0);
-        assert!(e.delay_ms.mean() == 0.0 && e.delivery_pct.mean() == 0.0);
-        assert!(e.drops.is_empty() && e.throughput_kbps.is_empty());
-    }
-
-    #[test]
-    fn merge_two_halves_matches_single_pass() {
-        let trials: Vec<TrialSummary> =
-            (0..6).map(|i| summary(50.0 * (i + 1) as f64, 5 + i, 10)).collect();
-        let whole = Aggregate::from_trials(&trials);
-        let mut left = Aggregate::from_trials(&trials[..2]);
-        let right = Aggregate::from_trials(&trials[2..]);
-        left.merge(&right);
-        assert_eq!(left.trials, whole.trials);
-        assert!((left.delay_ms.mean() - whole.delay_ms.mean()).abs() < 1e-9);
-        assert!((left.delay_ms.sample_std() - whole.delay_ms.sample_std()).abs() < 1e-9);
-        assert!((left.delivery_pct.mean() - whole.delivery_pct.mean()).abs() < 1e-9);
-        assert!((left.collisions - whole.collisions).abs() < 1e-9);
-        for (a, b) in left.throughput_kbps.iter().zip(&whole.throughput_kbps) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn merge_singletons_in_order_matches_from_trials() {
-        // Folding single-trial aggregates left-to-right is algebraically
-        // identical to sequential accumulation; floating-point rounding
-        // keeps the two within a few ulps. (The exec engine gets *bit*
-        // determinism by always folding in plan order, not from this.)
-        let trials: Vec<TrialSummary> =
-            (0..9).map(|i| summary(13.5 * (i + 1) as f64, 3 + i, 12)).collect();
-        let whole = Aggregate::from_trials(&trials);
-        let mut folded = Aggregate::of_trial(&trials[0]);
-        for t in &trials[1..] {
-            folded.merge(&Aggregate::of_trial(t));
-        }
-        assert_eq!(folded.trials, whole.trials);
-        for (a, b) in [
-            (&folded.delay_ms, &whole.delay_ms),
-            (&folded.delivery_pct, &whole.delivery_pct),
-            (&folded.overhead_kbps, &whole.overhead_kbps),
-            (&folded.hops, &whole.hops),
-        ] {
-            assert_eq!(a.count(), b.count());
-            assert!((a.mean() - b.mean()).abs() < 1e-9);
-            assert!((a.sample_std() - b.sample_std()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn merge_ragged_throughput_series() {
-        let mut s1 = summary(1.0, 1, 1);
-        s1.throughput_kbps = vec![4.0];
-        let s2 = summary(1.0, 1, 1); // series [10, 20]
-        let whole = Aggregate::from_trials(&[s1.clone(), s2.clone()]);
-        let mut merged = Aggregate::of_trial(&s1);
-        merged.merge(&Aggregate::of_trial(&s2));
-        assert_eq!(merged.throughput_kbps, whole.throughput_kbps);
-        // And in the other direction (long-into-short vs short-into-long).
-        let mut merged_rev = Aggregate::of_trial(&s2);
-        merged_rev.merge(&Aggregate::of_trial(&s1));
-        assert_eq!(merged_rev.throughput_kbps, whole.throughput_kbps);
-    }
-
-    #[test]
-    fn merge_disjoint_drop_reasons() {
+    fn drop_reasons_seen_in_some_trials_average_over_all() {
         let mut s1 = summary(1.0, 1, 2);
         s1.drops.insert(DropReason::BufferOverflow, 4);
         let mut s2 = summary(1.0, 1, 2);
         s2.drops.insert(DropReason::NoRoute, 2);
-        let whole = Aggregate::from_trials(&[s1.clone(), s2.clone()]);
-        let mut merged = Aggregate::of_trial(&s1);
-        merged.merge(&Aggregate::of_trial(&s2));
-        assert_eq!(merged.drops, whole.drops);
-        assert_eq!(merged.drops[&DropReason::BufferOverflow], 2.0);
-        assert_eq!(merged.drops[&DropReason::NoRoute], 1.0);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-    use rica_sim::SimDuration;
-
-    fn trial_from(delay: f64, delivered: u64, generated: u64, series: Vec<f64>) -> TrialSummary {
-        TrialSummary {
-            duration: SimDuration::from_secs(10),
-            generated,
-            delivered: delivered.min(generated),
-            drops: BTreeMap::new(),
-            delay_mean_ms: delay,
-            delay_std_ms: 0.0,
-            delay_p50_ms: delay,
-            delay_p95_ms: delay,
-            delay_max_ms: delay,
-            control_bits: BTreeMap::new(),
-            control_tx_count: 0,
-            ack_bits: 0,
-            overhead_kbps: delay / 10.0,
-            avg_link_throughput_kbps: 50.0 + delay % 200.0,
-            avg_hops: 1.0 + delay % 4.0,
-            throughput_kbps: series,
-            collisions: delivered * 3,
-            link_breaks: generated % 5,
-            ctrl_queue_drops: 0,
-            workload: None,
-            recovery: None,
-            diagnostics: None,
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Merging any split of a trial set equals single-pass
-        /// aggregation (up to floating-point tolerance).
-        #[test]
-        fn aggregate_merge_split_invariant(
-            raw in proptest::collection::vec(
-                (0.0f64..5000.0, 0u64..40, 1u64..40,
-                 proptest::collection::vec(0.0f64..100.0, 0..6)),
-                2..20,
-            ),
-            split_frac in 0.0f64..1.0,
-        ) {
-            let trials: Vec<TrialSummary> = raw
-                .into_iter()
-                .map(|(d, del, gen, series)| trial_from(d, del, gen, series))
-                .collect();
-            let split = 1 + ((trials.len() - 1) as f64 * split_frac) as usize;
-            let whole = Aggregate::from_trials(&trials);
-            let mut merged = Aggregate::from_trials(&trials[..split]);
-            merged.merge(&Aggregate::from_trials(&trials[split..]));
-            prop_assert_eq!(merged.trials, whole.trials);
-            prop_assert!((merged.delay_ms.mean() - whole.delay_ms.mean()).abs() < 1e-6);
-            prop_assert!(
-                (merged.delay_ms.sample_std() - whole.delay_ms.sample_std()).abs() < 1e-6
-            );
-            prop_assert!((merged.delivery_pct.mean() - whole.delivery_pct.mean()).abs() < 1e-6);
-            prop_assert!((merged.hops.mean() - whole.hops.mean()).abs() < 1e-6);
-            prop_assert!((merged.collisions - whole.collisions).abs() < 1e-6);
-            prop_assert!((merged.link_breaks - whole.link_breaks).abs() < 1e-6);
-            prop_assert_eq!(merged.throughput_kbps.len(), whole.throughput_kbps.len());
-            for (a, b) in merged.throughput_kbps.iter().zip(&whole.throughput_kbps) {
-                prop_assert!((a - b).abs() < 1e-6);
-            }
-        }
-
-        /// Merging an empty aggregate anywhere into any fold is the
-        /// identity, exactly (no tolerance needed), and never introduces
-        /// a NaN — the streaming path's seed-and-fold edge cases.
-        #[test]
-        fn aggregate_merge_empty_identity(
-            raw in proptest::collection::vec(
-                (0.0f64..5000.0, 0u64..40, 1u64..40,
-                 proptest::collection::vec(0.0f64..100.0, 0..6)),
-                1..10,
-            ),
-            empty_at in 0usize..11,
-        ) {
-            let trials: Vec<TrialSummary> = raw
-                .into_iter()
-                .map(|(d, del, gen, series)| trial_from(d, del, gen, series))
-                .collect();
-            let mut with_empty = Aggregate::empty();
-            let mut without = Aggregate::empty();
-            for (i, t) in trials.iter().enumerate() {
-                if i == empty_at % (trials.len() + 1) {
-                    with_empty.merge(&Aggregate::empty());
-                }
-                with_empty.merge(&Aggregate::of_trial(t));
-                without.merge(&Aggregate::of_trial(t));
-            }
-            prop_assert_eq!(&with_empty, &without);
-            prop_assert!(with_empty.delay_ms.mean().is_finite());
-            prop_assert!(with_empty.delivery_pct.sample_std().is_finite());
-            prop_assert!(with_empty.collisions.is_finite());
-            prop_assert!(with_empty.link_breaks.is_finite());
-            prop_assert!(with_empty.drops.values().all(|v| v.is_finite()));
-            prop_assert!(with_empty.throughput_kbps.iter().all(|v| v.is_finite()));
-        }
-
-        /// Repeated merging is associative over arbitrary trial blocks:
-        /// left-fold and right-fold of the same split agree up to
-        /// floating-point tolerance.
-        #[test]
-        fn aggregate_repeated_merge_associative(
-            raw in proptest::collection::vec(
-                (0.0f64..5000.0, 0u64..40, 1u64..40,
-                 proptest::collection::vec(0.0f64..100.0, 0..4)),
-                3..15,
-            ),
-            cut1_frac in 0.0f64..1.0,
-            cut2_frac in 0.0f64..1.0,
-        ) {
-            let trials: Vec<TrialSummary> = raw
-                .into_iter()
-                .map(|(d, del, gen, series)| trial_from(d, del, gen, series))
-                .collect();
-            let mut cuts = [
-                (trials.len() as f64 * cut1_frac) as usize,
-                (trials.len() as f64 * cut2_frac) as usize,
-            ];
-            cuts.sort_unstable();
-            let blocks: Vec<Aggregate> = [
-                &trials[..cuts[0]], &trials[cuts[0]..cuts[1]], &trials[cuts[1]..],
-            ]
-            .iter()
-            .map(|b| {
-                let mut acc = Aggregate::empty();
-                for t in *b {
-                    acc.merge(&Aggregate::of_trial(t));
-                }
-                acc
-            })
-            .collect();
-            let mut left = blocks[0].clone();
-            left.merge(&blocks[1]);
-            left.merge(&blocks[2]);
-            let mut bc = blocks[1].clone();
-            bc.merge(&blocks[2]);
-            let mut right = blocks[0].clone();
-            right.merge(&bc);
-            prop_assert_eq!(left.trials, right.trials);
-            prop_assert!((left.delay_ms.mean() - right.delay_ms.mean()).abs() < 1e-6);
-            prop_assert!(
-                (left.delay_ms.sample_std() - right.delay_ms.sample_std()).abs() < 1e-6
-            );
-            prop_assert!((left.delivery_pct.mean() - right.delivery_pct.mean()).abs() < 1e-6);
-            prop_assert!((left.collisions - right.collisions).abs() < 1e-6);
-            prop_assert_eq!(left.throughput_kbps.len(), right.throughput_kbps.len());
-            for (a, b) in left.throughput_kbps.iter().zip(&right.throughput_kbps) {
-                prop_assert!((a - b).abs() < 1e-6);
-            }
-            for (reason, v) in &left.drops {
-                let w = right.drops.get(reason).copied().unwrap_or(f64::NAN);
-                prop_assert!((v - w).abs() < 1e-6);
-            }
-        }
-
-        /// Merge is associative up to tolerance: (a ⊕ b) ⊕ c ≈ a ⊕ (b ⊕ c).
-        #[test]
-        fn aggregate_merge_associative(
-            d1 in 0.0f64..1000.0, d2 in 0.0f64..1000.0, d3 in 0.0f64..1000.0,
-        ) {
-            let a = Aggregate::of_trial(&trial_from(d1, 3, 10, vec![d1]));
-            let b = Aggregate::of_trial(&trial_from(d2, 5, 10, vec![d2, d2]));
-            let c = Aggregate::of_trial(&trial_from(d3, 7, 10, vec![]));
-            let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
-            let mut bc = b.clone();
-            bc.merge(&c);
-            let mut right = a.clone();
-            right.merge(&bc);
-            prop_assert_eq!(left.trials, right.trials);
-            prop_assert!((left.delay_ms.mean() - right.delay_ms.mean()).abs() < 1e-9);
-            prop_assert!((left.delay_ms.sample_std() - right.delay_ms.sample_std()).abs() < 1e-9);
-            prop_assert!((left.collisions - right.collisions).abs() < 1e-9);
-        }
+        let a = Aggregate::from_trials(&[s1, s2]);
+        assert_eq!(a.drops[&DropReason::BufferOverflow], 2.0);
+        assert_eq!(a.drops[&DropReason::NoRoute], 1.0);
     }
 }

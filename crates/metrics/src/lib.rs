@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 mod aggregate;
-mod csv;
 mod diagnostics;
 pub mod json;
 mod recorder;
@@ -33,7 +32,6 @@ mod table;
 mod welford;
 
 pub use aggregate::Aggregate;
-pub use csv::csv_document;
 pub use diagnostics::{EventKindStats, EventProfile, WorldDiagnostics};
 pub use json::{fmt_f64, parse_json, JsonValue};
 pub use recorder::{

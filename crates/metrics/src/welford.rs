@@ -83,22 +83,6 @@ impl Welford {
         }
         z * self.sample_std() / (self.n as f64).sqrt()
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        *self = Welford { n, mean, m2 };
-    }
 }
 
 #[cfg(test)]
@@ -136,47 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.population_variance() - all.population_variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-    }
-
-    #[test]
-    fn merge_singletons_tracks_push_closely() {
-        // Folding 1-observation accumulators is algebraically identical
-        // to pushing (the mean update is even the same float expression;
-        // the m2 update rounds differently), so the two stay within a few
-        // ulps of each other.
-        let xs = [3.25, -1.5, 9.75, 2.0, -0.125, 7.5];
-        let mut pushed = Welford::new();
-        let mut merged = Welford::new();
-        for &x in &xs {
-            pushed.push(x);
-            let mut single = Welford::new();
-            single.push(x);
-            merged.merge(&single);
-        }
-        assert_eq!(pushed.count(), merged.count());
-        assert!((pushed.mean() - merged.mean()).abs() < 1e-12);
-        assert!((pushed.population_variance() - merged.population_variance()).abs() < 1e-12);
-    }
-
-    #[test]
     fn ci_half_width_shrinks_as_root_n() {
         let mut w = Welford::new();
         assert_eq!(w.ci_half_width(1.96), f64::INFINITY);
@@ -191,81 +134,5 @@ mod tests {
             tight.push(5.0);
         }
         assert_eq!(tight.ci_half_width(1.96), 0.0);
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = Welford::new();
-        a.push(1.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-        let mut empty = Welford::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Merging any split of an observation stream agrees with
-        /// single-pass accumulation.
-        #[test]
-        fn merge_split_equals_single_pass(
-            xs in proptest::collection::vec(-1.0e6f64..1.0e6, 1..200),
-            split_frac in 0.0f64..1.0,
-        ) {
-            let split = (xs.len() as f64 * split_frac) as usize;
-            let mut all = Welford::new();
-            for &x in &xs {
-                all.push(x);
-            }
-            let mut a = Welford::new();
-            let mut b = Welford::new();
-            for &x in &xs[..split] {
-                a.push(x);
-            }
-            for &x in &xs[split..] {
-                b.push(x);
-            }
-            a.merge(&b);
-            prop_assert_eq!(a.count(), all.count());
-            prop_assert!((a.mean() - all.mean()).abs() < 1e-6);
-            prop_assert!(
-                (a.population_variance() - all.population_variance()).abs()
-                    < 1e-4 * all.population_variance().max(1.0)
-            );
-        }
-
-        /// Merge order never changes the observation count, and the mean
-        /// stays within the observed range.
-        #[test]
-        fn merge_is_symmetric_in_count_and_bounded(
-            xs in proptest::collection::vec(-1.0e3f64..1.0e3, 1..50),
-            ys in proptest::collection::vec(-1.0e3f64..1.0e3, 1..50),
-        ) {
-            let acc = |vals: &[f64]| {
-                let mut w = Welford::new();
-                for &v in vals {
-                    w.push(v);
-                }
-                w
-            };
-            let mut ab = acc(&xs);
-            ab.merge(&acc(&ys));
-            let mut ba = acc(&ys);
-            ba.merge(&acc(&xs));
-            prop_assert_eq!(ab.count(), ba.count());
-            prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-            let lo = xs.iter().chain(&ys).cloned().fold(f64::INFINITY, f64::min);
-            let hi = xs.iter().chain(&ys).cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(ab.mean() >= lo - 1e-9 && ab.mean() <= hi + 1e-9);
-        }
     }
 }

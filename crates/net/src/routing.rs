@@ -137,8 +137,6 @@ pub enum Timer {
         /// Flow destination of the route under repair.
         dst: NodeId,
     },
-    /// Protocol-specific extension timer.
-    Custom(u64),
 }
 
 impl Timer {
@@ -153,7 +151,6 @@ impl Timer {
             Timer::SelectionWindow { .. } => "selection-window",
             Timer::CsiBroadcast { .. } => "csi-broadcast",
             Timer::LqTimeout { .. } => "lq-timeout",
-            Timer::Custom(_) => "custom",
         }
     }
 }
@@ -231,9 +228,6 @@ pub struct TopologySnapshot {
 /// Implementations in this workspace: `rica_core::Rica` (the paper's
 /// contribution) and `rica_protocols::{Aodv, Abr, Bgca, LinkState}`.
 pub trait RoutingProtocol {
-    /// Human-readable protocol name (used in reports and figures).
-    fn name(&self) -> &'static str;
-
     /// Called once at simulation start (schedule periodic timers here).
     fn on_start(&mut self, _ctx: &mut dyn NodeCtx) {}
 

@@ -69,10 +69,6 @@ impl Abr {
 }
 
 impl RoutingProtocol for Abr {
-    fn name(&self) -> &'static str {
-        "ABR"
-    }
-
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
         let period = ctx.config().beacon_period;
         let jitter_ns = ctx.rng().u64_below(period.as_nanos().max(1));

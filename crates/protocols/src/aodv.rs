@@ -69,10 +69,6 @@ impl Aodv {
 }
 
 impl RoutingProtocol for Aodv {
-    fn name(&self) -> &'static str {
-        "AODV"
-    }
-
     fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
         // Cold restart: routes, reverse paths and reply history all died
         // with the node; routes re-form through fresh discovery.

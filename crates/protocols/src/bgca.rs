@@ -79,10 +79,6 @@ impl Bgca {
 }
 
 impl RoutingProtocol for Bgca {
-    fn name(&self) -> &'static str {
-        "BGCA"
-    }
-
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
         ctx.set_timer(ctx.config().bgca_monitor_period, Timer::LinkMonitor);
     }

@@ -87,11 +87,6 @@ impl LinkState {
         self.next_hops.get(dst.index()).copied().flatten()
     }
 
-    /// Number of link entries in this terminal's topology view.
-    pub fn view_size(&self) -> usize {
-        self.topo.iter().map(|m| m.len()).sum()
-    }
-
     fn invalidate_routes(&mut self) {
         self.routes_valid = false;
     }
@@ -269,10 +264,6 @@ impl LinkState {
 }
 
 impl RoutingProtocol for LinkState {
-    fn name(&self) -> &'static str {
-        "LinkState"
-    }
-
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
         // Stagger periodic activity across nodes to avoid synchronized
         // flooding.

@@ -137,11 +137,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// The span in milliseconds, as a float.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// `self * factor` with a float factor, rounding to the nearest
     /// nanosecond.
     ///

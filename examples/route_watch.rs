@@ -10,12 +10,9 @@ use rica_repro::net::NodeId;
 use rica_repro::sim::SimTime;
 
 fn main() {
-    let kind = match std::env::args().nth(1).map(|s| s.to_lowercase()) {
-        Some(ref s) if s == "aodv" => ProtocolKind::Aodv,
-        Some(ref s) if s == "bgca" => ProtocolKind::Bgca,
-        Some(ref s) if s == "abr" => ProtocolKind::Abr,
-        Some(ref s) if s == "ls" || s == "linkstate" => ProtocolKind::LinkState,
-        _ => ProtocolKind::Rica,
+    let kind = match std::env::args().nth(1) {
+        Some(name) => name.parse().unwrap_or_else(|e: String| panic!("{e}")),
+        None => ProtocolKind::Rica,
     };
     let scenario = Scenario::builder()
         .nodes(30)

@@ -17,12 +17,9 @@ use rica_repro::sim::SimDuration;
 use rica_repro::trace::{RingSink, TraceEvent};
 
 fn main() {
-    let kind = match std::env::args().nth(1).map(|s| s.to_lowercase()) {
-        Some(ref s) if s == "aodv" => ProtocolKind::Aodv,
-        Some(ref s) if s == "bgca" => ProtocolKind::Bgca,
-        Some(ref s) if s == "abr" => ProtocolKind::Abr,
-        Some(ref s) if s == "ls" || s == "linkstate" => ProtocolKind::LinkState,
-        _ => ProtocolKind::Rica,
+    let kind = match std::env::args().nth(1) {
+        Some(name) => name.parse().unwrap_or_else(|e: String| panic!("{e}")),
+        None => ProtocolKind::Rica,
     };
     let s =
         Scenario::builder().mean_speed_kmh(36.0).rate_pps(10.0).duration_secs(60.0).seed(1).build();
