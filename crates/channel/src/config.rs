@@ -38,37 +38,50 @@ impl ChannelFidelity {
     }
 }
 
-/// Parameters of the composite SNR process and the class mapping.
+/// Radio transmission range in metres (paper: 250 m, §III.A). Beyond this
+/// there is no link at all; the common channel's carrier sense and
+/// reception (`rica_mac::CommonMedium`) use the same range.
+pub const TX_RANGE_M: f64 = 250.0;
+/// Mean SNR (dB) at the reference distance.
+pub const REF_GAIN_DB: f64 = 30.0;
+/// Reference distance (m) for the path-loss law.
+pub const REF_DISTANCE_M: f64 = 10.0;
+/// Path-loss exponent `n` (urban microcell ≈ 3–4).
+pub const PATH_LOSS_EXP: f64 = 3.5;
+/// Shadowing coherence time constant (s).
+pub const SHADOW_TAU_S: f64 = 15.0;
+/// Fading coherence time constant (s). Calibrated ≈ 1.5 s so class dwell
+/// times match the paper's 1 s CSI-checking period.
+pub const FADE_TAU_S: f64 = 1.5;
+/// Class thresholds `[θ_A, θ_B, θ_C]` in dB: SNR ≥ θ_A → A, ≥ θ_B → B,
+/// ≥ θ_C → C, else D.
+pub const CLASS_THRESHOLDS_DB: [f64; 3] = [0.0, -8.0, -15.0];
+
+/// Mean (path-loss only) SNR in dB at distance `d` metres.
 ///
-/// The defaults reproduce the paper's environment (§II.A, §III.A): a 250 m
-/// radio range, fading and shadowing in the dB domain, and thresholds
-/// calibrated so that short links are predominantly class A while links near
-/// the range edge are predominantly C/D. See the crate-level docs for the
-/// model equations and the calibration rationale.
+/// Distances below [`REF_DISTANCE_M`] are clamped to it (near-field
+/// saturation).
+pub(crate) fn mean_snr_db(d: f64) -> f64 {
+    let d = d.max(REF_DISTANCE_M);
+    REF_GAIN_DB - 10.0 * PATH_LOSS_EXP * (d / REF_DISTANCE_M).log10()
+}
+
+/// The channel parameters an experiment varies: the two fading strengths
+/// (zeroed for a deterministic channel) and the realisation tier.
+///
+/// The defaults reproduce the paper's environment (§II.A, §III.A): fading
+/// and shadowing in the dB domain over the constants above ([`TX_RANGE_M`]
+/// radio range, path loss, coherence times), with thresholds calibrated so
+/// that short links are predominantly class A while links near the range
+/// edge are predominantly C/D. See the crate-level docs for the model
+/// equations and the calibration rationale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
-    /// Radio transmission range in metres (paper: 250 m). Beyond this there
-    /// is no link at all.
-    pub tx_range_m: f64,
-    /// Mean SNR (dB) at the reference distance.
-    pub ref_gain_db: f64,
-    /// Reference distance (m) for the path-loss law.
-    pub ref_distance_m: f64,
-    /// Path-loss exponent `n` (urban microcell ≈ 3–4).
-    pub path_loss_exp: f64,
     /// Standard deviation of the log-normal shadowing component (dB).
     pub shadow_sigma_db: f64,
-    /// Shadowing coherence time constant (s).
-    pub shadow_tau_s: f64,
     /// Standard deviation of the (slow) fading component the class tracking
     /// sees (dB). Sub-coherence fast fading is absorbed by the ABICM modem.
     pub fade_sigma_db: f64,
-    /// Fading coherence time constant (s). Calibrated ≈ 1.5 s so class dwell
-    /// times match the paper's 1 s CSI-checking period.
-    pub fade_tau_s: f64,
-    /// Class thresholds `[θ_A, θ_B, θ_C]` in dB: SNR ≥ θ_A → A, ≥ θ_B → B,
-    /// ≥ θ_C → C, else D.
-    pub class_thresholds_db: [f64; 3],
     /// Realisation fidelity tier (see [`ChannelFidelity`]). Defaults to
     /// [`ChannelFidelity::Exact`], which all pre-existing goldens pin.
     pub fidelity: ChannelFidelity,
@@ -77,57 +90,22 @@ pub struct ChannelConfig {
 impl Default for ChannelConfig {
     fn default() -> Self {
         ChannelConfig {
-            tx_range_m: 250.0,
-            ref_gain_db: 30.0,
-            ref_distance_m: 10.0,
-            path_loss_exp: 3.5,
             shadow_sigma_db: 6.0,
-            shadow_tau_s: 15.0,
             fade_sigma_db: 4.0,
-            fade_tau_s: 1.5,
-            class_thresholds_db: [0.0, -8.0, -15.0],
             fidelity: ChannelFidelity::default(),
         }
     }
 }
 
 impl ChannelConfig {
-    /// Mean (path-loss only) SNR in dB at distance `d` metres.
-    ///
-    /// Distances below the reference distance are clamped to it (near-field
-    /// saturation).
-    pub fn mean_snr_db(&self, d: f64) -> f64 {
-        let d = d.max(self.ref_distance_m);
-        self.ref_gain_db - 10.0 * self.path_loss_exp * (d / self.ref_distance_m).log10()
-    }
-
     /// Validates parameter sanity.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first invalid parameter.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.tx_range_m.is_finite() && self.tx_range_m > 0.0) {
-            return Err(format!("tx_range_m must be > 0, got {}", self.tx_range_m));
-        }
-        if !(self.ref_distance_m.is_finite() && self.ref_distance_m > 0.0) {
-            return Err(format!("ref_distance_m must be > 0, got {}", self.ref_distance_m));
-        }
-        if !(self.path_loss_exp.is_finite() && self.path_loss_exp >= 1.0) {
-            return Err(format!("path_loss_exp must be >= 1, got {}", self.path_loss_exp));
-        }
         if !(self.shadow_sigma_db >= 0.0 && self.fade_sigma_db >= 0.0) {
             return Err("sigma values must be >= 0".into());
-        }
-        if !(self.shadow_tau_s > 0.0 && self.fade_tau_s > 0.0) {
-            return Err("tau values must be > 0".into());
-        }
-        let [a, b, c] = self.class_thresholds_db;
-        if !(a >= b && b >= c) {
-            return Err(format!(
-                "class thresholds must be non-increasing, got {:?}",
-                self.class_thresholds_db
-            ));
         }
         Ok(())
     }
@@ -144,10 +122,9 @@ mod tests {
 
     #[test]
     fn mean_snr_decreases_with_distance() {
-        let cfg = ChannelConfig::default();
         let mut prev = f64::INFINITY;
         for d in [10.0, 50.0, 100.0, 150.0, 200.0, 250.0] {
-            let snr = cfg.mean_snr_db(d);
+            let snr = mean_snr_db(d);
             assert!(snr < prev, "snr({d}) = {snr} not < {prev}");
             prev = snr;
         }
@@ -155,33 +132,27 @@ mod tests {
 
     #[test]
     fn near_field_clamps() {
-        let cfg = ChannelConfig::default();
-        assert_eq!(cfg.mean_snr_db(1.0), cfg.mean_snr_db(10.0));
-        assert_eq!(cfg.mean_snr_db(10.0), cfg.ref_gain_db);
+        assert_eq!(mean_snr_db(1.0), mean_snr_db(10.0));
+        assert_eq!(mean_snr_db(10.0), REF_GAIN_DB);
     }
 
     #[test]
     fn calibration_matches_design_doc() {
-        // Mean SNR anchors of the default path-loss model at 50, 100 and
-        // 250 m (the radio range of §III.A, see PAPER.md).
-        let cfg = ChannelConfig::default();
-        assert!((cfg.mean_snr_db(50.0) - 5.53).abs() < 0.1);
-        assert!((cfg.mean_snr_db(100.0) - -5.0).abs() < 0.1);
-        assert!((cfg.mean_snr_db(250.0) - -18.94).abs() < 0.1);
+        // Mean SNR anchors of the path-loss model at 50, 100 and 250 m
+        // (the radio range of §III.A, see PAPER.md).
+        assert!((mean_snr_db(50.0) - 5.53).abs() < 0.1);
+        assert!((mean_snr_db(100.0) - -5.0).abs() < 0.1);
+        assert!((mean_snr_db(TX_RANGE_M) - -18.94).abs() < 0.1);
     }
 
     #[test]
     fn invalid_configs_rejected() {
         let mut cfg = ChannelConfig::default();
-        cfg.tx_range_m = -1.0;
+        cfg.fade_sigma_db = -1.0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = ChannelConfig::default();
-        cfg.class_thresholds_db = [-15.0, -8.0, 0.0];
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = ChannelConfig::default();
-        cfg.fade_tau_s = 0.0;
+        cfg.shadow_sigma_db = f64::NAN;
         assert!(cfg.validate().is_err());
     }
 }

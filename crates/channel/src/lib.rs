@@ -25,7 +25,13 @@
 //!           + fade(t)      (Ornstein–Uhlenbeck, σ ≈ 4 dB, τ ≈ 1.5 s)
 //! ```
 //!
-//! capturing "the fast fading and long term shadowing effects" (§II.A). The
+//! for two terminals at most [`TX_RANGE_M`] (250 m, §III.A) apart; beyond
+//! it there is no link. The path loss ([`REF_GAIN_DB`], [`REF_DISTANCE_M`],
+//! [`PATH_LOSS_EXP`]), the coherence times ([`SHADOW_TAU_S`],
+//! [`FADE_TAU_S`]) and the class thresholds ([`CLASS_THRESHOLDS_DB`]) are
+//! constants; [`ChannelConfig`] holds the two σ values and the fidelity
+//! tier, the parameters an experiment varies. This captures
+//! "the fast fading and long term shadowing effects" (§II.A). The
 //! fading time constant is calibrated so a link's class dwells for ~1–2 s:
 //! the paper's receiver broadcasts CSI checks every second *because* that is
 //! the timescale on which the class changes ("this has to be decided by the
@@ -72,6 +78,9 @@ mod model;
 mod ou;
 
 pub use class::ChannelClass;
-pub use config::{ChannelConfig, ChannelFidelity};
+pub use config::{
+    ChannelConfig, ChannelFidelity, CLASS_THRESHOLDS_DB, FADE_TAU_S, PATH_LOSS_EXP, REF_DISTANCE_M,
+    REF_GAIN_DB, SHADOW_TAU_S, TX_RANGE_M,
+};
 pub use model::ChannelModel;
 pub use ou::{quantise_dt, DecayCache, OuProcess};

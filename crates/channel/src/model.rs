@@ -3,6 +3,7 @@
 use rica_mobility::Vec2;
 use rica_sim::{Rng, SimTime};
 
+use crate::config::{mean_snr_db, CLASS_THRESHOLDS_DB, FADE_TAU_S, SHADOW_TAU_S, TX_RANGE_M};
 use crate::{ChannelClass, ChannelConfig, ChannelFidelity, DecayCache, OuProcess};
 
 /// Per-pair state: the two OU components and their private random stream.
@@ -99,8 +100,8 @@ impl ChannelModel {
             panic!("invalid ChannelConfig: {e}");
         }
         let caches = Box::new((
-            DecayCache::new(config.shadow_sigma_db, config.shadow_tau_s),
-            DecayCache::new(config.fade_sigma_db, config.fade_tau_s),
+            DecayCache::new(config.shadow_sigma_db, SHADOW_TAU_S),
+            DecayCache::new(config.fade_sigma_db, FADE_TAU_S),
         ));
         ChannelModel {
             config,
@@ -123,11 +124,6 @@ impl ChannelModel {
         model.slots.resize(tri_len(nodes as usize), EMPTY_SLOT);
         model.presized_nodes = Some(nodes);
         model
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.config
     }
 
     /// Dense index of the pair `{a, b}`'s state, instantiating it on first
@@ -155,9 +151,8 @@ impl ChannelModel {
         // Stable stream id from the pair: works for any node count < 2^32.
         let stream = ((lo as u64) << 32) | hi as u64;
         let mut rng = self.master.fork(stream);
-        let shadow =
-            OuProcess::new(self.config.shadow_sigma_db, self.config.shadow_tau_s, &mut rng);
-        let fade = OuProcess::new(self.config.fade_sigma_db, self.config.fade_tau_s, &mut rng);
+        let shadow = OuProcess::new(self.config.shadow_sigma_db, SHADOW_TAU_S, &mut rng);
+        let fade = OuProcess::new(self.config.fade_sigma_db, FADE_TAU_S, &mut rng);
         let dense = self.pairs.len();
         assert!(dense < EMPTY_SLOT as usize, "pair table indirection overflow");
         self.pairs.push(PairState {
@@ -223,7 +218,7 @@ impl ChannelModel {
     /// CSI measurement; the memo makes the second query a load instead of
     /// a path-loss `log10` + two process touches.
     fn compute_snr(&mut self, dense: usize, distance_m: f64, t: SimTime) -> f64 {
-        let mean = self.config.mean_snr_db(distance_m);
+        let mean = mean_snr_db(distance_m);
         // Split borrows: the pair state and the shared caches are disjoint
         // fields; sample each process with the pair's own rng.
         let st = &mut self.pairs[dense];
@@ -248,7 +243,7 @@ impl ChannelModel {
     }
 
     /// The channel class between `a` and `b` at instant `t`, or `None` if
-    /// the nodes are out of radio range (> `tx_range_m` apart).
+    /// the nodes are out of radio range (> [`TX_RANGE_M`] apart).
     ///
     /// This is the "CSI measurement" every protocol performs on packet
     /// reception.
@@ -282,7 +277,7 @@ impl ChannelModel {
     ///
     /// Range invariant (keep in sync with `World::on_mac_tx_end` in
     /// `rica-harness`, which range-checks by the same predicate): a link
-    /// exists iff `dist_sq <= tx_range_m²` — the boundary is **inclusive**,
+    /// exists iff `dist_sq <= TX_RANGE_M²` — the boundary is **inclusive**,
     /// and the comparison is on squared metres, never on a rounded `sqrt`.
     ///
     /// # Panics
@@ -295,18 +290,17 @@ impl ChannelModel {
         dist_sq: f64,
         t: SimTime,
     ) -> Option<ChannelClass> {
-        if dist_sq > self.config.tx_range_m * self.config.tx_range_m {
+        if dist_sq > TX_RANGE_M * TX_RANGE_M {
             return None;
         }
         assert_ne!(a, b, "no self-channel");
-        let thresholds = self.config.class_thresholds_db;
         let dense = self.pair_index(a, b);
         // The lazy `sqrt` of the squared norm keeps the distance
         // bit-identical to `Vec2::distance` (both avoid `hypot`, whose
         // overflow guards cost a libm call these bounded coordinates never
         // need) — and a same-instant memo hit skips it entirely.
         let snr = self.snr_memoized(dense, t, || dist_sq.sqrt());
-        Some(ChannelClass::from_snr_db(snr, thresholds))
+        Some(ChannelClass::from_snr_db(snr, CLASS_THRESHOLDS_DB))
     }
 
     /// Whether `a` and `b` are within radio range.
@@ -318,7 +312,7 @@ impl ChannelModel {
     /// broadcast candidate. `tests/channel_fastpath.rs` pins the agreement
     /// at the range boundary so the call sites cannot drift.
     pub fn in_range(&self, pos_a: Vec2, pos_b: Vec2) -> bool {
-        pos_a.distance_sq(pos_b) <= self.config.tx_range_m * self.config.tx_range_m
+        pos_a.distance_sq(pos_b) <= TX_RANGE_M * TX_RANGE_M
     }
 
     /// Number of pair processes instantiated so far (diagnostics).
@@ -344,11 +338,10 @@ impl ChannelModel {
     /// counted, and the recorded class is whatever the *last* query saw —
     /// no range re-check happens here.
     pub fn class_census(&self) -> [usize; 4] {
-        let thresholds = self.config.class_thresholds_db;
         let mut census = [0usize; 4];
         for pair in &self.pairs {
             if pair.snr_stamp != SimTime::MAX {
-                let class = ChannelClass::from_snr_db(pair.snr_db, thresholds);
+                let class = ChannelClass::from_snr_db(pair.snr_db, CLASS_THRESHOLDS_DB);
                 census[class.level() as usize] += 1;
             }
         }
@@ -546,7 +539,7 @@ mod tests {
         // (inclusive), judged on squared metres. Pin it at and around the
         // exact boundary so the call sites cannot drift apart.
         let mut m = model(4);
-        let range = m.config().tx_range_m;
+        let range = TX_RANGE_M;
         let just_outside = f64::from_bits(range.to_bits() + 1); // next float up
         for (pair, (d, expect_link)) in
             [(range, true), (just_outside, false), (range - 1e-9, true), (range + 1e-9, false)]

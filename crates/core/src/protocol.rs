@@ -4,7 +4,7 @@ use crate::state::{Candidate, DestState, FlowKey, SourceState, Tables};
 use crate::{PossibleRoute, RouteEntry};
 use rica_net::{
     ControlPacket, DataPacket, Discovery, DropReason, NodeCtx, NodeId, RoutePhase, RoutingProtocol,
-    RxInfo, Timer,
+    RxInfo, Timer, FLOW_IDLE_TIMEOUT, REPLY_WINDOW, ROUTE_IDLE_TIMEOUT,
 };
 
 /// The RICA protocol (§II of the paper). One instance runs on every
@@ -118,7 +118,6 @@ impl Rica {
     /// Forwards a data packet at an intermediate terminal.
     fn forward(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket, _rx: RxInfo) {
         let now = ctx.now();
-        let cfg_idle = ctx.config().route_idle_timeout;
         let detect = ctx.config().rica_promotion_window;
         let key: FlowKey = (pkt.src, pkt.dst);
 
@@ -139,7 +138,7 @@ impl Rica {
                 }
             }
         }
-        match self.t.routes.get_mut(&key).filter(|e| e.is_fresh(now, cfg_idle)) {
+        match self.t.routes.get_mut(&key).filter(|e| e.is_fresh(now, ROUTE_IDLE_TIMEOUT)) {
             Some(RouteEntry { downstream: Some(nh), last_used, .. }) => {
                 *last_used = now;
                 ctx.send_data(*nh, pkt);
@@ -200,11 +199,10 @@ impl Rica {
     fn broadcast_csi_check(&mut self, ctx: &mut dyn NodeCtx, src: NodeId) {
         let me = ctx.id();
         let now = ctx.now();
-        let idle = ctx.config().flow_idle_timeout;
         let margin = ctx.config().csi_ttl_margin;
         let period = ctx.config().csi_check_period;
         let Some(ds) = self.t.dests.get_mut(src) else { return };
-        if now.saturating_since(ds.last_data_rx) > idle {
+        if now.saturating_since(ds.last_data_rx) > FLOW_IDLE_TIMEOUT {
             // Flow is idle: stop checking until data flows again.
             ds.csi_timer_armed = false;
             return;
@@ -247,7 +245,6 @@ impl Rica {
             // the best (§II.B: "the destination ... chooses a route with the
             // minimal distance value").
             let now = ctx.now();
-            let window = ctx.config().reply_window;
             let ds = self.t.dests.get_or_insert_with(src, || DestState::new(now));
             if ds.last_replied_bcast.is_some_and(|last| bcast_id <= last) {
                 return; // stale flood already answered
@@ -263,7 +260,7 @@ impl Rica {
                 Some(_) => { /* a different flood is being collected; ignore */ }
                 None => {
                     ds.reply_window = Some((bcast_id, new_csi, new_topo, rx.from));
-                    ctx.set_timer(window, Timer::ReplyWindow { src, dst });
+                    ctx.set_timer(REPLY_WINDOW, Timer::ReplyWindow { src, dst });
                 }
             }
             return;
@@ -597,7 +594,7 @@ mod tests {
     use super::*;
     use rica_channel::ChannelClass;
     use rica_net::testing::ScriptedCtx;
-    use rica_net::{ControlKind, FlowId};
+    use rica_net::{ControlKind, FlowId, RREQ_MAX_RETRIES};
     use rica_sim::{SimDuration, SimTime};
 
     fn rx(from: u32, class: ChannelClass) -> RxInfo {
@@ -757,7 +754,7 @@ mod tests {
         let mut ctx = ScriptedCtx::new(NodeId(0));
         let mut p = Rica::new();
         p.on_data(&mut ctx, data(0, 9, 0), None);
-        let max = ctx.config().rreq_max_retries;
+        let max = RREQ_MAX_RETRIES;
         for _ in 0..=max {
             let timer = ctx.fire_next_timer();
             assert_eq!(timer, Timer::RreqRetry { dst: NodeId(9) });
@@ -1212,7 +1209,7 @@ mod tests {
             rx(7, ChannelClass::A),
         );
         ctx.clear_actions();
-        // Unused for > route_idle_timeout (1 s).
+        // Unused for > ROUTE_IDLE_TIMEOUT (1 s).
         ctx.advance(SimDuration::from_millis(1500));
         p.on_data(&mut ctx, data(0, 9, 0), Some(rx(1, ChannelClass::A)));
         assert!(ctx.sent_data.is_empty());

@@ -16,7 +16,7 @@ pub struct RouteEntry {
     /// Next hop towards the flow destination. `None` at the destination.
     pub downstream: Option<NodeId>,
     /// Last instant the entry forwarded (or initiated) traffic; entries
-    /// idle longer than `route_idle_timeout` expire (§II.C: "the original
+    /// idle longer than [`rica_net::ROUTE_IDLE_TIMEOUT`] expire (§II.C: "the original
     /// route at last automatically expires").
     pub last_used: SimTime,
 }

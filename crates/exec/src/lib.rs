@@ -90,30 +90,36 @@ pub struct ExecArgs {
 impl ExecArgs {
     /// Parses `--workers` / `--json` out of an argument stream.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a short message if either flag is missing its value
-    /// or `--workers` is not a number (the established CLI style here).
-    pub fn parse(args: impl Iterator<Item = String>) -> ExecArgs {
+    /// Returns a message naming the flag if either flag is missing its
+    /// value or `--workers` is not a number.
+    ///
+    /// ```
+    /// let args = |a: &[&str]| rica_exec::ExecArgs::parse(a.iter().map(|s| s.to_string()));
+    /// assert_eq!(args(&["--workers", "2", "fig2a"]).unwrap().workers, Some(2));
+    /// assert_eq!(args(&["--workers", "x"]).unwrap_err(), "--workers needs a number, got \"x\"");
+    /// assert_eq!(args(&["--json"]).unwrap_err(), "--json needs a path");
+    /// ```
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<ExecArgs, String> {
         let mut parsed = ExecArgs::default();
         let mut args = args;
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--workers" => {
-                    let n = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--workers needs a number"));
+                    let v = args.next().ok_or("--workers needs a number")?;
+                    let n =
+                        v.parse().map_err(|_| format!("--workers needs a number, got {v:?}"))?;
                     parsed.workers = Some(n);
                 }
                 "--json" => {
-                    let p = args.next().unwrap_or_else(|| panic!("--json needs a path"));
+                    let p = args.next().ok_or("--json needs a path")?;
                     parsed.json_path = Some(std::path::PathBuf::from(p));
                 }
                 _ => parsed.rest.push(a),
             }
         }
-        parsed
+        Ok(parsed)
     }
 
     /// The resolved worker count (explicit → `RICA_WORKERS` → available

@@ -6,8 +6,8 @@
 //!   losing all protocol and queue state, and optionally reboots cold
 //!   after a fixed delay (it must re-join routing from nothing);
 //! * **churn** ([`ChurnSpec`]) — a per-node renewal process of
-//!   exponential up/down cycles, seed-forked per node so churn intensity
-//!   is a sweepable axis with paired randomness;
+//!   exponential up/down cycles on every terminal, seed-forked per node so
+//!   churn intensity is a sweepable axis with paired randomness;
 //! * **partition-and-heal** ([`PartitionSpec`]) — timed link-level
 //!   blackouts between deterministic node groups, enforced in the
 //!   channel/medium path so both the MAC and routing see the cut.
@@ -47,10 +47,11 @@ pub struct CrashSpec {
     pub reboot_after_secs: Option<f64>,
 }
 
-/// A per-node renewal process of crash/reboot cycles: up-times and
-/// down-times drawn from independent exponentials, one forked RNG
-/// stream per participating node, so the whole churn history is fixed
-/// by the trial seed before the first event fires.
+/// A per-node renewal process of crash/reboot cycles on every terminal:
+/// up-times and down-times drawn from independent exponentials, one
+/// forked RNG stream per node, so the whole churn history is fixed by the
+/// trial seed before the first event fires. Flows sourced at a crashed
+/// terminal stop generating and resume at its reboot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnSpec {
     /// Mean up-time before a crash (seconds, exponential).
@@ -59,8 +60,6 @@ pub struct ChurnSpec {
     pub mean_down_secs: f64,
     /// Churn starts after this warm-up (seconds; 0 = immediately).
     pub start_secs: f64,
-    /// Participating terminals; `None` = every terminal churns.
-    pub nodes: Option<Vec<NodeId>>,
 }
 
 /// Which terminals a partition episode separates from the rest.
@@ -69,8 +68,6 @@ pub enum NodeGroup {
     /// Terminals with id `< k` form one side, the rest the other — the
     /// cheap deterministic split for sweeps.
     IdBelow(u32),
-    /// An explicit member list forms one side.
-    Nodes(Vec<NodeId>),
 }
 
 /// One timed link-level blackout: every link crossing the group
@@ -85,18 +82,6 @@ pub struct PartitionSpec {
     pub group: NodeGroup,
 }
 
-/// What happens to traffic sourced at a crashed terminal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrafficPolicy {
-    /// Flows sourced at the terminal restart generating when it reboots
-    /// (each restarted flow draws its next inter-arrival gap at the
-    /// reboot instant — deterministic, since reboots are pre-scheduled).
-    #[default]
-    ResumeOnReboot,
-    /// A crashed source never generates again, even after a reboot.
-    HaltOnCrash,
-}
-
 /// A declarative fault schedule for one scenario.
 ///
 /// The default (empty) plan injects nothing, draws nothing, and keeps
@@ -109,8 +94,6 @@ pub struct FaultPlan {
     pub churn: Option<ChurnSpec>,
     /// Partition-and-heal episodes.
     pub partitions: Vec<PartitionSpec>,
-    /// Traffic behaviour across reboots.
-    pub traffic: TrafficPolicy,
 }
 
 impl FaultPlan {
@@ -138,7 +121,7 @@ impl FaultPlan {
 
     /// Installs a whole-population churn process.
     pub fn with_churn(mut self, mean_up_secs: f64, mean_down_secs: f64, start_secs: f64) -> Self {
-        self.churn = Some(ChurnSpec { mean_up_secs, mean_down_secs, start_secs, nodes: None });
+        self.churn = Some(ChurnSpec { mean_up_secs, mean_down_secs, start_secs });
         self
     }
 
@@ -177,27 +160,12 @@ impl FaultPlan {
             if ch.start_secs > 0.0 {
                 let _ = write!(out, ",from{}s", ch.start_secs);
             }
-            if let Some(nodes) = &ch.nodes {
-                let _ = write!(out, ",n{}", nodes.len());
-            }
             out.push(')');
         }
         for p in &self.partitions {
             sep(&mut out);
-            let _ = write!(out, "part({}s..{}s,", p.start_secs, p.heal_secs);
-            match &p.group {
-                NodeGroup::IdBelow(k) => {
-                    let _ = write!(out, "below{k}");
-                }
-                NodeGroup::Nodes(nodes) => {
-                    let _ = write!(out, "set{}", nodes.len());
-                }
-            }
-            out.push(')');
-        }
-        if self.traffic == TrafficPolicy::HaltOnCrash {
-            sep(&mut out);
-            out.push_str("halt");
+            let NodeGroup::IdBelow(k) = p.group;
+            let _ = write!(out, "part({}s..{}s,below{k})", p.start_secs, p.heal_secs);
         }
         out
     }
@@ -227,16 +195,6 @@ impl FaultPlan {
             if !(ch.start_secs.is_finite() && ch.start_secs >= 0.0) {
                 return Err(format!("bad churn start {}", ch.start_secs));
             }
-            if let Some(list) = &ch.nodes {
-                if list.is_empty() {
-                    return Err("churn node list must not be empty".to_string());
-                }
-                for n in list {
-                    if n.index() >= nodes {
-                        return Err(format!("churn for unknown node {n}"));
-                    }
-                }
-            }
         }
         for p in &self.partitions {
             if !(p.start_secs.is_finite() && p.start_secs >= 0.0) {
@@ -248,27 +206,11 @@ impl FaultPlan {
                     p.start_secs, p.heal_secs
                 ));
             }
-            match &p.group {
-                NodeGroup::IdBelow(k) => {
-                    if *k == 0 || *k as usize >= nodes {
-                        return Err(format!(
-                            "partition split below {k} leaves an empty side (nodes = {nodes})"
-                        ));
-                    }
-                }
-                NodeGroup::Nodes(list) => {
-                    if list.is_empty() || list.len() >= nodes {
-                        return Err(format!(
-                            "partition group of {} leaves an empty side (nodes = {nodes})",
-                            list.len()
-                        ));
-                    }
-                    for n in list {
-                        if n.index() >= nodes {
-                            return Err(format!("partition for unknown node {n}"));
-                        }
-                    }
-                }
+            let NodeGroup::IdBelow(k) = p.group;
+            if k == 0 || k as usize >= nodes {
+                return Err(format!(
+                    "partition split below {k} leaves an empty side (nodes = {nodes})"
+                ));
             }
         }
         Ok(())
@@ -304,11 +246,7 @@ impl FaultPlan {
             }
         }
         if let Some(ch) = &self.churn {
-            let participants: Vec<u32> = match &ch.nodes {
-                Some(list) => list.iter().map(|n| n.0).collect(),
-                None => (0..nodes as u32).collect(),
-            };
-            for node in participants {
+            for node in 0..nodes as u32 {
                 let mut rng = master.fork(FAULT_STREAM_BASE + node as u64);
                 let mut t = ch.start_secs;
                 loop {
@@ -329,14 +267,11 @@ impl FaultPlan {
             if p.start_secs >= duration_secs {
                 continue;
             }
-            let member = |i: u32| match &p.group {
-                NodeGroup::IdBelow(k) => i < *k,
-                NodeGroup::Nodes(list) => list.iter().any(|n| n.0 == i),
-            };
+            let NodeGroup::IdBelow(k) = p.group;
             schedule.partitions.push(PartitionEpisode {
                 start: SimTime::from_secs_f64(p.start_secs),
                 heal: SimTime::from_secs_f64(p.heal_secs.min(duration_secs)),
-                group: (0..nodes as u32).map(member).collect(),
+                group: (0..nodes as u32).map(|i| i < k).collect(),
             });
         }
         schedule
@@ -397,15 +332,14 @@ mod tests {
         assert_eq!(churn.label(), "churn(up40s,down8s)");
         let part = FaultPlan::none().with_partition(50.0, 90.0, NodeGroup::IdBelow(25));
         assert_eq!(part.label(), "part(50s..90s,below25)");
-        let mut halted = churn.clone();
-        halted.traffic = TrafficPolicy::HaltOnCrash;
-        assert_eq!(halted.label(), "churn(up40s,down8s)+halt");
-        let combined = FaultPlan::none().with_crash(NodeId(0), 1.0, None).with_partition(
-            2.0,
-            3.0,
-            NodeGroup::Nodes(vec![NodeId(0), NodeId(1)]),
+        let combined = FaultPlan::none()
+            .with_crash(NodeId(0), 1.0, None)
+            .with_churn(4.0, 1.0, 2.5)
+            .with_partition(2.0, 3.0, NodeGroup::IdBelow(2));
+        assert_eq!(
+            combined.label(),
+            "crash(n0@1s)+churn(up4s,down1s,from2.5s)+part(2s..3s,below2)"
         );
-        assert_eq!(combined.label(), "crash(n0@1s)+part(2s..3s,set2)");
     }
 
     #[test]
@@ -422,23 +356,25 @@ mod tests {
 
     #[test]
     fn churn_cycles_alternate_within_duration() {
-        let plan = FaultPlan {
-            churn: Some(ChurnSpec {
-                mean_up_secs: 10.0,
-                mean_down_secs: 2.0,
-                start_secs: 0.0,
-                nodes: Some(vec![NodeId(4)]),
-            }),
-            ..FaultPlan::default()
-        };
+        let plan = FaultPlan::none().with_churn(10.0, 2.0, 0.0);
         let s = plan.resolve(8, 100.0, &Rng::new(1));
         let end = SimTime::from_secs_f64(100.0);
-        assert!(s.crashes.iter().all(|&(t, n)| n == 4 && t < end));
-        assert!(s.reboots.iter().all(|&(t, n)| n == 4 && t < end));
-        // Each reboot follows its crash; cycle counts differ by at most one.
-        assert!(s.reboots.len() <= s.crashes.len());
-        for (i, &(reboot, _)) in s.reboots.iter().enumerate() {
-            assert!(reboot > s.crashes[i].0, "reboot {i} precedes its crash");
+        assert!(s.crashes.iter().chain(&s.reboots).all(|&(t, n)| n < 8 && t < end));
+        for node in 0..8 {
+            let crashes: Vec<SimTime> =
+                s.crashes.iter().filter(|&&(_, n)| n == node).map(|&(t, _)| t).collect();
+            let reboots: Vec<SimTime> =
+                s.reboots.iter().filter(|&&(_, n)| n == node).map(|&(t, _)| t).collect();
+            assert!(!crashes.is_empty(), "node {node}: 100 s at mean-up 10 s must crash");
+            // Each reboot follows its crash and precedes the next crash;
+            // cycle counts differ by at most one.
+            assert!(crashes.len() - reboots.len() <= 1, "node {node}");
+            for (i, &reboot) in reboots.iter().enumerate() {
+                assert!(reboot > crashes[i], "node {node}: reboot {i} precedes its crash");
+                if let Some(&next) = crashes.get(i + 1) {
+                    assert!(next > reboot, "node {node}: crash {} precedes reboot {i}", i + 1);
+                }
+            }
         }
     }
 
@@ -469,7 +405,6 @@ mod tests {
             FaultPlan::none().with_partition(10.0, 5.0, NodeGroup::IdBelow(1)),
             FaultPlan::none().with_partition(1.0, 2.0, NodeGroup::IdBelow(0)),
             FaultPlan::none().with_partition(1.0, 2.0, NodeGroup::IdBelow(4)),
-            FaultPlan::none().with_partition(1.0, 2.0, NodeGroup::Nodes(vec![])),
         ];
         for plan in bad {
             assert!(plan.validate(4).is_err(), "plan {plan:?} must be rejected");

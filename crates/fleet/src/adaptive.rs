@@ -19,11 +19,13 @@ use rica_metrics::{Aggregate, TrialSummary};
 
 use crate::manifest::hash_hex;
 
+/// Critical value of every adaptive confidence interval (1.96 ≈ 95%
+/// normal CI); `adaptive_report.json` records it as `"z"`.
+pub const CI_Z: f64 = 1.96;
+
 /// Precision targets and batching for an adaptive sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Critical value for the intervals (1.96 ≈ 95% normal CI).
-    pub z: f64,
     /// Target half-width on the delivery percentage (percentage points);
     /// `None` means delivery precision is not a stopping criterion.
     pub delivery_hw_pct: Option<f64>,
@@ -41,13 +43,7 @@ impl Default for AdaptiveConfig {
     /// 95% intervals, no targets (every cell converges at the plan's
     /// trial count), batches of 4, capped at 256 trials per cell.
     fn default() -> Self {
-        AdaptiveConfig {
-            z: 1.96,
-            delivery_hw_pct: None,
-            delay_hw_ms: None,
-            batch: 4,
-            max_trials: 256,
-        }
+        AdaptiveConfig { delivery_hw_pct: None, delay_hw_ms: None, batch: 4, max_trials: 256 }
     }
 }
 
@@ -55,8 +51,8 @@ impl AdaptiveConfig {
     /// Whether a cell with this aggregate meets every stated target.
     fn met(&self, agg: &Aggregate) -> bool {
         let delivery_ok =
-            self.delivery_hw_pct.is_none_or(|t| agg.delivery_ci_half_width(self.z) <= t);
-        let delay_ok = self.delay_hw_ms.is_none_or(|t| agg.delay_ci_half_width(self.z) <= t);
+            self.delivery_hw_pct.is_none_or(|t| agg.delivery_ci_half_width(CI_Z) <= t);
+        let delay_ok = self.delay_hw_ms.is_none_or(|t| agg.delay_ci_half_width(CI_Z) <= t);
         delivery_ok && delay_ok
     }
 }
@@ -178,8 +174,8 @@ where
                 cell,
                 trials: trials[cell].len(),
                 converged: config.met(&aggregate),
-                delivery_hw_pct: aggregate.delivery_ci_half_width(config.z),
-                delay_hw_ms: aggregate.delay_ci_half_width(config.z),
+                delivery_hw_pct: aggregate.delivery_ci_half_width(CI_Z),
+                delay_hw_ms: aggregate.delay_ci_half_width(CI_Z),
                 aggregate,
             }
         })
@@ -201,7 +197,7 @@ pub fn adaptive_json<P: Copy>(
 ) -> String {
     let mut out = String::from("{\"schema\":2,\"kind\":\"adaptive-report\",\"plan_hash\":");
     push_string(&mut out, &hash_hex(plan.content_hash(&label)));
-    push_members(&mut out, [("z", report.config.z)], push_f64_or_null);
+    push_members(&mut out, [("z", CI_Z)], push_f64_or_null);
     out.push_str(",\"targets\":");
     // An unset target renders as null, like a non-finite one.
     let targets = [
@@ -320,7 +316,6 @@ mod tests {
             delay_hw_ms: Some(5.0),
             batch: 3,
             max_trials: 48,
-            ..AdaptiveConfig::default()
         };
         let serial = run_adaptive(&p, &ExecOptions::serial(), &config, noisy_runner);
         let parallel = run_adaptive(&p, &ExecOptions::with_workers(4), &config, noisy_runner);

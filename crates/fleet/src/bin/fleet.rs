@@ -21,6 +21,14 @@
 //! --rate PPS         per-flow packet rate           (default 4)
 //! ```
 //!
+//! A malformed value, or one no sweep can run (an empty list, fewer than
+//! 2 nodes, more flows than node pairs, zero trials, shards or batch, a
+//! non-positive duration, rate or CI target, a negative or non-finite
+//! speed, more shards than jobs), exits 2 before anything runs or any file
+//! is written.
+//!
+//! `--shards` defaults to 4, or to one shard per job for a smaller plan.
+//!
 //! `sweep` runs (or **resumes**) every shard: complete streams are kept,
 //! missing or truncated ones re-run, all in one pass over the worker
 //! pool. `merge` re-validates every stream and writes
@@ -29,10 +37,12 @@
 //! records the plan hash and shard count.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use rica_exec::{sweep_json, ExecOptions, Progress, SweepPlan};
 use rica_fleet::{adaptive_json, hash_hex, merge_fleet, run_adaptive, AdaptiveConfig};
 use rica_harness::{sweep::run_job, ProtocolKind, Scenario};
+use rica_sim::SimDuration;
 
 struct Args {
     protocols: Vec<ProtocolKind>,
@@ -83,94 +93,96 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Vec<T> {
-    raw.split(',')
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse().unwrap_or_else(|_| die(&format!("bad {what} value {s:?}"))))
-        .collect()
+/// `raw` parsed as `flag`'s value, exiting 2 unless it parses and passes
+/// `ok` (`need` says what a valid value is).
+fn value<T: FromStr>(raw: &str, flag: &str, need: &str, ok: impl Fn(&T) -> bool) -> T {
+    match raw.parse() {
+        Ok(v) if ok(&v) => v,
+        _ => die(&format!("{flag} needs {need}, got {raw:?}")),
+    }
 }
 
+/// A comma-separated list flag of at least one `item`.
+fn list<T>(raw: &str, flag: &str, item: impl Fn(&str) -> T) -> Vec<T> {
+    let items: Vec<T> = raw.split(',').filter(|s| !s.is_empty()).map(item).collect();
+    if items.is_empty() {
+        die(&format!("{flag} needs at least one value"));
+    }
+    items
+}
+
+/// Parses the flags and rejects every value a sweep cannot run, before
+/// anything runs or any file is written.
 fn parse(args: impl Iterator<Item = String>) -> Args {
     let mut out = Args::default();
+    let mut shards = None;
     let mut iter = args;
-    let next_value = |iter: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        iter.next().unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
-    while let Some(a) = iter.next() {
-        match a.as_str() {
+    let count = |raw: &str, flag: &str| value(raw, flag, "a positive integer", |&n: &usize| n > 0);
+    let target =
+        |raw: &str, flag: &str| Some(value(raw, flag, "a positive number", |&t: &f64| t > 0.0));
+    while let Some(flag) = iter.next() {
+        if flag == "--legacy" {
+            out.legacy = true;
+            continue;
+        }
+        let raw = iter.next().unwrap_or_else(|| die(&format!("{flag} needs a value")));
+        let raw = raw.as_str();
+        match flag.as_str() {
             "--protocols" => {
-                let v = next_value(&mut iter, "--protocols");
-                out.protocols = v
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.parse().unwrap_or_else(|e: String| die(&e)))
-                    .collect();
-            }
-            "--speeds" => out.speeds = parse_list(&next_value(&mut iter, "--speeds"), "speed"),
-            "--nodes" => out.nodes = parse_list(&next_value(&mut iter, "--nodes"), "node count"),
-            "--trials" => {
-                out.trials = next_value(&mut iter, "--trials").parse().unwrap_or_else(|_| {
-                    die("bad --trials");
+                out.protocols = list(raw, "--protocols", |s| {
+                    s.parse().unwrap_or_else(|e: String| die(&format!("--protocols: {e}")))
                 })
             }
-            "--seed" => {
-                out.seed =
-                    next_value(&mut iter, "--seed").parse().unwrap_or_else(|_| die("bad --seed"))
+            "--speeds" => {
+                out.speeds = list(raw, "--speeds", |s| {
+                    value(s, "--speeds", "finite speeds >= 0", |&v: &f64| {
+                        (0.0..=f64::MAX / 2.0).contains(&v)
+                    })
+                })
             }
-            "--flows" => {
-                out.flows =
-                    next_value(&mut iter, "--flows").parse().unwrap_or_else(|_| die("bad --flows"))
+            "--nodes" => {
+                out.nodes = list(raw, "--nodes", |s| {
+                    value(s, "--nodes", "node counts of at least 2", |&n: &usize| n >= 2)
+                })
             }
+            "--trials" => out.trials = count(raw, "--trials"),
+            "--seed" => out.seed = value(raw, "--seed", "an integer", |_| true),
+            "--flows" => out.flows = value(raw, "--flows", "an integer", |_| true),
             "--duration" => {
-                out.duration_secs = next_value(&mut iter, "--duration")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --duration"))
+                out.duration_secs = value(raw, "--duration", "a positive duration", |&s: &f64| {
+                    SimDuration::try_from_secs_f64(s).is_some_and(|d| d > SimDuration::ZERO)
+                })
             }
             "--rate" => {
-                out.rate_pps =
-                    next_value(&mut iter, "--rate").parse().unwrap_or_else(|_| die("bad --rate"))
+                out.rate_pps = value(raw, "--rate", "a positive rate", |&r: &f64| {
+                    rica_sim::usable_mean_gap(r).is_some()
+                })
             }
-            "--dir" => out.dir = Some(PathBuf::from(next_value(&mut iter, "--dir"))),
-            "--shards" => {
-                out.shards = next_value(&mut iter, "--shards")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --shards"))
-            }
-            "--workers" => {
-                out.workers = Some(
-                    next_value(&mut iter, "--workers")
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --workers")),
-                )
-            }
-            "--json" => out.json = Some(PathBuf::from(next_value(&mut iter, "--json"))),
-            "--legacy" => out.legacy = true,
-            "--ci-delivery" => {
-                out.ci_delivery = Some(
-                    next_value(&mut iter, "--ci-delivery")
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --ci-delivery")),
-                )
-            }
-            "--ci-delay" => {
-                out.ci_delay = Some(
-                    next_value(&mut iter, "--ci-delay")
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --ci-delay")),
-                )
-            }
-            "--batch" => {
-                out.batch =
-                    next_value(&mut iter, "--batch").parse().unwrap_or_else(|_| die("bad --batch"))
-            }
-            "--max-trials" => {
-                out.max_trials = next_value(&mut iter, "--max-trials")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --max-trials"))
-            }
+            "--dir" => out.dir = Some(PathBuf::from(raw)),
+            "--shards" => shards = Some(count(raw, "--shards")),
+            "--workers" => out.workers = Some(value(raw, "--workers", "an integer", |_| true)),
+            "--json" => out.json = Some(PathBuf::from(raw)),
+            "--ci-delivery" => out.ci_delivery = target(raw, "--ci-delivery"),
+            "--ci-delay" => out.ci_delay = target(raw, "--ci-delay"),
+            "--batch" => out.batch = count(raw, "--batch"),
+            "--max-trials" => out.max_trials = value(raw, "--max-trials", "an integer", |_| true),
             other => die(&format!("unknown flag {other:?}")),
         }
     }
+    let fewest = out.nodes.iter().min().copied().unwrap_or(2);
+    if out.flows > fewest.saturating_mul(fewest - 1) {
+        die(&format!("--flows {} exceeds the distinct pairs of {fewest} nodes", out.flows));
+    }
+    let jobs = [out.protocols.len(), out.speeds.len(), out.nodes.len(), out.trials]
+        .into_iter()
+        .try_fold(1usize, usize::checked_mul)
+        .unwrap_or_else(|| die("the plan's job count overflows"));
+    // Every shard needs a job; a small plan gets fewer than the default.
+    out.shards = match shards {
+        Some(n) if n > jobs => die(&format!("--shards {n} exceeds the plan's {jobs} jobs")),
+        Some(n) => n,
+        None => out.shards.min(jobs),
+    };
     out
 }
 
@@ -242,7 +254,6 @@ fn main() {
                 delay_hw_ms: a.ci_delay,
                 batch: a.batch,
                 max_trials: a.max_trials.max(a.trials),
-                ..AdaptiveConfig::default()
             };
             let report = run_adaptive(&plan, &exec_options(&a), &config, runner);
             for c in &report.cells {

@@ -38,7 +38,9 @@ pub mod coordinator;
 pub mod manifest;
 pub mod shard;
 
-pub use adaptive::{adaptive_json, run_adaptive, AdaptiveCell, AdaptiveConfig, AdaptiveReport};
+pub use adaptive::{
+    adaptive_json, run_adaptive, AdaptiveCell, AdaptiveConfig, AdaptiveReport, CI_Z,
+};
 pub use coordinator::{
     ensure_manifest, load_manifest, merge_fleet, run_fleet, FleetReport, MANIFEST_FILE,
 };

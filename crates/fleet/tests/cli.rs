@@ -3,11 +3,13 @@
 //! deleted, one truncated) that resume repairs by re-running exactly the
 //! damaged shards, merged `--legacy` bytes that do not depend on the
 //! kill, the shard cut or the worker count, one progress count per
-//! pass, and an adaptive run whose report does not depend on the worker
-//! count.
+//! pass, an adaptive run whose report does not depend on the worker
+//! count, and every unusable flag value rejected with exit code 2 before
+//! anything runs.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use rica_exec::SweepPlan;
 use rica_fleet::{load_manifest, read_shard};
@@ -62,6 +64,85 @@ fn deeply_nested_manifest_exits_2_with_an_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("nesting"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `fleet args`, killing it after two minutes: a hang fails the
+/// caller's exit-code check instead of blocking the suite.
+fn fleet_with_deadline(args: &[&str]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while child.try_wait().expect("wait").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().expect("wait");
+    let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn unusable_flag_values_exit_2_naming_the_flag_before_anything_runs() {
+    let dir = std::env::temp_dir().join(format!("rica_fleet_cli_bad_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    // A four-job plan of 1 s trials; each case then overrides one flag.
+    let base = ["--protocols", "rica,aodv", "--speeds", "0,36", "--nodes", "4"];
+    let base = [&base[..], &["--trials", "1", "--flows", "1", "--duration", "1"]].concat();
+    let cases: [(&str, &[&str], &str); 13] = [
+        ("sweep", &["--protocols", ""], "--protocols"),
+        ("sweep", &["--speeds", ","], "--speeds"),
+        ("sweep", &["--speeds", "nan"], "--speeds"),
+        ("sweep", &["--nodes", "1"], "--nodes"),
+        ("sweep", &["--nodes", "2", "--flows", "3"], "--flows"),
+        ("sweep", &["--rate", "0"], "--rate"),
+        ("sweep", &["--duration", "-1"], "--duration"),
+        ("sweep", &["--shards", "0"], "--shards"),
+        ("sweep", &["--shards", "5"], "--shards"),
+        ("adaptive", &["--trials", "0"], "--trials"),
+        ("adaptive", &["--batch", "0"], "--batch"),
+        ("adaptive", &["--ci-delivery", "-1"], "--ci-delivery"),
+        ("adaptive", &["--ci-delay", "nan"], "--ci-delay"),
+    ];
+    for (cmd, bad, flag) in cases {
+        let json = dir.join("adaptive.json");
+        let args = [&[cmd, "--dir", d, "--json", json.to_str().unwrap()], &base[..], bad].concat();
+        let (code, stdout, stderr) = fleet_with_deadline(&args);
+        assert_eq!(code, Some(2), "fleet {cmd} {bad:?}: {stderr}");
+        assert!(stderr.starts_with("fleet: ") && stderr.contains(flag), "{bad:?}: {stderr}");
+        assert!(stdout.is_empty() && !dir.exists(), "fleet {cmd} {bad:?} ran");
+    }
+}
+
+#[test]
+fn a_plan_with_fewer_jobs_than_the_default_shard_count_gets_a_shard_per_job() {
+    let dir = std::env::temp_dir().join(format!("rica_fleet_cli_small_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (code, _, stderr) = fleet_with_deadline(&[
+        "sweep",
+        "--dir",
+        dir.to_str().unwrap(),
+        "--protocols",
+        "rica",
+        "--speeds",
+        "0",
+        "--nodes",
+        "4",
+        "--trials",
+        "2",
+        "--flows",
+        "1",
+        "--duration",
+        "1",
+    ]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("ran 2 shard(s), reused 0"), "{stderr}");
+    assert_eq!(load_manifest(&dir).unwrap().expect("a manifest").shards.len(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -16,14 +16,23 @@
 //! stdout, and the raw sweeps behind them are written as a
 //! machine-readable artifact (`--json PATH`, default
 //! `sweep_results.json`); if it cannot be written, the tables are still
-//! printed and the exit code is 1. The README's "Quickstart" section
-//! lists the common invocations.
+//! printed and the exit code is 1. An unknown figure id or a malformed
+//! flag (`--trials 0`, `--workers x`, a flag missing its value) exits 2
+//! before anything runs. The README's "Quickstart" section lists the
+//! common invocations.
 
 use rica_exec::{ExecOptions, Progress};
 use rica_harness::experiments::{run_figures, Scale};
 
+/// Reports a malformed command line and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("figures: {msg}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let exec_args = rica_exec::ExecArgs::parse(std::env::args().skip(1));
+    let exec_args =
+        rica_exec::ExecArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
     let mut scale = Scale::quick();
     let mut scale_name = "quick";
     let mut ids: Vec<&str> = Vec::new();
@@ -33,10 +42,11 @@ fn main() {
     while let Some(a) = args_iter.next() {
         match a.as_str() {
             "--trials" => {
-                trials_override = args_iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .or_else(|| panic!("--trials needs a number"));
+                let raw = args_iter.next().map_or("", String::as_str);
+                match raw.parse() {
+                    Ok(n) if n > 0 => trials_override = Some(n),
+                    _ => usage_error(&format!("--trials needs a positive integer, got {raw:?}")),
+                }
             }
             "--full" => {
                 scale = Scale::full();
@@ -66,10 +76,7 @@ fn main() {
         scale.nodes, scale.flows, scale.duration_secs, scale.trials, scale.speeds, workers
     );
     let t0 = std::time::Instant::now();
-    let set = run_figures(&ids, &scale, &opts).unwrap_or_else(|err| {
-        eprintln!("{err}");
-        std::process::exit(2)
-    });
+    let set = run_figures(&ids, &scale, &opts).unwrap_or_else(|err| usage_error(&err));
     for (id, out) in &set.figures {
         println!("== {id} ==\n{out}");
     }

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! Positional arguments select the trial (defaults: RICA, 36 km/h,
-//! 10 pkt/s, 60 s); an unknown protocol or a malformed number exits 2
-//! before anything runs. The observability flags are independent
+//! 10 pkt/s, 60 s); an unknown protocol, a malformed number, a negative
+//! or non-finite speed, a non-positive rate or duration, or a fifth
+//! positional argument exits 2 before anything runs. The observability flags are independent
 //! opt-ins:
 //!
 //! * `--approx` runs the trial on the fast-approx channel tier
@@ -37,7 +38,7 @@
 use rica_channel::{ChannelConfig, ChannelFidelity};
 use rica_faults::{FaultPlan, NodeGroup, NodeId};
 use rica_harness::{ProtocolKind, Scenario, World};
-use rica_sim::SimDuration;
+use rica_sim::{usable_mean_gap, SimDuration};
 use rica_trace::JsonlSink;
 
 /// Interval between time-series samples.
@@ -63,6 +64,8 @@ fn main() {
             profile = true;
         } else if arg.starts_with("--") {
             usage_error(&format!("unknown flag {arg}"));
+        } else if positional.len() == 4 {
+            usage_error(&format!("unexpected argument {arg:?}"));
         } else {
             positional.push(arg);
         }
@@ -71,9 +74,15 @@ fn main() {
         Some(name) => name.parse().unwrap_or_else(|e: String| usage_error(&e)),
         None => ProtocolKind::Rica,
     };
-    let speed = number(&positional, 1, "speed_kmh", 36.0);
-    let rate = number(&positional, 2, "rate_pps", 10.0);
-    let secs = number(&positional, 3, "secs", 60.0);
+    let speed = number(&positional, 1, "speed_kmh", 36.0, "a finite speed >= 0", |v| {
+        (0.0..=f64::MAX / 2.0).contains(&v)
+    });
+    let rate = number(&positional, 2, "rate_pps", 10.0, "a positive rate", |r| {
+        usable_mean_gap(r).is_some()
+    });
+    let secs = number(&positional, 3, "secs", 60.0, "a positive duration", |s| {
+        SimDuration::try_from_secs_f64(s).is_some_and(|d| d > SimDuration::ZERO)
+    });
     let mut s = Scenario::builder()
         .mean_speed_kmh(speed)
         .rate_pps(rate)
@@ -227,10 +236,20 @@ fn fault_preset(spec: &str, nodes: usize, secs: f64) -> FaultPlan {
 }
 
 /// Positional argument `at` as a number, or `default` when absent; a
-/// malformed number is a usage error.
-fn number(positional: &[String], at: usize, what: &str, default: f64) -> f64 {
-    positional.get(at).map_or(default, |raw| {
-        raw.parse().unwrap_or_else(|_| usage_error(&format!("{what} {raw:?} is not a number")))
+/// malformed number, or one that fails `ok` (`need` says what a valid
+/// value is), is a usage error.
+fn number(
+    positional: &[String],
+    at: usize,
+    what: &str,
+    default: f64,
+    need: &str,
+    ok: impl Fn(f64) -> bool,
+) -> f64 {
+    positional.get(at).map_or(default, |raw| match raw.parse() {
+        Ok(v) if ok(v) => v,
+        Ok(_) => usage_error(&format!("{what} {raw:?} is not {need}")),
+        Err(_) => usage_error(&format!("{what} {raw:?} is not a number")),
     })
 }
 

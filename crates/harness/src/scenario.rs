@@ -3,7 +3,6 @@
 use rica_channel::ChannelConfig;
 use rica_faults::FaultPlan;
 use rica_mac::MacConfig;
-use rica_mobility::Field;
 use rica_net::{NodeId, ProtocolConfig, RoutingProtocol, DATA_HEADER_BYTES};
 use rica_sim::{Rng, SimDuration};
 use rica_traffic::WorkloadSpec;
@@ -104,15 +103,13 @@ impl Flow {
 /// A complete simulation configuration (§III.A defaults).
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Number of terminals (paper: 50).
+    /// Number of terminals (paper: 50), moving over the paper's
+    /// 1000 m × 1000 m field ([`rica_mobility::Field::PAPER`]) with a 3 s
+    /// waypoint pause.
     pub nodes: usize,
-    /// The field (paper: 1000 m × 1000 m).
-    pub field: Field,
     /// Mean terminal speed in km/h; each terminal draws leg speeds
     /// uniformly from `[0, 2 × mean]` (MAXSPEED = twice the mean).
     pub mean_speed_kmh: f64,
-    /// Waypoint pause (paper: 3 s).
-    pub pause_secs: f64,
     /// Number of random distinct flows (paper: 10) — ignored if
     /// `explicit_flows` is set.
     pub flows: usize,
@@ -142,7 +139,7 @@ pub struct Scenario {
     /// MAC parameters.
     pub mac: MacConfig,
     /// Protocol parameters (BGCA's offered-rate field is filled from
-    /// `rate_pps`/`packet_bytes` automatically unless customised).
+    /// `rate_pps`/`packet_bytes` by [`ScenarioBuilder::build`]).
     pub protocol: ProtocolConfig,
 }
 
@@ -150,12 +147,6 @@ impl Scenario {
     /// Starts building a scenario from the paper's defaults.
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder::default()
-    }
-
-    /// The paper's full-scale §III.A environment at the given mean speed
-    /// and load.
-    pub fn paper(mean_speed_kmh: f64, rate_pps: f64) -> Scenario {
-        Scenario::builder().mean_speed_kmh(mean_speed_kmh).rate_pps(rate_pps).build()
     }
 
     /// Per-flow offered rate in kbps (payload + header), as the BGCA guard
@@ -166,11 +157,23 @@ impl Scenario {
 
     /// The flows of a trial: explicit if given, otherwise `flows` random
     /// distinct pairs drawn from the trial's seed stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics without explicit flows if there are fewer than 2 nodes or
+    /// more `flows` than ordered node pairs.
     pub fn trial_flows(&self, rng: &mut Rng) -> Vec<Flow> {
         if let Some(flows) = &self.explicit_flows {
             return flows.clone();
         }
         assert!(self.nodes >= 2, "need at least two nodes for a flow");
+        // More flows than ordered pairs would redraw forever below.
+        assert!(
+            self.flows <= self.nodes.saturating_mul(self.nodes - 1),
+            "{} flows exceed the distinct pairs of {} nodes",
+            self.flows,
+            self.nodes
+        );
         let mut flows = Vec::with_capacity(self.flows);
         // rica-lint: allow(hash-iter, "membership-only dedup of drawn (src,dst) pairs; never iterated — flow order comes from the rng draw sequence alone")
         let mut used = std::collections::HashSet::new();
@@ -207,9 +210,7 @@ impl Default for ScenarioBuilder {
         ScenarioBuilder {
             scenario: Scenario {
                 nodes: 50,
-                field: Field::PAPER,
                 mean_speed_kmh: 36.0,
-                pause_secs: 3.0,
                 flows: 10,
                 rate_pps: 10.0,
                 packet_bytes: 512,
@@ -234,21 +235,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the field dimensions.
-    pub fn field(mut self, field: Field) -> Self {
-        self.scenario.field = field;
-        self
-    }
-
     /// Sets the mean terminal speed (km/h); MAXSPEED is twice this.
     pub fn mean_speed_kmh(mut self, v: f64) -> Self {
         self.scenario.mean_speed_kmh = v;
-        self
-    }
-
-    /// Sets the waypoint pause time (seconds).
-    pub fn pause_secs(mut self, v: f64) -> Self {
-        self.scenario.pause_secs = v;
         self
     }
 
@@ -314,18 +303,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Overrides the MAC configuration.
-    pub fn mac(mut self, cfg: MacConfig) -> Self {
-        self.scenario.mac = cfg;
-        self
-    }
-
-    /// Overrides the protocol configuration.
-    pub fn protocol(mut self, cfg: ProtocolConfig) -> Self {
-        self.scenario.protocol = cfg;
-        self
-    }
-
     /// Finalises the scenario.
     ///
     /// # Panics
@@ -361,13 +338,8 @@ impl ScenarioBuilder {
             }
         }
         s.channel.validate().expect("invalid channel config");
-        s.mac.validate().expect("invalid MAC config");
-        // The BGCA guard needs the offered rate; derive it unless the user
-        // overrode it away from the default.
-        let default_offered = ProtocolConfig::default().bgca_flow_offered_kbps;
-        if s.protocol.bgca_flow_offered_kbps == default_offered {
-            s.protocol.bgca_flow_offered_kbps = s.offered_kbps();
-        }
+        // The BGCA guard protects the offered rate.
+        s.protocol.bgca_flow_offered_kbps = s.offered_kbps();
         s.protocol.validate().expect("invalid protocol config");
         s
     }
@@ -381,12 +353,10 @@ mod tests {
     fn defaults_match_paper() {
         let s = Scenario::builder().build();
         assert_eq!(s.nodes, 50);
-        assert_eq!(s.field, Field::PAPER);
         assert_eq!(s.flows, 10);
         assert_eq!(s.rate_pps, 10.0);
         assert_eq!(s.packet_bytes, 512);
         assert_eq!(s.duration, SimDuration::from_secs(500));
-        assert_eq!(s.pause_secs, 3.0);
     }
 
     #[test]
@@ -410,6 +380,13 @@ mod tests {
             assert!(f.src.index() < 10 && f.dst.index() < 10);
             assert!(seen.insert((f.src, f.dst)), "duplicate flow");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "3 flows exceed the distinct pairs of 2 nodes")]
+    fn more_flows_than_node_pairs_is_rejected() {
+        let s = Scenario::builder().nodes(2).flows(3).build();
+        s.trial_flows(&mut Rng::new(1));
     }
 
     #[test]

@@ -2,22 +2,27 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use rica_channel::{ChannelClass, ChannelModel};
-use rica_faults::{FaultSchedule, TrafficPolicy};
-use rica_mac::{backoff_delay, CommonMedium, TxId};
+use rica_channel::{ChannelClass, ChannelModel, TX_RANGE_M};
+use rica_faults::FaultSchedule;
+use rica_mac::{
+    backoff_delay, tx_duration, CommonMedium, TxId, BROADCAST_JITTER, CTRL_QUEUE_CAP,
+    CTRL_RETRY_LIMIT, IFS, MAX_ATTEMPTS, UNICAST_JITTER,
+};
 use rica_metrics::{FaultKind, Metrics, TrialSummary, WorldDiagnostics};
-use rica_mobility::{kmh_to_ms, SpatialGrid, Vec2, Waypoint};
+use rica_mobility::{kmh_to_ms, Field, SpatialGrid, Vec2, Waypoint};
 use rica_net::{
     ControlPacket, DataPacket, DropReason, FlowId, KeyMap, LinkQueue, NodeCtx, NodeId,
     ProtocolConfig, RoutePhase, RoutingProtocol, RxInfo, Timer, TimerToken, TopologySnapshot,
-    DATA_ACK_BYTES,
+    DATA_ACK_BYTES, DATA_RETRY_LIMIT, LINK_QUEUE_CAP, MAX_QUEUE_RESIDENCY,
 };
 use rica_sim::{EventToken, Rng, SimDuration, SimTime, Simulator};
 use rica_trace::{EventProfiler, TimeseriesRecorder, TraceEvent, TraceSink};
-use rica_traffic::TrafficModel;
+use rica_traffic::FlowTraffic;
 
 use crate::scenario::{Flow, ProtocolKind, Scenario};
 
+/// Waypoint pause at each destination (paper: 3 s, §III.A).
+const PAUSE_SECS: f64 = 3.0;
 /// Extra wall time modelled for a failed (unacknowledged) data attempt.
 const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(5);
 /// Backoff between data retransmission attempts.
@@ -168,7 +173,7 @@ pub struct World<'s> {
     flows: Vec<Flow>,
     flow_seq: Vec<u64>,
     /// One workload generator per flow (owns the flow's RNG stream).
-    traffic: Vec<Box<dyn TrafficModel>>,
+    traffic: Vec<FlowTraffic>,
     timers: TimerSlab,
     /// Crashed terminals (failure injection).
     dead: Vec<bool>,
@@ -182,8 +187,8 @@ pub struct World<'s> {
     /// signatures differ; all-zeros (no active partition) cuts nothing.
     partition_sig: Vec<u32>,
     /// Whether each flow's traffic renewal chain is still scheduled; a
-    /// chain stops when its source is found dead and — under
-    /// [`TrafficPolicy::ResumeOnReboot`] — restarts at the reboot.
+    /// chain stops when its source is found dead and restarts at the
+    /// reboot.
     traffic_live: Vec<bool>,
     /// Per-node life counter, bumped at every crash. In-flight
     /// MAC/data events carry the incarnation they were scheduled under
@@ -350,12 +355,12 @@ impl<'s> World<'s> {
             .map(|i| {
                 let mobility = match &scenario.pinned_positions {
                     Some(ps) => {
-                        Waypoint::pinned(scenario.field, ps[i], master.fork(1_000 + i as u64))
+                        Waypoint::pinned(Field::PAPER, ps[i], master.fork(1_000 + i as u64))
                     }
                     None => Waypoint::new(
-                        scenario.field,
+                        Field::PAPER,
                         max_speed_ms,
-                        scenario.pause_secs,
+                        PAUSE_SECS,
                         master.fork(1_000 + i as u64),
                     ),
                 };
@@ -388,7 +393,7 @@ impl<'s> World<'s> {
         // One generator per flow, seed-forked exactly where the legacy
         // per-flow Poisson RNGs were (stream 4000 + flow index), so the
         // default workload reproduces the legacy traffic bit for bit.
-        let traffic: Vec<Box<dyn TrafficModel>> = flows
+        let traffic: Vec<FlowTraffic> = flows
             .iter()
             .enumerate()
             .map(|(i, f)| {
@@ -422,19 +427,7 @@ impl<'s> World<'s> {
         } else {
             max_speed_ms.max(Waypoint::MIN_SPEED_MS)
         };
-        let grid_cell = (scenario.mac.range_m / 3.0).max(GRID_SLACK_M);
-        // `on_mac_tx_end` promises every receiver that passes its MAC-range
-        // prefilter a channel class ("receiver in range has a class"), which
-        // holds only while the MAC cell is no larger than the channel's
-        // radio range. Both default to 250 m; fail loudly at build time
-        // rather than mid-trial if a scenario pulls them apart.
-        assert!(
-            scenario.mac.range_m <= scenario.channel.tx_range_m,
-            "MAC range ({} m) exceeds channel radio range ({} m): receivers between the two \
-             would pass the MAC range check yet have no channel class",
-            scenario.mac.range_m,
-            scenario.channel.tx_range_m,
-        );
+        let grid_cell = (TX_RANGE_M / 3.0).max(GRID_SLACK_M);
         let n_flows = flows.len();
         World {
             scenario,
@@ -446,7 +439,7 @@ impl<'s> World<'s> {
                 master.fork(1),
                 scenario.nodes as u32,
             ),
-            medium: CommonMedium::new(&scenario.mac),
+            medium: CommonMedium::new(TX_RANGE_M),
             metrics,
             flow_seq: vec![0; flows.len()],
             flows,
@@ -464,7 +457,7 @@ impl<'s> World<'s> {
             pos_cache: vec![Vec2::ZERO; scenario.nodes],
             // `SimTime::MAX` never equals an event timestamp: all stale.
             pos_stamp: vec![SimTime::MAX; scenario.nodes],
-            grid: SpatialGrid::new(scenario.field, grid_cell),
+            grid: SpatialGrid::new(Field::PAPER, grid_cell),
             grid_valid_until: None,
             grid_snapshot: vec![Vec2::ZERO; scenario.nodes],
             // Epoch 0 predates the first rebuild, so every list starts stale.
@@ -616,7 +609,7 @@ impl<'s> World<'s> {
         let epoch = self.grid.epoch();
         let mut list = std::mem::take(&mut self.fanout[node]);
         if self.fanout_epoch[node] != epoch {
-            let radius = self.scenario.mac.range_m + 2.0 * GRID_SLACK_M;
+            let radius = TX_RANGE_M + 2.0 * GRID_SLACK_M;
             let center = self.grid_snapshot[node];
             self.grid.query_unordered_into(center, radius, &mut list);
             // The grid answers at cell granularity — a superset of the
@@ -853,9 +846,8 @@ impl<'s> World<'s> {
     /// Failure injection: a crashed terminal powers back on with no
     /// memory of its previous life. The protocol restarts cold
     /// ([`RoutingProtocol::on_reboot`]) and must re-join routing like a
-    /// late joiner; under [`TrafficPolicy::ResumeOnReboot`], flows
-    /// sourced here whose renewal chains stopped at the crash draw a
-    /// fresh inter-arrival gap and start generating again.
+    /// late joiner; flows sourced here whose renewal chains stopped at the
+    /// crash draw a fresh inter-arrival gap and start generating again.
     fn on_reboot(&mut self, node: usize) {
         if !self.dead[node] {
             return; // overlapping schedules: already up
@@ -866,14 +858,12 @@ impl<'s> World<'s> {
         // incarnation bump keeps any still-pending old events inert.
         self.dispatch(node, |proto, ctx| proto.on_reboot(ctx));
         let mut resumed_flows = 0usize;
-        if self.scenario.faults.traffic == TrafficPolicy::ResumeOnReboot {
-            for f in 0..self.flows.len() {
-                if self.flows[f].src.index() == node && !self.traffic_live[f] {
-                    self.traffic_live[f] = true;
-                    let gap = self.traffic[f].next_gap();
-                    self.sim.schedule_in(gap, Event::Traffic { flow: f });
-                    resumed_flows += 1;
-                }
+        for f in 0..self.flows.len() {
+            if self.flows[f].src.index() == node && !self.traffic_live[f] {
+                self.traffic_live[f] = true;
+                let gap = self.traffic[f].next_gap();
+                self.sim.schedule_in(gap, Event::Traffic { flow: f });
+                resumed_flows += 1;
             }
         }
         self.metrics.on_fault(FaultKind::Reboot, now);
@@ -946,7 +936,7 @@ impl<'s> World<'s> {
         let (src, dst) = (self.flows[flow].src, self.flows[flow].dst);
         if self.dead[src.index()] {
             // A crashed source stops generating; the renewal chain ends
-            // here and (policy permitting) restarts at the reboot.
+            // here and restarts at the reboot.
             self.traffic_live[flow] = false;
             return;
         }
@@ -978,9 +968,8 @@ impl<'s> World<'s> {
     // ----------------------------------------------------- common channel
 
     fn enqueue_ctrl(&mut self, node: usize, pkt: ControlPacket, target: Option<NodeId>) {
-        let cap = self.scenario.mac.ctrl_queue_cap;
         let st = &mut self.nodes[node];
-        if st.ctrl_queue.len() >= cap {
+        if st.ctrl_queue.len() >= CTRL_QUEUE_CAP {
             self.metrics.on_ctrl_queue_drop();
             let kind = pkt.kind();
             self.trace(|t| TraceEvent::CtrlQueueDrop { t, node: NodeId(node as u32), kind });
@@ -990,8 +979,8 @@ impl<'s> World<'s> {
         if !st.mac_scheduled {
             st.mac_scheduled = true;
             let jitter_max = match target {
-                None => self.scenario.mac.broadcast_jitter,
-                Some(_) => self.scenario.mac.unicast_jitter,
+                None => BROADCAST_JITTER,
+                Some(_) => UNICAST_JITTER,
             };
             let jitter =
                 SimDuration::from_nanos(st.rng.u64_below(jitter_max.as_nanos().max(1)) + 1);
@@ -1023,14 +1012,14 @@ impl<'s> World<'s> {
             let st = &mut self.nodes[node];
             st.mac_attempts += 1;
             let attempts = st.mac_attempts;
-            if attempts > mac.max_attempts {
+            if attempts > MAX_ATTEMPTS {
                 // Channel hopeless for this packet: abandon it.
                 let abandoned = st.ctrl_queue.pop_front().expect("checked non-empty");
                 st.mac_attempts = 0;
                 self.metrics.on_ctrl_queue_drop();
                 let kind = abandoned.pkt.kind();
                 self.trace(|t| TraceEvent::MacAbandon { t, node: NodeId(node as u32), kind });
-                self.sim.schedule_in(self.scenario.mac.ifs, Event::MacAttempt { node, inc });
+                self.sim.schedule_in(IFS, Event::MacAttempt { node, inc });
             } else {
                 let delay = backoff_delay(mac, attempts - 1, &mut st.rng);
                 self.trace(|t| TraceEvent::MacBusy { t, node: NodeId(node as u32), attempts });
@@ -1043,7 +1032,7 @@ impl<'s> World<'s> {
             let head = self.nodes[node].ctrl_queue.front().expect("checked non-empty");
             (head.pkt.size_bits(), head.pkt.kind(), head.target)
         };
-        let dur = self.scenario.mac.tx_duration(bits);
+        let dur = tx_duration(bits);
         let tx = self.medium.begin_tx(node as u32, pos, now, now + dur);
         self.metrics.on_control_tx(kind, bits);
         self.trace(|t| TraceEvent::CtrlTx { t, node: NodeId(node as u32), kind, bits, target });
@@ -1060,7 +1049,6 @@ impl<'s> World<'s> {
         }
         let out = self.nodes[node].ctrl_queue.pop_front().expect("tx had a head packet");
         self.nodes[node].mac_attempts = 0;
-        let range = self.scenario.mac.range_m;
         let p_tx = self.position(node);
         // Determine the outcome at every potential receiver first, then
         // dispatch (dispatching mutates the world). Candidates come from
@@ -1070,13 +1058,13 @@ impl<'s> World<'s> {
         // survivors are sorted before dispatch) — and the exact range /
         // collision / class checks reproduce the full O(n) scan verbatim.
         // The in-range predicate is the same inclusive squared-metre
-        // compare as `ChannelModel::in_range` / `class_at_dist_sq` and
-        // `CommonMedium`, so anything that passes here has a class when
-        // `mac.range_m <= channel.tx_range_m` (asserted by `World::new`;
-        // boundary agreement pinned by `tests/channel_fastpath.rs`). One
-        // predicate at every site — a rounded-`sqrt` variant anywhere
-        // could disagree in the last ulp and panic the `expect` below.
-        let range_sq = range * range;
+        // compare over the one radio range as `ChannelModel::in_range` /
+        // `class_at_dist_sq` and `CommonMedium`, so anything that passes
+        // here has a class (boundary agreement pinned by
+        // `tests/channel_fastpath.rs`). One predicate at every site — a
+        // rounded-`sqrt` variant anywhere could disagree in the last ulp
+        // and panic the `expect` below.
+        let range_sq = TX_RANGE_M * TX_RANGE_M;
         let candidates = self.broadcast_candidates(node);
         self.medium.begin_delivery(tx);
         let mut receivers = std::mem::take(&mut self.scratch_receivers);
@@ -1155,7 +1143,7 @@ impl<'s> World<'s> {
         // Unicast MAC-level retransmission on failure.
         if let Some(target) = out.target {
             if !target_delivered {
-                if out.retries < self.scenario.mac.ctrl_retry_limit {
+                if out.retries < CTRL_RETRY_LIMIT {
                     let retry = OutgoingCtrl {
                         pkt: out.pkt.clone(),
                         target: out.target,
@@ -1180,8 +1168,7 @@ impl<'s> World<'s> {
         if self.nodes[node].ctrl_queue.is_empty() {
             self.nodes[node].mac_scheduled = false;
         } else {
-            let ifs = self.scenario.mac.ifs;
-            self.sim.schedule_in(ifs, Event::MacAttempt { node, inc });
+            self.sim.schedule_in(IFS, Event::MacAttempt { node, inc });
         }
         // Deliver to the receiving protocols: every receiver borrows the
         // same packet buffer (no per-receiver clone).
@@ -1197,9 +1184,8 @@ impl<'s> World<'s> {
 
     fn enqueue_data(&mut self, from: usize, to: usize, pkt: DataPacket) {
         let now = self.sim.now();
-        let cfg = &self.scenario.protocol;
         let link = self.nodes[from].links.entry(to).or_insert_with(|| DataLink {
-            queue: LinkQueue::new(cfg.link_queue_cap, cfg.max_queue_residency),
+            queue: LinkQueue::new(LINK_QUEUE_CAP, MAX_QUEUE_RESIDENCY),
             in_flight: None,
         });
         let (flow, seq) = (pkt.flow, pkt.seq);
@@ -1297,7 +1283,7 @@ impl<'s> World<'s> {
             _ => {
                 // No ACK. Retry or declare the link broken.
                 let tries = inflight.tries + 1;
-                if tries > self.scenario.protocol.data_retry_limit {
+                if tries > DATA_RETRY_LIMIT {
                     self.metrics.on_link_break();
                     let mut undelivered = vec![inflight.pkt];
                     undelivered.extend(link.queue.drain_all());

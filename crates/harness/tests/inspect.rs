@@ -109,3 +109,19 @@ fn a_malformed_number_exits_2() {
     let stderr = usage_error(&["rica", "3x6", "10", "1"]);
     assert!(stderr.contains("speed_kmh \"3x6\" is not a number"), "{stderr}");
 }
+
+#[test]
+fn unusable_trial_arguments_exit_2() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["rica", "36", "10", "-1"], "secs \"-1\" is not a positive duration"),
+        (&["rica", "36", "10", "0"], "secs \"0\" is not a positive duration"),
+        (&["rica", "nan", "10", "1"], "speed_kmh \"nan\" is not a finite speed >= 0"),
+        (&["rica", "-5", "10", "1"], "speed_kmh \"-5\" is not a finite speed >= 0"),
+        (&["rica", "36", "0", "1"], "rate_pps \"0\" is not a positive rate"),
+        (&["rica", "36", "10", "0.2", "extra"], "unexpected argument \"extra\""),
+    ];
+    for (args, message) in cases {
+        let stderr = usage_error(args);
+        assert!(stderr.starts_with("inspect: ") && stderr.contains(message), "{args:?}: {stderr}");
+    }
+}

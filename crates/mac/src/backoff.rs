@@ -99,11 +99,8 @@ mod tests {
     fn sub_microsecond_cw_max_is_floored() {
         // The 1 µs progress floor takes precedence over a degenerate
         // sub-microsecond cap: draws come from (0, 1 µs], not (0, cw_max].
-        let cfg = MacConfig {
-            slot: SimDuration::from_micros(100),
-            cw_max: SimDuration::from_nanos(10),
-            ..MacConfig::default()
-        };
+        let cfg =
+            MacConfig { slot: SimDuration::from_micros(100), cw_max: SimDuration::from_nanos(10) };
         let mut rng = Rng::new(7);
         let mut max_seen = 0;
         for _ in 0..5_000 {
@@ -119,11 +116,8 @@ mod tests {
         // Deterministic sweep: with a 2-tick window (slot 2 ns floored to
         // 1 µs — so shrink via cw_max instead: cap at 2 µs, attempt high)
         // the draw must eventually hit the top tick exactly.
-        let cfg = MacConfig {
-            slot: SimDuration::from_micros(1),
-            cw_max: SimDuration::from_micros(2),
-            ..MacConfig::default()
-        };
+        let cfg =
+            MacConfig { slot: SimDuration::from_micros(1), cw_max: SimDuration::from_micros(2) };
         let mut rng = Rng::new(8);
         let mut hit_top = false;
         for _ in 0..20_000 {

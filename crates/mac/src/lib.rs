@@ -32,5 +32,8 @@ mod config;
 mod medium;
 
 pub use backoff::backoff_delay;
-pub use config::MacConfig;
+pub use config::{
+    tx_duration, MacConfig, BROADCAST_JITTER, COMMON_RATE_BPS, CTRL_QUEUE_CAP, CTRL_RETRY_LIMIT,
+    IFS, MAX_ATTEMPTS, UNICAST_JITTER,
+};
 pub use medium::{CommonMedium, TxId};

@@ -3,8 +3,6 @@
 use rica_mobility::Vec2;
 use rica_sim::SimTime;
 
-use crate::MacConfig;
-
 /// Handle to one registered transmission on the common channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TxId(u64);
@@ -48,10 +46,11 @@ pub struct CommonMedium {
 }
 
 impl CommonMedium {
-    /// Creates an idle medium with the configuration's radio range.
-    pub fn new(config: &MacConfig) -> Self {
+    /// Creates an idle medium whose terminals sense and receive within
+    /// `range_m` metres (the channel's radio range, `rica_channel::TX_RANGE_M`).
+    pub fn new(range_m: f64) -> Self {
         CommonMedium {
-            range_sq: config.range_m * config.range_m,
+            range_sq: range_m * range_m,
             next_id: 0,
             active: Vec::new(),
             prepared: None,
@@ -183,8 +182,9 @@ impl CommonMedium {
 mod tests {
     use super::*;
 
+    /// The paper's 250 m radio range (§III.A).
     fn medium() -> CommonMedium {
-        CommonMedium::new(&MacConfig::default())
+        CommonMedium::new(250.0)
     }
 
     fn t(ms: u64) -> SimTime {
@@ -331,7 +331,7 @@ mod proptests {
             ax in 0.0f64..1000.0, cx in 0.0f64..1000.0, rx in 0.0f64..1000.0,
             s1 in 0u64..20, d1 in 1u64..20, s2 in 0u64..20, d2 in 1u64..20,
         ) {
-            let mut m = CommonMedium::new(&MacConfig::default());
+            let mut m = CommonMedium::new(250.0);
             let pa = Vec2::new(ax, 0.0);
             let pc = Vec2::new(cx, 0.0);
             let pr = Vec2::new(rx, 0.0);

@@ -3,8 +3,8 @@
 //!
 //! RICA, AODV, ABR and BGCA find routes the same way. The source buffers
 //! data for a destination it has no route to, floods a query, re-floods
-//! when no reply came within `rreq_retry_timeout` and gives up after
-//! `rreq_max_retries` retries, dropping what waited. [`Discovery`] is that
+//! when no reply came within [`RREQ_RETRY_TIMEOUT`] and gives up after
+//! [`RREQ_MAX_RETRIES`] retries, dropping what waited. [`Discovery`] is that
 //! policy, written once. What the protocols do differently stays with
 //! them: the query they flood, when a destination counts as routed, how
 //! the destination picks a route and how a broken route is repaired.
@@ -15,7 +15,7 @@ use rica_sim::SimTime;
 
 use crate::{
     ControlPacket, DataPacket, DropReason, IdMap, KeyMap, NodeCtx, NodeId, RoutePhase, Timer,
-    TimerToken,
+    TimerToken, MAX_QUEUE_RESIDENCY, PENDING_CAP, RREQ_MAX_RETRIES, RREQ_RETRY_TIMEOUT,
 };
 
 /// Builds a protocol's discovery flood `(source, destination, flood id)`.
@@ -30,8 +30,8 @@ fn rreq_flood(src: NodeId, dst: NodeId, bcast_id: u64) -> ControlPacket {
 /// Source-side discovery state of one terminal: the packets waiting for a
 /// route, the discoveries in progress and the flood counter.
 ///
-/// Waiting packets are grouped by destination, at most `pending_cap` per
-/// destination, and expire after `max_queue_residency` like the link
+/// Waiting packets are grouped by destination, at most [`PENDING_CAP`] per
+/// destination, and expire after [`MAX_QUEUE_RESIDENCY`] like the link
 /// queues (3 s in the paper): a discovery that takes longer cannot save
 /// them anyway.
 #[derive(Debug)]
@@ -61,9 +61,8 @@ impl Discovery {
     /// Holds `pkt` until a route to its destination appears; drops it as
     /// [`DropReason::BufferOverflow`] when the destination's buffer is full.
     pub fn buffer(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket) {
-        let cap = ctx.config().pending_cap;
         let q = self.waiting.or_insert_with(pkt.dst, VecDeque::new);
-        if q.len() >= cap {
+        if q.len() >= PENDING_CAP {
             ctx.drop_data(pkt, DropReason::BufferOverflow);
         } else {
             q.push_back((pkt, ctx.now()));
@@ -97,7 +96,7 @@ impl Discovery {
             self.running.remove(dst);
             return;
         }
-        if retries >= ctx.config().rreq_max_retries {
+        if retries >= RREQ_MAX_RETRIES {
             self.running.remove(dst);
             for (pkt, _) in self.waiting.remove(&dst).unwrap_or_default() {
                 ctx.drop_data(pkt, DropReason::NoRoute);
@@ -113,10 +112,9 @@ impl Discovery {
     pub fn flush(&mut self, ctx: &mut dyn NodeCtx, dst: NodeId) -> Vec<DataPacket> {
         let Some(q) = self.waiting.remove(&dst) else { return Vec::new() };
         let now = ctx.now();
-        let max_residency = ctx.config().max_queue_residency;
         let mut fresh = Vec::with_capacity(q.len());
         for (pkt, at) in q {
-            if now.saturating_since(at) > max_residency {
+            if now.saturating_since(at) > MAX_QUEUE_RESIDENCY {
                 ctx.drop_data(pkt, DropReason::BufferTimeout);
             } else {
                 fresh.push(pkt);
@@ -134,7 +132,7 @@ impl Discovery {
             if retries == 0 { RoutePhase::DiscoveryStart } else { RoutePhase::DiscoveryRetry };
         ctx.note_route_phase(phase, me, dst);
         ctx.broadcast((self.flood)(me, dst, id));
-        let token = ctx.set_timer(ctx.config().rreq_retry_timeout, Timer::RreqRetry { dst });
+        let token = ctx.set_timer(RREQ_RETRY_TIMEOUT, Timer::RreqRetry { dst });
         self.running.insert(dst, (retries, token));
     }
 }
@@ -209,7 +207,7 @@ mod tests {
     #[test]
     fn overflow_at_the_per_destination_cap() {
         let mut ctx = ScriptedCtx::new(NodeId(0));
-        let cap = ctx.config().pending_cap as u64;
+        let cap = PENDING_CAP as u64;
         let mut d = Discovery::default();
         for seq in 0..=cap {
             d.buffer(&mut ctx, pkt(seq, 5));
@@ -255,7 +253,7 @@ mod tests {
         d.buffer(&mut ctx, pkt(0, 9));
         d.buffer(&mut ctx, pkt(1, 9));
         d.start(&mut ctx, NodeId(9));
-        let max = ctx.config().rreq_max_retries;
+        let max = RREQ_MAX_RETRIES;
         for _ in 0..=max {
             let timer = ctx.fire_next_timer();
             assert_eq!(timer, Timer::RreqRetry { dst: NodeId(9) });

@@ -20,8 +20,9 @@
 //!   supplies every side effect (transmission, timers, CSI measurement).
 //!   This is what makes each protocol unit-testable without a simulator —
 //!   see [`testing::ScriptedCtx`].
-//! * [`ProtocolConfig`] — every tunable constant of every protocol, with the
-//!   paper's values as defaults.
+//! * [`ProtocolConfig`] — the protocol parameters an experiment varies,
+//!   with the paper's values as defaults; every other protocol parameter
+//!   is a constant next to it ([`LINK_QUEUE_CAP`], [`BEACON_PERIOD`], …).
 //! * [`IdMap`] / [`KeyMap`] — flat per-node / per-flow state containers
 //!   with `BTreeMap` iteration order, shared by all protocol
 //!   implementations (their tables sit on the per-event hot path).
@@ -41,7 +42,13 @@ mod queue;
 mod routing;
 pub mod testing;
 
-pub use config::ProtocolConfig;
+pub use config::{
+    ProtocolConfig, ABR_STABILITY_TICKS, AODV_ROUTE_TIMEOUT, BEACON_LOSS_LIMIT, BEACON_PERIOD,
+    BGCA_MONITOR_PERIOD, BGCA_REPAIR_COOLDOWN, DATA_RETRY_LIMIT, FLOW_IDLE_TIMEOUT, LINK_QUEUE_CAP,
+    LQ_TIMEOUT, LQ_TTL_SLACK, LS_CLASS_HYSTERESIS, LS_MIN_FLOOD_INTERVAL, LS_SAMPLE_PERIOD,
+    MAX_QUEUE_RESIDENCY, PENDING_CAP, REPLY_WINDOW, ROUTE_IDLE_TIMEOUT, RREQ_MAX_RETRIES,
+    RREQ_RETRY_TIMEOUT,
+};
 pub use discovery::{Discovery, FloodBuilder, FloodHistory};
 pub use flatmap::{IdMap, KeyMap};
 pub use ids::{FlowId, NodeId};

@@ -3,7 +3,10 @@
 //! awareness, and localized-query (LQ) repair at the break point while data
 //! waits in the repairing terminal.
 
-use rica_net::{ControlPacket, DataPacket, IdMap, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer};
+use rica_net::{
+    ControlPacket, DataPacket, IdMap, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer,
+    ABR_STABILITY_TICKS, BEACON_LOSS_LIMIT, BEACON_PERIOD, REPLY_WINDOW,
+};
 use rica_sim::SimTime;
 
 use crate::common::FlowRouter;
@@ -63,15 +66,14 @@ impl Abr {
         self.router.downstream(src, dst)
     }
 
-    fn is_stable(&self, neighbor: NodeId, ctx: &dyn NodeCtx) -> bool {
-        self.ticks_for(neighbor) >= ctx.config().abr_stability_ticks
+    fn is_stable(&self, neighbor: NodeId) -> bool {
+        self.ticks_for(neighbor) >= ABR_STABILITY_TICKS
     }
 }
 
 impl RoutingProtocol for Abr {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        let period = ctx.config().beacon_period;
-        let jitter_ns = ctx.rng().u64_below(period.as_nanos().max(1));
+        let jitter_ns = ctx.rng().u64_below(BEACON_PERIOD.as_nanos().max(1));
         ctx.set_timer(rica_sim::SimDuration::from_nanos(jitter_ns), Timer::Beacon);
     }
 
@@ -87,11 +89,9 @@ impl RoutingProtocol for Abr {
         let now = ctx.now();
         match *pkt {
             ControlPacket::Beacon => {
-                let period = ctx.config().beacon_period;
-                let loss = ctx.config().beacon_loss_limit;
                 let entry = self.ticks.get_or_insert_with(rx.from, || (0, now));
                 let gap = now.saturating_since(entry.1);
-                if gap > period.mul_f64(loss as f64 + 0.5) {
+                if gap > BEACON_PERIOD.mul_f64(BEACON_LOSS_LIMIT as f64 + 0.5) {
                     entry.0 = 1; // association broke; start over
                 } else {
                     entry.0 = entry.0.saturating_add(1);
@@ -102,7 +102,7 @@ impl RoutingProtocol for Abr {
                 if src == me {
                     return;
                 }
-                let stable_inc = u8::from(self.is_stable(rx.from, ctx));
+                let stable_inc = u8::from(self.is_stable(rx.from));
                 let new_stable = stable_links.saturating_add(stable_inc);
                 let new_topo = topo_hops.saturating_add(1);
                 if dst == me {
@@ -120,10 +120,7 @@ impl RoutingProtocol for Abr {
                         Some(_) => {}
                         None => {
                             self.windows.insert(src, (bcast_id, score, rx.from));
-                            ctx.set_timer(
-                                ctx.config().reply_window,
-                                Timer::ReplyWindow { src, dst },
-                            );
+                            ctx.set_timer(REPLY_WINDOW, Timer::ReplyWindow { src, dst });
                         }
                     }
                     return;
@@ -153,8 +150,7 @@ impl RoutingProtocol for Abr {
         match timer {
             Timer::Beacon => {
                 ctx.broadcast(ControlPacket::Beacon);
-                let period = ctx.config().beacon_period;
-                ctx.set_timer(period, Timer::Beacon);
+                ctx.set_timer(BEACON_PERIOD, Timer::Beacon);
             }
             Timer::ReplyWindow { src, .. } => {
                 let Some((bcast_id, score, via)) = self.windows.remove(src) else { return };
@@ -208,12 +204,12 @@ mod tests {
         let mut p = Abr::new();
         beacon_n_times(&mut p, &mut ctx, 3, 4);
         assert_eq!(p.ticks_for(NodeId(3)), 4);
-        assert!(p.is_stable(NodeId(3), &ctx), "threshold is 4 ticks");
+        assert!(p.is_stable(NodeId(3)), "threshold is 4 ticks");
         // A long silence breaks the association: ticks restart at 1.
         ctx.advance(SimDuration::from_secs(10));
         p.on_control(&mut ctx, &ControlPacket::Beacon, rx(3));
         assert_eq!(p.ticks_for(NodeId(3)), 1);
-        assert!(!p.is_stable(NodeId(3), &ctx));
+        assert!(!p.is_stable(NodeId(3)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use rica_net::{
     ControlPacket, DataPacket, Discovery, DropReason, FloodHistory, IdMap, KeyMap, NodeCtx, NodeId,
-    RoutePhase, RoutingProtocol, RxInfo, Timer,
+    RoutePhase, RoutingProtocol, RxInfo, Timer, AODV_ROUTE_TIMEOUT,
 };
 use rica_sim::SimTime;
 
@@ -50,9 +50,10 @@ impl Aodv {
     /// AODV route timeout; marks the route used.
     fn use_route(&mut self, ctx: &dyn NodeCtx, dst: NodeId) -> Option<NodeId> {
         let now = ctx.now();
-        let timeout = ctx.config().aodv_route_timeout;
-        let route =
-            self.routes.get_mut(dst).filter(|r| now.saturating_since(r.last_used) <= timeout)?;
+        let route = self
+            .routes
+            .get_mut(dst)
+            .filter(|r| now.saturating_since(r.last_used) <= AODV_ROUTE_TIMEOUT)?;
         route.last_used = now;
         Some(route.next_hop)
     }
@@ -228,7 +229,7 @@ mod tests {
     use super::*;
     use rica_channel::ChannelClass;
     use rica_net::testing::ScriptedCtx;
-    use rica_net::FlowId;
+    use rica_net::{FlowId, RREQ_MAX_RETRIES};
     use rica_sim::SimDuration;
 
     fn rx(from: u32) -> RxInfo {
@@ -437,7 +438,7 @@ mod tests {
         let mut ctx = ScriptedCtx::new(NodeId(0));
         let mut p = Aodv::new();
         p.on_data(&mut ctx, data(0, 9, 0), None);
-        let max = ctx.config().rreq_max_retries;
+        let max = RREQ_MAX_RETRIES;
         for _ in 0..=max {
             let t = ctx.fire_next_timer();
             p.on_timer(&mut ctx, t);

@@ -7,6 +7,7 @@
 
 use rica_net::{
     ControlPacket, DataPacket, IdMap, KeyMap, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer,
+    BGCA_MONITOR_PERIOD, BGCA_REPAIR_COOLDOWN, REPLY_WINDOW,
 };
 use rica_sim::SimTime;
 
@@ -47,7 +48,6 @@ impl Bgca {
         let now = ctx.now();
         let cfg = ctx.config();
         let needed_kbps = cfg.bgca_guard_factor * cfg.bgca_flow_offered_kbps;
-        let cooldown = cfg.bgca_repair_cooldown;
         // Only links that carried traffic very recently are guarded.
         let active = rica_sim::SimDuration::from_millis(500);
         let keys: Vec<(FlowKey, NodeId)> = self
@@ -60,7 +60,7 @@ impl Bgca {
                     && self
                         .last_repair
                         .get(key)
-                        .is_none_or(|&t| now.saturating_since(t) >= cooldown)
+                        .is_none_or(|&t| now.saturating_since(t) >= BGCA_REPAIR_COOLDOWN)
             })
             .filter_map(|(k, e)| Some((*k, e.downstream?)))
             .collect();
@@ -80,7 +80,7 @@ impl Bgca {
 
 impl RoutingProtocol for Bgca {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
-        ctx.set_timer(ctx.config().bgca_monitor_period, Timer::LinkMonitor);
+        ctx.set_timer(BGCA_MONITOR_PERIOD, Timer::LinkMonitor);
     }
 
     fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
@@ -115,10 +115,7 @@ impl RoutingProtocol for Bgca {
                         Some(_) => {}
                         None => {
                             self.windows.insert(src, (bcast_id, new_csi, new_topo, rx.from));
-                            ctx.set_timer(
-                                ctx.config().reply_window,
-                                Timer::ReplyWindow { src, dst },
-                            );
+                            ctx.set_timer(REPLY_WINDOW, Timer::ReplyWindow { src, dst });
                         }
                     }
                     return;
@@ -146,8 +143,7 @@ impl RoutingProtocol for Bgca {
         match timer {
             Timer::LinkMonitor => {
                 self.run_guard(ctx);
-                let period = ctx.config().bgca_monitor_period;
-                ctx.set_timer(period, Timer::LinkMonitor);
+                ctx.set_timer(BGCA_MONITOR_PERIOD, Timer::LinkMonitor);
             }
             Timer::ReplyWindow { src, .. } => {
                 let Some((bcast_id, csi, topo, via)) = self.windows.remove(src) else { return };

@@ -17,7 +17,8 @@
 
 use rica_net::{
     ControlPacket, DataPacket, Discovery, DropReason, FloodBuilder, FloodHistory, IdMap, KeyMap,
-    NodeCtx, NodeId, RoutePhase, RxInfo, Timer,
+    NodeCtx, NodeId, RoutePhase, RxInfo, Timer, AODV_ROUTE_TIMEOUT, LQ_TIMEOUT, LQ_TTL_SLACK,
+    PENDING_CAP,
 };
 use rica_sim::{SimDuration, SimTime};
 
@@ -284,16 +285,15 @@ impl FlowRouter {
         };
         let key = (pkt.src, pkt.dst);
         if let Some(Repair { held, link_down: true, .. }) = self.repairs.get_mut(&key) {
-            if held.len() < ctx.config().pending_cap {
+            if held.len() < PENDING_CAP {
                 held.push(pkt);
             } else {
                 ctx.drop_data(pkt, DropReason::BufferOverflow);
             }
             return;
         }
-        let idle = ctx.config().aodv_route_timeout;
         let next = self.routes.get_mut(&key).and_then(|e| {
-            let next = e.use_at(now, idle)?;
+            let next = e.use_at(now, AODV_ROUTE_TIMEOUT)?;
             e.upstream = Some(rx.from);
             e.observe_data_hops(pkt.hops);
             Some(next)
@@ -311,8 +311,9 @@ impl FlowRouter {
     /// discovery when the flow has no fresh route.
     fn send_as_source(&mut self, ctx: &mut dyn NodeCtx, pkt: DataPacket) {
         let key = (ctx.id(), pkt.dst);
-        let idle = ctx.config().aodv_route_timeout;
-        if let Some(next) = self.routes.get_mut(&key).and_then(|e| e.use_at(ctx.now(), idle)) {
+        if let Some(next) =
+            self.routes.get_mut(&key).and_then(|e| e.use_at(ctx.now(), AODV_ROUTE_TIMEOUT))
+        {
             ctx.send_data(next, pkt);
             return;
         }
@@ -347,8 +348,8 @@ impl FlowRouter {
         let me = ctx.id();
         let bcast_id = self.next_lq;
         self.next_lq += 1;
-        let slack = ctx.config().lq_ttl_slack;
-        let ttl = self.routes.get(&key).map_or(2, |e| e.hops_to_dst).saturating_add(slack).max(1);
+        let ttl =
+            self.routes.get(&key).map_or(2, |e| e.hops_to_dst).saturating_add(LQ_TTL_SLACK).max(1);
         self.repairs.insert(key, Repair { bcast_id, held, link_down });
         if link_down {
             if let Some(e) = self.routes.get_mut(&key) {
@@ -365,7 +366,7 @@ impl FlowRouter {
             csi_hops: 0.0,
             topo_hops: 0,
         });
-        ctx.set_timer(ctx.config().lq_timeout, Timer::LqTimeout { src: key.0, dst: key.1 });
+        ctx.set_timer(LQ_TIMEOUT, Timer::LqTimeout { src: key.0, dst: key.1 });
     }
 
     /// The repair deadline passed without a partial route. A break repair

@@ -13,7 +13,8 @@
 use rica_channel::ChannelClass;
 use rica_net::{
     ControlPacket, DataPacket, DropReason, IdMap, LsuEntry, NodeCtx, NodeId, RoutePhase,
-    RoutingProtocol, RxInfo, Timer, TopologySnapshot,
+    RoutingProtocol, RxInfo, Timer, TopologySnapshot, BEACON_LOSS_LIMIT, BEACON_PERIOD,
+    LS_CLASS_HYSTERESIS, LS_MIN_FLOOD_INTERVAL, LS_SAMPLE_PERIOD,
 };
 use rica_sim::SimTime;
 
@@ -206,12 +207,9 @@ impl LinkState {
     fn maybe_flood_own_lsu(&mut self, ctx: &mut dyn NodeCtx) {
         let me = ctx.id();
         let now = ctx.now();
-        let loss_limit = ctx.config().beacon_loss_limit;
-        let period = ctx.config().beacon_period;
-        let min_ival = ctx.config().ls_min_flood_interval;
 
         // Forget neighbours that went silent.
-        let horizon = period.mul_f64(loss_limit as f64 + 0.5);
+        let horizon = BEACON_PERIOD.mul_f64(BEACON_LOSS_LIMIT as f64 + 0.5);
         self.neighbors.retain(|_, last| now.saturating_since(*last) <= horizon);
 
         // Measure current adjacency (ascending id order: `link_class_to`
@@ -224,13 +222,13 @@ impl LinkState {
                 current.insert(n, class);
             }
         }
-        if self.is_significant_change(&current, ctx.config().ls_class_hysteresis) {
+        if self.is_significant_change(&current, LS_CLASS_HYSTERESIS) {
             self.flood_pending = true;
         }
         if !self.flood_pending {
             return;
         }
-        if self.last_flood.is_some_and(|t| now.saturating_since(t) < min_ival) {
+        if self.last_flood.is_some_and(|t| now.saturating_since(t) < LS_MIN_FLOOD_INTERVAL) {
             return; // rate limited; will retry on the next tick
         }
         // Delta against the previous advertisement ("it floods this
@@ -267,11 +265,9 @@ impl RoutingProtocol for LinkState {
     fn on_start(&mut self, ctx: &mut dyn NodeCtx) {
         // Stagger periodic activity across nodes to avoid synchronized
         // flooding.
-        let period = ctx.config().beacon_period;
-        let jitter_ns = ctx.rng().u64_below(period.as_nanos().max(1));
+        let jitter_ns = ctx.rng().u64_below(BEACON_PERIOD.as_nanos().max(1));
         ctx.set_timer(rica_sim::SimDuration::from_nanos(jitter_ns), Timer::Beacon);
-        let sample = ctx.config().ls_sample_period;
-        let jitter_ns = ctx.rng().u64_below(sample.as_nanos().max(1));
+        let jitter_ns = ctx.rng().u64_below(LS_SAMPLE_PERIOD.as_nanos().max(1));
         ctx.set_timer(rica_sim::SimDuration::from_nanos(jitter_ns), Timer::LinkMonitor);
     }
 
@@ -360,16 +356,14 @@ impl RoutingProtocol for LinkState {
         match timer {
             Timer::Beacon => {
                 ctx.broadcast(ControlPacket::Beacon);
-                let period = ctx.config().beacon_period;
-                ctx.set_timer(period, Timer::Beacon);
+                ctx.set_timer(BEACON_PERIOD, Timer::Beacon);
             }
             Timer::LinkMonitor => {
                 // "When the mobile terminal finds the bandwidth with its
                 // neighbor changes ... it floods this change" (§III.A):
                 // continuous CSI sampling of the adjacencies.
                 self.maybe_flood_own_lsu(ctx);
-                let period = ctx.config().ls_sample_period;
-                ctx.set_timer(period, Timer::LinkMonitor);
+                ctx.set_timer(LS_SAMPLE_PERIOD, Timer::LinkMonitor);
             }
             _ => {}
         }

@@ -9,8 +9,12 @@
 //!   drift in event ordering).
 //! * [`Rng`] — a seedable, splittable xoshiro256++ random generator with the
 //!   distribution samplers the models need (uniform, exponential for Poisson
-//!   traffic, Gaussian for the fading processes). Implemented in-repo so the
-//!   whole simulation is bit-reproducible across platforms and releases.
+//!   traffic, Gaussian for the fading processes). Implemented in-repo, so
+//!   its integer stream is the same on every platform. The samplers and the
+//!   channel model also call the host's libm (`ln`, `cos`, `exp`,
+//!   `log10`), whose rounding differs between hosts: what holds is that the
+//!   same binary on the same libm reproduces every trial bit for bit, at
+//!   any worker count.
 //! * [`EventQueue`] / [`Simulator`] — a cancellable priority queue of events
 //!   with FIFO tie-breaking at equal timestamps, and a thin clock-advancing
 //!   wrapper around it.

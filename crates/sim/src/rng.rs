@@ -12,8 +12,11 @@
 ///
 /// Two properties matter for the reproduction:
 ///
-/// * **Determinism** — the same seed yields the same stream on every
-///   platform and in every release of this workspace.
+/// * **Determinism** — the same seed yields the same integer stream on
+///   every platform. The float samplers ([`Rng::exp`], [`Rng::normal`])
+///   call the host's libm (`ln`, `cos`), so their draws are bit-identical
+///   for the same binary on the same libm, not across hosts whose libm
+///   rounds differently.
 /// * **Splittability** — [`Rng::fork`] derives an independent stream for a
 ///   sub-component (a node's mobility, a link's fading process, a flow's
 ///   traffic) from a parent seed plus a stable stream identifier, so adding

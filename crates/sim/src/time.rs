@@ -122,6 +122,13 @@ impl SimDuration {
         SimDuration(secs_to_nanos(secs))
     }
 
+    /// [`SimDuration::from_secs_f64`] without the panic: `None` if `secs`
+    /// is negative, non-finite, or overflows.
+    pub fn try_from_secs_f64(secs: f64) -> Option<Self> {
+        let ns = secs * 1e9;
+        (secs >= 0.0 && ns <= u64::MAX as f64).then(|| SimDuration(ns.round() as u64))
+    }
+
     /// Whole nanoseconds in the span.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -165,9 +172,10 @@ fn secs_to_nanos(secs: f64) -> u64 {
         secs.is_finite() && secs >= 0.0,
         "simulated seconds must be finite and non-negative, got {secs}"
     );
-    let ns = secs * 1e9;
-    assert!(ns <= u64::MAX as f64, "simulated time overflow: {secs} s");
-    ns.round() as u64
+    let Some(span) = SimDuration::try_from_secs_f64(secs) else {
+        panic!("simulated time overflow: {secs} s")
+    };
+    span.0
 }
 
 impl Add<SimDuration> for SimTime {
@@ -329,6 +337,19 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_seconds_panic() {
         let _ = SimDuration::from_secs_f64(-0.1);
+    }
+
+    #[test]
+    fn try_from_secs_rejects_what_from_secs_panics_on() {
+        for secs in [0.0, 1e-10, 0.25, 500.0, 1.8e10] {
+            assert_eq!(
+                SimDuration::try_from_secs_f64(secs),
+                Some(SimDuration::from_secs_f64(secs))
+            );
+        }
+        for secs in [-0.1, -1e-300, f64::NAN, f64::INFINITY, 1e300] {
+            assert_eq!(SimDuration::try_from_secs_f64(secs), None, "{secs}");
+        }
     }
 
     #[test]

@@ -248,7 +248,7 @@ pub enum TraceEvent {
         /// The rebooted terminal.
         node: NodeId,
         /// Traffic flows sourced at the terminal whose generation was
-        /// restarted by the reboot (under `TrafficPolicy::ResumeOnReboot`).
+        /// restarted by the reboot (every flow its crash stopped).
         resumed_flows: usize,
     },
     /// A partition episode began: links crossing the group boundary go

@@ -8,7 +8,7 @@
 //! exponential or Pareto dwells, weighted mixes) with a *packet-size
 //! distribution* ([`SizeSpec`]: fixed, uniform, small-ack/large-data
 //! bimodal, truncated Pareto), and [`WorkloadSpec::build`] instantiates
-//! it as a stateful per-flow [`TrafficModel`] that owns the flow's
+//! it as a stateful per-flow [`FlowTraffic`] that owns the flow's
 //! seed-forked RNG and yields `(next gap, packet size)` pairs.
 //!
 //! Three properties are load-bearing:
@@ -47,5 +47,5 @@
 mod model;
 mod spec;
 
-pub use model::{FlowTraffic, TrafficModel, SATURATED_GAP};
+pub use model::{FlowTraffic, SATURATED_GAP};
 pub use spec::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};

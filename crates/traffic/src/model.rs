@@ -1,6 +1,6 @@
 //! Stateful per-flow traffic generators.
 //!
-//! One [`TrafficModel`] instance exists per flow; it owns the flow's
+//! One [`FlowTraffic`] instance exists per flow; it owns the flow's
 //! seed-forked [`Rng`] and yields the gap before the next packet and the
 //! size of the packet being emitted now. The harness drives it from its
 //! `Traffic` events, so a flow's random stream is a pure function of
@@ -21,23 +21,14 @@ pub const SATURATED_GAP: SimDuration = SimDuration::NEVER;
 /// heavy-tailed draw cannot silence a flow for a whole trial.
 const PARETO_DWELL_CAP_FACTOR: f64 = 100.0;
 
-/// A per-flow packet generator: owns the flow's RNG state and yields
-/// `(next gap, packet size)` pairs.
+/// A per-flow packet generator: a [`WorkloadSpec`] instantiated for one
+/// flow, owning the flow's RNG state and yielding `(next gap, packet
+/// size)` pairs. Built by [`WorkloadSpec::build`].
 ///
 /// The two halves are split so the harness can draw the size of the
 /// packet being emitted *now* and the gap to the next packet as two calls
 /// around its dispatch logic; for one emitted packet the draw order is
 /// always size first, then gap.
-pub trait TrafficModel: std::fmt::Debug + Send {
-    /// The gap before the next packet of this flow.
-    fn next_gap(&mut self) -> SimDuration;
-
-    /// The payload size (bytes) of the packet being emitted now.
-    fn packet_bytes(&mut self) -> u32;
-}
-
-/// The default [`TrafficModel`]: a [`WorkloadSpec`] instantiated for one
-/// flow. Built by [`WorkloadSpec::build`].
 #[derive(Debug)]
 pub struct FlowTraffic {
     rng: Rng,
@@ -185,8 +176,9 @@ fn sample_dwell(rng: &mut Rng, mean_secs: f64, dwell: Dwell) -> f64 {
     }
 }
 
-impl TrafficModel for FlowTraffic {
-    fn next_gap(&mut self) -> SimDuration {
+impl FlowTraffic {
+    /// The gap before the next packet of this flow.
+    pub fn next_gap(&mut self) -> SimDuration {
         let secs = self.arrival.next_gap_secs(&mut self.rng);
         if secs.is_finite() && secs >= 0.0 && secs < SATURATED_GAP.as_secs_f64() {
             SimDuration::from_secs_f64(secs)
@@ -197,7 +189,8 @@ impl TrafficModel for FlowTraffic {
         }
     }
 
-    fn packet_bytes(&mut self) -> u32 {
+    /// The payload size (bytes) of the packet being emitted now.
+    pub fn packet_bytes(&mut self) -> u32 {
         match self.size {
             // The default path must not touch the RNG (bit-compatibility
             // with the fixed-size legacy stream).
@@ -222,7 +215,7 @@ impl TrafficModel for FlowTraffic {
 mod tests {
     use super::*;
 
-    fn model(spec: WorkloadSpec, rate: f64, bytes: u32, seed: u64) -> Box<dyn TrafficModel> {
+    fn model(spec: WorkloadSpec, rate: f64, bytes: u32, seed: u64) -> FlowTraffic {
         spec.build(rate, bytes, Rng::new(seed))
     }
 
@@ -235,7 +228,7 @@ mod tests {
     }
 
     /// Mean seconds per packet over `n` gaps.
-    fn mean_gap(m: &mut dyn TrafficModel, n: usize) -> f64 {
+    fn mean_gap(m: &mut FlowTraffic, n: usize) -> f64 {
         (0..n).map(|_| m.next_gap().as_secs_f64()).sum::<f64>() / n as f64
     }
 
@@ -266,7 +259,7 @@ mod tests {
     #[test]
     fn poisson_mean_rate_matches() {
         let mut m = model(arrival(ArrivalSpec::Poisson), 20.0, 512, 7);
-        let mean = mean_gap(m.as_mut(), 100_000);
+        let mean = mean_gap(&mut m, 100_000);
         assert!((mean - 0.05).abs() < 0.001, "mean gap {mean}");
     }
 
@@ -276,7 +269,7 @@ mod tests {
             let spec =
                 arrival(ArrivalSpec::OnOffBurst { on_mean_secs: 0.5, off_mean_secs: 1.5, dwell });
             let mut m = model(spec, 10.0, 512, 11);
-            let mean = mean_gap(m.as_mut(), 200_000);
+            let mean = mean_gap(&mut m, 200_000);
             assert!((mean - 0.1).abs() < 0.1 * tol, "{dwell:?}: mean gap {mean} should be ~0.1 s");
         }
     }
@@ -285,7 +278,7 @@ mod tests {
     fn onoff_is_burstier_than_poisson() {
         // Fano factor of 100 ms-window counts: ~1 for Poisson, well above
         // for an interrupted Poisson process with 0.5 s / 1.5 s dwells.
-        let fano = |m: &mut dyn TrafficModel| {
+        let fano = |m: &mut FlowTraffic| {
             let window = 0.1;
             let mut counts = vec![0u32; 20_000];
             let mut t = 0.0;
@@ -313,8 +306,8 @@ mod tests {
             512,
             3,
         );
-        let f_poisson = fano(poisson.as_mut());
-        let f_bursty = fano(bursty.as_mut());
+        let f_poisson = fano(&mut poisson);
+        let f_bursty = fano(&mut bursty);
         assert!((f_poisson - 1.0).abs() < 0.15, "Poisson fano {f_poisson}");
         assert!(f_bursty > 2.0, "bursty fano {f_bursty} not bursty");
     }

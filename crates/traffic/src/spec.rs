@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use rica_sim::Rng;
 
-use crate::model::{FlowTraffic, TrafficModel};
+use crate::model::FlowTraffic;
 
 /// Dwell-time distribution for the on/off phases of a bursty flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,16 +142,16 @@ impl WorkloadSpec {
         validate_size(&self.size)
     }
 
-    /// Builds the per-flow generator: a stateful [`TrafficModel`] owning
+    /// Builds the per-flow generator: a stateful [`FlowTraffic`] owning
     /// `rng`, emitting packets at mean rate `rate_pps` with mean-size
     /// anchor `packet_bytes` (used by [`SizeSpec::Fixed`]).
     ///
     /// # Panics
     ///
     /// Panics if the spec does not [`validate`](WorkloadSpec::validate).
-    pub fn build(&self, rate_pps: f64, packet_bytes: u32, rng: Rng) -> Box<dyn TrafficModel> {
+    pub fn build(&self, rate_pps: f64, packet_bytes: u32, rng: Rng) -> FlowTraffic {
         self.validate().expect("invalid workload spec");
-        Box::new(FlowTraffic::new(self, rate_pps, packet_bytes, rng))
+        FlowTraffic::new(self, rate_pps, packet_bytes, rng)
     }
 }
 

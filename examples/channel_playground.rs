@@ -6,7 +6,9 @@
 //! cargo run --release --example channel_playground
 //! ```
 
-use rica_repro::channel::{ChannelClass, ChannelConfig, ChannelModel};
+use rica_repro::channel::{
+    ChannelClass, ChannelConfig, ChannelModel, FADE_TAU_S, SHADOW_TAU_S, TX_RANGE_M,
+};
 use rica_repro::mobility::Vec2;
 use rica_repro::sim::{Rng, SimTime};
 
@@ -44,10 +46,10 @@ fn render(label: &str, classes: &[ChannelClass]) {
 fn main() {
     let cfg = ChannelConfig::default();
     println!("ABICM classes: █ = A (250 kbps)  ▓ = B (150)  ▒ = C (75)  ░ = D (50)");
-    println!("one character per second, 100 seconds, defaults: {:.0} m range,", cfg.tx_range_m);
+    println!("one character per second, 100 seconds, defaults: {TX_RANGE_M:.0} m range,");
     println!(
-        "shadowing σ {} dB / τ {} s, fading σ {} dB / τ {} s\n",
-        cfg.shadow_sigma_db, cfg.shadow_tau_s, cfg.fade_sigma_db, cfg.fade_tau_s
+        "shadowing σ {} dB / τ {SHADOW_TAU_S} s, fading σ {} dB / τ {FADE_TAU_S} s\n",
+        cfg.shadow_sigma_db, cfg.fade_sigma_db
     );
 
     let mut model = ChannelModel::new(cfg, Rng::new(2026));

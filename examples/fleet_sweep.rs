@@ -25,7 +25,7 @@
 //!    stop at the minimum, and the realised counts are printed.
 
 use rica_repro::exec::{sweep_json, ExecOptions, Progress, SweepPlan};
-use rica_repro::fleet::{hash_hex, merge_fleet, run_adaptive, run_fleet, AdaptiveConfig};
+use rica_repro::fleet::{hash_hex, merge_fleet, run_adaptive, run_fleet, AdaptiveConfig, CI_Z};
 use rica_repro::harness::{sweep::run_job, ProtocolKind, Scenario};
 use rica_repro::traffic::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};
 
@@ -34,7 +34,10 @@ fn label(k: &ProtocolKind) -> String {
 }
 
 fn main() {
-    let args = rica_repro::exec::ExecArgs::parse(std::env::args().skip(1));
+    let args = rica_repro::exec::ExecArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("fleet_sweep: {e}");
+        std::process::exit(2)
+    });
     let workers = args.resolved_workers();
     let opts = ExecOptions { workers, progress: Progress::Stderr };
 
@@ -118,9 +121,8 @@ fn main() {
         ..AdaptiveConfig::default()
     };
     println!(
-        "\nadaptive: target ±{:.0} pp delivery at z={}, batches of {}, cap {}",
+        "\nadaptive: target ±{:.0} pp delivery at z={CI_Z}, batches of {}, cap {}",
         config.delivery_hw_pct.unwrap(),
-        config.z,
         config.batch,
         config.max_trials,
     );

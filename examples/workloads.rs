@@ -16,7 +16,10 @@ use rica_repro::harness::{sweep, ProtocolKind, Scenario};
 use rica_repro::traffic::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};
 
 fn main() {
-    let args = rica_repro::exec::ExecArgs::parse(std::env::args().skip(1));
+    let args = rica_repro::exec::ExecArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("workloads: {e}");
+        std::process::exit(2)
+    });
     let workers = args.resolved_workers();
 
     // A reduced paper grid (30 nodes instead of 50, 20 s instead of

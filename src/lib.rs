@@ -63,7 +63,7 @@ pub use rica_traffic as traffic;
 pub mod prelude {
     pub use rica_channel::{ChannelClass, ChannelConfig};
     pub use rica_exec::{ExecOptions, Progress, SweepPlan, SweepResult};
-    pub use rica_faults::{FaultPlan, NodeGroup, TrafficPolicy};
+    pub use rica_faults::{FaultPlan, NodeGroup};
     pub use rica_harness::{ProtocolKind, Scenario, ScenarioBuilder, TrialReport};
     pub use rica_net::{NodeId, RoutingProtocol};
     pub use rica_sim::{Rng, SimTime};

@@ -1,10 +1,23 @@
 //! Packet conservation and metric sanity across random scenarios
-//! (property-style, over seeds and parameters).
+//! (property-style, over seeds, parameters, channel tiers and fault
+//! plans).
 
 use proptest::prelude::*;
+use rica_repro::channel::{ChannelConfig, ChannelFidelity};
+use rica_repro::faults::{FaultPlan, NodeGroup};
 use rica_repro::harness::{ProtocolKind, Scenario};
 
-fn check(kind: ProtocolKind, seed: u64, speed: f64, rate: f64) {
+/// The fault plans a case draws from, for its 14 nodes and 10 s.
+fn fault_plan(pick: usize) -> FaultPlan {
+    match pick {
+        0 => FaultPlan::none(),
+        1 => FaultPlan::none().with_churn(4.0, 1.0, 0.0),
+        _ => FaultPlan::none().with_partition(3.0, 6.0, NodeGroup::IdBelow(7)),
+    }
+}
+
+fn check(kind: ProtocolKind, seed: u64, speed: f64, rate: f64, approx: bool, faults: usize) {
+    let fidelity = if approx { ChannelFidelity::Approx } else { ChannelFidelity::Exact };
     let s = Scenario::builder()
         .nodes(14)
         .flows(3)
@@ -12,6 +25,8 @@ fn check(kind: ProtocolKind, seed: u64, speed: f64, rate: f64) {
         .mean_speed_kmh(speed)
         .duration_secs(10.0)
         .seed(seed)
+        .channel(ChannelConfig { fidelity, ..ChannelConfig::default() })
+        .faults(fault_plan(faults))
         .build();
     let r = s.run(kind);
     assert!(r.delivered + r.dropped() <= r.generated, "{kind}: over-accounted");
@@ -44,27 +59,57 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn conservation_rica(seed in 0u64..1000, speed in 0.0f64..80.0, rate in 2.0f64..25.0) {
-        check(ProtocolKind::Rica, seed, speed, rate);
+    fn conservation_rica(
+        seed in 0u64..1000,
+        speed in 0.0f64..80.0,
+        rate in 2.0f64..25.0,
+        approx in any::<bool>(),
+        faults in 0usize..3,
+    ) {
+        check(ProtocolKind::Rica, seed, speed, rate, approx, faults);
     }
 
     #[test]
-    fn conservation_aodv(seed in 0u64..1000, speed in 0.0f64..80.0, rate in 2.0f64..25.0) {
-        check(ProtocolKind::Aodv, seed, speed, rate);
+    fn conservation_aodv(
+        seed in 0u64..1000,
+        speed in 0.0f64..80.0,
+        rate in 2.0f64..25.0,
+        approx in any::<bool>(),
+        faults in 0usize..3,
+    ) {
+        check(ProtocolKind::Aodv, seed, speed, rate, approx, faults);
     }
 
     #[test]
-    fn conservation_bgca(seed in 0u64..1000, speed in 0.0f64..80.0, rate in 2.0f64..25.0) {
-        check(ProtocolKind::Bgca, seed, speed, rate);
+    fn conservation_bgca(
+        seed in 0u64..1000,
+        speed in 0.0f64..80.0,
+        rate in 2.0f64..25.0,
+        approx in any::<bool>(),
+        faults in 0usize..3,
+    ) {
+        check(ProtocolKind::Bgca, seed, speed, rate, approx, faults);
     }
 
     #[test]
-    fn conservation_abr(seed in 0u64..1000, speed in 0.0f64..80.0, rate in 2.0f64..25.0) {
-        check(ProtocolKind::Abr, seed, speed, rate);
+    fn conservation_abr(
+        seed in 0u64..1000,
+        speed in 0.0f64..80.0,
+        rate in 2.0f64..25.0,
+        approx in any::<bool>(),
+        faults in 0usize..3,
+    ) {
+        check(ProtocolKind::Abr, seed, speed, rate, approx, faults);
     }
 
     #[test]
-    fn conservation_link_state(seed in 0u64..1000, speed in 0.0f64..80.0, rate in 2.0f64..25.0) {
-        check(ProtocolKind::LinkState, seed, speed, rate);
+    fn conservation_link_state(
+        seed in 0u64..1000,
+        speed in 0.0f64..80.0,
+        rate in 2.0f64..25.0,
+        approx in any::<bool>(),
+        faults in 0usize..3,
+    ) {
+        check(ProtocolKind::LinkState, seed, speed, rate, approx, faults);
     }
 }

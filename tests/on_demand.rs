@@ -8,6 +8,7 @@ use rica_repro::harness::ProtocolKind;
 use rica_repro::net::testing::ScriptedCtx;
 use rica_repro::net::{
     ControlPacket, DataPacket, DropReason, FlowId, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer,
+    RREQ_MAX_RETRIES,
 };
 use rica_repro::sim::SimTime;
 
@@ -56,7 +57,7 @@ fn every_on_demand_protocol_gives_up_on_discovery_the_same_way() {
         while fire(&mut ctx, p.as_mut(), is_retry).is_some() {
             retries += 1;
         }
-        let max = ctx.config().rreq_max_retries as usize;
+        let max = RREQ_MAX_RETRIES as usize;
         assert_eq!(retries, max + 1, "{kind}: retry timers fired");
         let floods = ctx
             .broadcasts
