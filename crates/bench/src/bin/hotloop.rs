@@ -53,6 +53,11 @@
 //! time is recorded, which is the most noise-robust statistic on a busy
 //! container.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "host-side: this recorder exists to time trials from outside them"
+)]
+
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;

@@ -263,7 +263,10 @@ impl<P: Copy> SweepPlan<P> {
         P: Send + Sync,
         F: Fn(&TrialJob<P>) -> TrialSummary + Sync,
     {
-        // rica-lint: allow(wall-clock, "diagnostics-only: wall_secs reports sweep wall time in artifact meta; fleet merges normalise it and no sim state ever reads it")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "diagnostics-only: wall_secs reports sweep wall time in artifact meta; fleet merges normalise it and no sim state ever reads it"
+        )]
         let t0 = std::time::Instant::now();
         let mut summaries = Vec::with_capacity(self.job_count());
         let Ok(()) = self.stream(

@@ -135,7 +135,10 @@ where
         return result;
     }
     let mut schedule = Schedule::new((0..total).map(group).collect(), workers);
-    // rica-lint: allow(unordered-collect, "arrival order is discarded: results are held by job index and reach `commit` in job order, so its input is a pure function of the job list")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "arrival order is discarded: results are held by job index and reach `commit` in job order, so its input is a pure function of the job list"
+    )]
     let ((job_tx, job_rx), (done_tx, done_rx)) = (mpsc::channel(), mpsc::channel());
     let job_rx = Mutex::new(job_rx);
     let mut failure = None;
@@ -143,10 +146,16 @@ where
         for _ in 0..workers {
             let (job_rx, done_tx) = (&job_rx, done_tx.clone());
             scope.spawn(move || loop {
-                // rica-lint: allow(unordered-collect, "receives the index of the job to run next, not a result: which worker runs a job never reaches `commit`")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "receives the index of the job to run next, not a result: which worker runs a job never reaches `commit`"
+                )]
                 let next = job_rx.lock().expect("no worker panics holding the job queue").recv();
                 let Ok(i) = next else { break };
-                // rica-lint: allow(wall-clock, "scheduling only: the reading ranks cost groups for the next dispatch; results are committed by job index, so it can change only when a job starts, never what any job returns")
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "scheduling only: the reading ranks cost groups for the next dispatch; results are committed by job index, so it can change only when a job starts, never what any job returns"
+                )]
                 let start = std::time::Instant::now();
                 let result = panic::catch_unwind(AssertUnwindSafe(|| run(i)));
                 // A send fails only once the calling thread has given up.
@@ -162,7 +171,10 @@ where
         let mut held = BTreeMap::new();
         let (mut finished, mut committed) = (0, 0);
         feed(&mut schedule, &mut idle, jobs.as_ref());
-        // rica-lint: allow(unordered-collect, "the job-order commit step itself: results wait in `held` keyed by job index and reach `commit` only in job order")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the job-order commit step itself: results wait in `held` keyed by job index and reach `commit` only in job order"
+        )]
         while let Ok((i, secs, result)) = done_rx.recv() {
             idle += 1;
             if failure.is_some() {

@@ -25,7 +25,9 @@
 //! 2 nodes, more flows than node pairs, zero trials, shards or batch, a
 //! non-positive duration, rate or CI target, a negative or non-finite
 //! speed, more shards than jobs), exits 2 before anything runs or any file
-//! is written.
+//! is written. An artifact that cannot be written (`--json /dev/full`)
+//! exits 1 naming its path, after `merge` has read every stream or
+//! `adaptive` has run and printed every cell.
 //!
 //! `--shards` defaults to 4, or to one shard per job for a smaller plan.
 //!
@@ -91,6 +93,12 @@ impl Default for Args {
 fn die(msg: &str) -> ! {
     eprintln!("fleet: {msg}");
     std::process::exit(2);
+}
+
+/// Reports a failure after the work has run and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("fleet: {msg}");
+    std::process::exit(1);
 }
 
 /// `raw` parsed as `flag`'s value, exiting 2 unless it parses and passes
@@ -235,17 +243,20 @@ fn main() {
             let meta: Vec<(&str, String)> = if a.legacy {
                 Vec::new()
             } else {
+                let shards = match rica_fleet::load_manifest(&dir) {
+                    Ok(Some(m)) => m.shards.len(),
+                    Ok(None) => fail(&format!("{}: the manifest is gone", dir.display())),
+                    Err(e) => fail(&e),
+                };
                 vec![
                     ("plan_hash", hash_hex(plan.content_hash(label))),
-                    ("fleet_shards", {
-                        let m = rica_fleet::load_manifest(&dir).unwrap().unwrap();
-                        m.shards.len().to_string()
-                    }),
+                    ("fleet_shards", shards.to_string()),
                 ]
             };
             let doc = sweep_json(&result, label, &meta);
             let path = a.json.clone().unwrap_or_else(|| dir.join("sweep_results.json"));
-            std::fs::write(&path, doc).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+            std::fs::write(&path, doc)
+                .unwrap_or_else(|e| fail(&format!("could not write {}: {e}", path.display())));
             eprintln!("fleet: merged {} cells -> {}", result.cells.len(), path.display());
         }
         "adaptive" => {
@@ -275,7 +286,8 @@ fn main() {
             }
             let doc = adaptive_json(&report, &plan, label);
             let path = a.json.clone().unwrap_or_else(|| PathBuf::from("adaptive_report.json"));
-            std::fs::write(&path, doc).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+            std::fs::write(&path, doc)
+                .unwrap_or_else(|e| fail(&format!("could not write {}: {e}", path.display())));
             eprintln!(
                 "fleet: {} trials across {} cells ({}) -> {}",
                 report.total_trials(),

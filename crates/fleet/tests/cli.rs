@@ -7,6 +7,11 @@
 //! count, and every unusable flag value rejected with exit code 2 before
 //! anything runs.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "host-side: a wall-clock deadline kills a hung `fleet` child process"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -84,6 +89,30 @@ fn fleet_with_deadline(args: &[&str]) -> (Option<i32>, String, String) {
     let out = child.wait_with_output().expect("wait");
     let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
     (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_unwritable_artifact_exits_1_naming_it_after_the_work() {
+    let dir = std::env::temp_dir().join(format!("rica_fleet_cli_full_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    sweep(&dir, "2", "1");
+    let merge = ["merge", "--dir", dir.to_str().unwrap()];
+    let adaptive = ["adaptive", "--ci-delivery", "50", "--max-trials", "2"];
+    // `adaptive` prints each of the plan's four cells before it writes.
+    for (args, cells) in [(&merge[..], 0), (&adaptive[..], 4)] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+            .args(args)
+            .args(["--json", "/dev/full"])
+            .args(PLAN)
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "fleet {args:?}: {stderr}");
+        assert!(stderr.contains("fleet: could not write /dev/full"), "{stderr}");
+        assert_eq!(stderr.matches("fleet: cell").count(), cells, "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -21,6 +21,11 @@
 //! before anything runs. The README's "Quickstart" section lists the
 //! common invocations.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "host-side: the total wall time goes to stderr only, after every trial has run"
+)]
+
 use rica_exec::{ExecOptions, Progress};
 use rica_harness::experiments::{run_figures, Scale};
 

@@ -130,9 +130,9 @@ impl SpeedSweep {
             .iter()
             .enumerate()
             .map(|(i, speed)| {
-                // rica-lint: allow(float-fmt, "paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics")
+                // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
                 let mut row = vec![format!("{speed:.0}")];
-                // rica-lint: allow(float-fmt, "paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics")
+                // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
                 row.extend(self.results.iter().map(|(_, aggs)| format!("{:.2}", metric(&aggs[i]))));
                 row
             })
@@ -194,7 +194,7 @@ impl RouteQuality {
         let rows: Vec<Vec<String>> = self
             .results
             .iter()
-            // rica-lint: allow(float-fmt, "paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics")
+            // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
             .map(|(k, a)| vec![k.name().into(), format!("{:.1}", a.link_throughput_kbps.mean())])
             .collect();
         format!(
@@ -208,7 +208,7 @@ impl RouteQuality {
         let rows: Vec<Vec<String>> = self
             .results
             .iter()
-            // rica-lint: allow(float-fmt, "paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics")
+            // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
             .map(|(k, a)| vec![k.name().into(), format!("{:.2}", a.hops.mean())])
             .collect();
         format!(
@@ -250,7 +250,7 @@ impl ThroughputSeries {
                 row.extend(
                     self.results
                         .iter()
-                        // rica-lint: allow(float-fmt, "paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics")
+                        // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
                         .map(|(_, v)| v.get(b).map_or("-".into(), |x| format!("{x:.1}"))),
                 );
                 row
@@ -478,7 +478,7 @@ fn ablation(scale: &Scale, opts: &ExecOptions) -> String {
                     let means =
                         [agg.delay_ms.mean(), agg.delivery_pct.mean(), agg.overhead_kbps.mean()];
                     let mut row = vec![label.to_string()];
-                    // rica-lint: allow(float-fmt, "ablation table, deliberately rounded presentation output; exact results stream through rica_metrics")
+                    // float-fmt: ablation table, deliberately rounded presentation output; exact results stream through rica_metrics
                     row.extend(means.iter().map(|m| format!("{m:.1}")));
                     row
                 })

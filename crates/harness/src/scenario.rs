@@ -175,7 +175,10 @@ impl Scenario {
             self.nodes
         );
         let mut flows = Vec::with_capacity(self.flows);
-        // rica-lint: allow(hash-iter, "membership-only dedup of drawn (src,dst) pairs; never iterated — flow order comes from the rng draw sequence alone")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "membership-only dedup of drawn (src,dst) pairs; never iterated — flow order comes from the rng draw sequence alone"
+        )]
         let mut used = std::collections::HashSet::new();
         while flows.len() < self.flows {
             let src = rng.usize_below(self.nodes) as u32;
@@ -373,7 +376,10 @@ mod tests {
         let mut rng = Rng::new(3);
         let flows = s.trial_flows(&mut rng);
         assert_eq!(flows.len(), 5);
-        // rica-lint: allow(hash-iter, "order-free duplicate detection in a test: only insert() return values are asserted")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "order-free duplicate detection in a test: only insert() return values are asserted"
+        )]
         let mut seen = std::collections::HashSet::new();
         for f in &flows {
             assert_ne!(f.src, f.dst);

@@ -36,9 +36,10 @@ pub fn push_string(out: &mut String, s: &str) {
 
 /// Shortest-roundtrip `f64` — **the** pinned float→text codec for every
 /// artifact the workspace writes: `{}` prints a representation that
-/// parses back to the identical bits (`rica-lint`'s `float-fmt` rule
-/// points artifact writers here). Non-finite values render as the
-/// extension tokens `NaN`/`inf`/`-inf`, which [`parse_json`] accepts.
+/// parses back to the identical bits (the `float-fmt` check in
+/// `tests/determinism_lint.rs` points artifact writers here). Non-finite
+/// values render as the extension tokens `NaN`/`inf`/`-inf`, which
+/// [`parse_json`] accepts.
 pub fn push_f64(out: &mut String, v: f64) {
     let _ = write!(out, "{v}");
 }

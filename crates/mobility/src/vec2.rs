@@ -94,7 +94,7 @@ impl Div<f64> for Vec2 {
 
 impl fmt::Display for Vec2 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // rica-lint: allow(float-fmt, "human-readable position display (decimetre precision); positions never appear in results artifacts")
+        // float-fmt: human-readable position display (decimetre precision); positions never appear in results artifacts
         write!(f, "({:.1}, {:.1})", self.x, self.y)
     }
 }

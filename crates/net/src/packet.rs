@@ -165,7 +165,7 @@ pub enum ControlPacket {
 
 /// Discriminant-only view of a [`ControlPacket`], for metrics breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "each variant is the `ControlPacket` variant of the same name")]
 pub enum ControlKind {
     Rreq,
     Rrep,
@@ -388,7 +388,10 @@ mod tests {
             assert_eq!(p.size_bits(), p.size_bytes() as u64 * 8);
         }
         // All 10 kinds distinct.
-        // rica-lint: allow(hash-iter, "order-free distinctness count: only len() is observed, the set is never iterated")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "order-free distinctness count: only len() is observed, the set is never iterated"
+        )]
         let kinds: std::collections::HashSet<_> = pkts.iter().map(|p| p.kind()).collect();
         assert_eq!(kinds.len(), 10);
     }

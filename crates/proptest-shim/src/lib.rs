@@ -182,7 +182,7 @@ macro_rules! tuple_strategy {
     ($($s:ident),+) => {
         impl<$($s: Strategy),+> Strategy for ($($s,)+) {
             type Value = ($($s::Value,)+);
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "the tuple bindings reuse the type parameter names")]
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 let ($($s,)+) = self;
                 ($($s.generate(rng),)+)

@@ -253,28 +253,28 @@ impl Div<u64> for SimDuration {
 
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // rica-lint: allow(float-fmt, "pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos")
+        // float-fmt: pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos
         write!(f, "t={:.6}s", self.as_secs_f64())
     }
 }
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // rica-lint: allow(float-fmt, "pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos")
+        // float-fmt: pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos
         write!(f, "{:.6}s", self.as_secs_f64())
     }
 }
 
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // rica-lint: allow(float-fmt, "pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos")
+        // float-fmt: pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos
         write!(f, "{:.6}s", self.as_secs_f64())
     }
 }
 
 impl fmt::Display for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // rica-lint: allow(float-fmt, "pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos")
+        // float-fmt: pinned human-readable rendering at µs precision; golden Debug hashes depend on these exact bytes, and artifacts carry integer nanos
         write!(f, "{:.6}s", self.as_secs_f64())
     }
 }

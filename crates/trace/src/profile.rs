@@ -1,6 +1,9 @@
 //! Per-event-kind wall-clock profiling of the dispatch loop.
 
-// rica-lint: allow(wall-clock, "this module IS the profiling boundary: wall-clock readings stay behind the profiling opt-in and never reach golden output")
+#[expect(
+    clippy::disallowed_types,
+    reason = "this module IS the profiling boundary: wall-clock readings stay behind the profiling opt-in and never reach golden output"
+)]
 use std::time::Instant;
 
 use rica_metrics::{EventKindStats, EventProfile};
@@ -26,15 +29,20 @@ impl EventProfiler {
 
     /// Stamps the start of one dispatch.
     #[inline]
-    // rica-lint: allow(wall-clock, "diagnostics-only: dispatch timing behind the profiling opt-in")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "diagnostics-only: dispatch timing behind the profiling opt-in"
+    )]
     pub fn start(&self) -> Instant {
-        // rica-lint: allow(wall-clock, "diagnostics-only: dispatch timing behind the profiling opt-in")
         Instant::now()
     }
 
     /// Records the dispatch of kind `kind` started at `t0`.
     #[inline]
-    // rica-lint: allow(wall-clock, "diagnostics-only: dispatch timing behind the profiling opt-in")
+    #[expect(
+        clippy::disallowed_types,
+        reason = "diagnostics-only: dispatch timing behind the profiling opt-in"
+    )]
     pub fn stop(&mut self, kind: usize, t0: Instant) {
         let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.kinds[kind].record(ns);

@@ -77,7 +77,6 @@ impl TimeseriesRecorder {
 
     /// Records one sample; the per-flow columns snapshot the recorder's
     /// own cumulative counters.
-    #[allow(clippy::too_many_arguments)]
     pub fn push_row(
         &mut self,
         t_ns: u64,
