@@ -42,7 +42,9 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 use rica_exec::{sweep_json, ExecOptions, Progress, SweepPlan};
-use rica_fleet::{adaptive_json, hash_hex, merge_fleet, run_adaptive, AdaptiveConfig};
+use rica_fleet::{
+    adaptive_json, hash_hex, load_manifest, merge_manifest, run_adaptive, AdaptiveConfig,
+};
 use rica_harness::{sweep::run_job, ProtocolKind, Scenario};
 use rica_sim::SimDuration;
 
@@ -239,18 +241,18 @@ fn main() {
         }
         "merge" => {
             let dir = a.dir.clone().unwrap_or_else(|| die("merge needs --dir"));
-            let result = merge_fleet(&plan, label, &dir).unwrap_or_else(|e| die(&e));
+            let manifest = match load_manifest(&dir) {
+                Ok(Some(m)) => m,
+                Ok(None) => die(&format!("{}: fleet directory has no manifest", dir.display())),
+                Err(e) => die(&e),
+            };
+            let result = merge_manifest(&plan, label, &manifest, &dir).unwrap_or_else(|e| die(&e));
             let meta: Vec<(&str, String)> = if a.legacy {
                 Vec::new()
             } else {
-                let shards = match rica_fleet::load_manifest(&dir) {
-                    Ok(Some(m)) => m.shards.len(),
-                    Ok(None) => fail(&format!("{}: the manifest is gone", dir.display())),
-                    Err(e) => fail(&e),
-                };
                 vec![
                     ("plan_hash", hash_hex(plan.content_hash(label))),
-                    ("fleet_shards", shards.to_string()),
+                    ("fleet_shards", manifest.shards.len().to_string()),
                 ]
             };
             let doc = sweep_json(&result, label, &meta);

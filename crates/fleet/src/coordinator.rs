@@ -108,11 +108,31 @@ where
     P: Copy,
 {
     let manifest = load_manifest(dir)?.ok_or("fleet directory has no manifest")?;
+    merge_manifest(plan, label, &manifest, dir)
+}
+
+/// [`merge_fleet`] under a manifest the caller already loaded from `dir`
+/// (see [`load_manifest`]), so a caller that also reads the manifest
+/// reads it once.
+///
+/// # Errors
+///
+/// Fails if the manifest is foreign, or any shard stream is missing,
+/// truncated, or inconsistent with the plan.
+pub fn merge_manifest<P>(
+    plan: &SweepPlan<P>,
+    label: impl Fn(&P) -> String,
+    manifest: &FleetManifest,
+    dir: &Path,
+) -> Result<SweepResult<P>, String>
+where
+    P: Copy,
+{
     manifest.matches_plan(plan, label)?;
     let mut summaries: Vec<TrialSummary> = Vec::with_capacity(manifest.jobs);
     for shard in 0..manifest.shards.len() {
         let records =
-            read_shard(&manifest, shard, dir).map_err(|e| format!("shard {shard}: {e}"))?;
+            read_shard(manifest, shard, dir).map_err(|e| format!("shard {shard}: {e}"))?;
         for rec in records {
             let job = plan.job_at(rec.job);
             if rec.cell != job.cell || rec.trial != job.trial || rec.seed != job.seed {

@@ -42,7 +42,8 @@ pub use adaptive::{
     adaptive_json, run_adaptive, AdaptiveCell, AdaptiveConfig, AdaptiveReport, CI_Z,
 };
 pub use coordinator::{
-    ensure_manifest, load_manifest, merge_fleet, run_fleet, FleetReport, MANIFEST_FILE,
+    ensure_manifest, load_manifest, merge_fleet, merge_manifest, run_fleet, FleetReport,
+    MANIFEST_FILE,
 };
 pub use manifest::{hash_hex, parse_hash_hex, FleetManifest, ShardSpec, MANIFEST_SCHEMA};
 pub use shard::{read_shard, SHARD_SCHEMA};

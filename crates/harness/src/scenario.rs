@@ -418,7 +418,10 @@ mod tests {
     fn bad_workload_rejected() {
         use rica_traffic::{ArrivalSpec, SizeSpec};
         Scenario::builder()
-            .workload(WorkloadSpec { arrival: ArrivalSpec::Mixed(vec![]), size: SizeSpec::Fixed })
+            .workload(WorkloadSpec {
+                arrival: ArrivalSpec::Poisson,
+                size: SizeSpec::Uniform { lo: 0, hi: 0 },
+            })
             .build();
     }
 

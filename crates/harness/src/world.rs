@@ -15,7 +15,7 @@ use rica_net::{
     ProtocolConfig, RoutePhase, RoutingProtocol, RxInfo, Timer, TimerToken, TopologySnapshot,
     DATA_ACK_BYTES, DATA_RETRY_LIMIT, LINK_QUEUE_CAP, MAX_QUEUE_RESIDENCY,
 };
-use rica_sim::{EventToken, Rng, SimDuration, SimTime, Simulator};
+use rica_sim::{Rng, SimDuration, SimTime, Simulator};
 use rica_trace::{EventProfiler, TimeseriesRecorder, TraceEvent, TraceSink};
 use rica_traffic::FlowTraffic;
 
@@ -174,7 +174,15 @@ pub struct World<'s> {
     flow_seq: Vec<u64>,
     /// One workload generator per flow (owns the flow's RNG stream).
     traffic: Vec<FlowTraffic>,
-    timers: TimerSlab,
+    /// Each node's live protocol-timer tokens, ascending: tokens come
+    /// from one counter, `next_timer`. A cancelled timer, or one a crash
+    /// voided, leaves its node's list but stays queued; `step_until`
+    /// drops it when it surfaces.
+    timers: Vec<Vec<u64>>,
+    next_timer: u64,
+    /// Queued `ProtoTimer` events whose token is no longer live. Every
+    /// report of pending work leaves them out.
+    stale_timers: usize,
     /// Crashed terminals (failure injection).
     dead: Vec<bool>,
     /// The scenario's fault plan resolved against this trial: concrete
@@ -261,76 +269,6 @@ impl TraceState {
 struct TimeseriesState {
     interval: SimDuration,
     rec: TimeseriesRecorder,
-}
-
-/// Pending protocol-timer registrations: a generation-tagged slab.
-///
-/// The packed token is `generation << 32 | slot`; a slot's generation bumps
-/// on removal, so a [`TimerToken`] held after its timer fired (or was
-/// cancelled) can never alias a newer registration — reproducing the
-/// "cancel after fire is a no-op" semantics of the `BTreeMap` this
-/// replaces, with O(1) re-usable slots and zero steady-state allocation.
-#[derive(Debug, Default)]
-struct TimerSlab {
-    /// `(generation, bound event, owner node)` per slot. The owner tag
-    /// exists solely for crash-time cancellation sweeps.
-    slots: Vec<(u32, Option<EventToken>, u32)>,
-    free: Vec<u32>,
-}
-
-impl TimerSlab {
-    /// Claims a slot and returns its packed token; bind the scheduled
-    /// event with [`TimerSlab::bind`].
-    fn reserve(&mut self) -> u64 {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push((0, None, 0));
-            (self.slots.len() - 1) as u32
-        });
-        let gen = self.slots[slot as usize].0;
-        ((gen as u64) << 32) | slot as u64
-    }
-
-    fn bind(&mut self, token: u64, ev: EventToken, owner: u32) {
-        let slot = (token & u64::from(u32::MAX)) as usize;
-        debug_assert_eq!(self.slots[slot].0, (token >> 32) as u32, "bind of stale token");
-        self.slots[slot].1 = Some(ev);
-        self.slots[slot].2 = owner;
-    }
-
-    /// Frees the token's slot, returning its event if the token was live.
-    /// Stale tokens (fired, cancelled, or never issued) return `None`.
-    fn remove(&mut self, token: u64) -> Option<EventToken> {
-        let slot = (token & u64::from(u32::MAX)) as usize;
-        let gen = (token >> 32) as u32;
-        match self.slots.get_mut(slot) {
-            Some(s) if s.0 == gen && s.1.is_some() => {
-                let ev = s.1.take();
-                s.0 = s.0.wrapping_add(1);
-                self.free.push(slot as u32);
-                ev
-            }
-            _ => None,
-        }
-    }
-
-    /// Frees every live slot owned by `owner` (a crashed node), invoking
-    /// `cancel` with each bound event, and returns how many were swept.
-    /// Slot-index order keeps the sweep deterministic.
-    fn cancel_owned(&mut self, owner: u32, mut cancel: impl FnMut(EventToken)) -> usize {
-        let mut swept = 0;
-        for slot in 0..self.slots.len() {
-            let s = &mut self.slots[slot];
-            if s.2 == owner {
-                if let Some(ev) = s.1.take() {
-                    s.0 = s.0.wrapping_add(1);
-                    self.free.push(slot as u32);
-                    cancel(ev);
-                    swept += 1;
-                }
-            }
-        }
-        swept
-    }
 }
 
 impl<'s> std::fmt::Debug for World<'s> {
@@ -444,7 +382,9 @@ impl<'s> World<'s> {
             flow_seq: vec![0; flows.len()],
             flows,
             traffic,
-            timers: TimerSlab::default(),
+            timers: vec![Vec::new(); scenario.nodes],
+            next_timer: 0,
+            stale_timers: 0,
             dead: vec![false; scenario.nodes],
             partition_active: vec![false; faults.partitions.len()],
             partition_sig: vec![0; scenario.nodes],
@@ -524,7 +464,7 @@ impl<'s> World<'s> {
     /// and the event profile when profiling is on.
     pub fn diagnostics(&self) -> WorldDiagnostics {
         WorldDiagnostics {
-            pending_events: self.sim.pending(),
+            pending_events: self.pending_events(),
             popped_events: self.sim.popped(),
             calendar_retunes: 0,
             channel_active_pairs: self.channel.active_pairs(),
@@ -533,6 +473,12 @@ impl<'s> World<'s> {
             medium_txs: self.medium.txs_begun(),
             event_profile: self.profiler.as_ref().map(|p| p.finish()),
         }
+    }
+
+    /// Events still queued that will be handled: the stored events minus
+    /// the stale protocol timers `step_until` will drop.
+    fn pending_events(&self) -> usize {
+        self.sim.pending() - self.stale_timers
     }
 
     /// Records one trace event, building it lazily: with tracing disabled
@@ -692,6 +638,11 @@ impl<'s> World<'s> {
 
     /// Processes events up to (and including) instant `until`, capped at
     /// the scenario end. Returns the number of events handled.
+    ///
+    /// A protocol timer whose token is no longer live (cancelled, or
+    /// voided by a crash) is dropped as it surfaces, before it is counted,
+    /// profiled or traced; MAC and data events of a previous life retire
+    /// the same way through their incarnation tags.
     pub fn step_until(&mut self, until: SimTime) -> u64 {
         let until = until.min(self.end);
         let mut events = 0u64;
@@ -700,6 +651,12 @@ impl<'s> World<'s> {
         // profiled world reads the clock.
         while events < self.max_events {
             let Some((_, ev)) = self.sim.step_at_or_before(until) else { break };
+            if let Event::ProtoTimer { node, token, .. } = ev {
+                if !self.forget_timer(node, token) {
+                    self.stale_timers -= 1;
+                    continue;
+                }
+            }
             events += 1;
             let Some(profiler) = &self.profiler else {
                 self.handle(ev);
@@ -778,8 +735,8 @@ impl<'s> World<'s> {
             Event::MacAttempt { node, inc } => self.on_mac_attempt(node, inc),
             Event::MacTxEnd { node, tx, inc } => self.on_mac_tx_end(node, tx, inc),
             Event::DataTxEnd { from, to, inc } => self.on_data_tx_end(from, to, inc),
-            Event::ProtoTimer { node, timer, token } => {
-                self.timers.remove(token);
+            // `step_until` retired the token: only a live timer gets here.
+            Event::ProtoTimer { node, timer, .. } => {
                 self.trace(|t| TraceEvent::TimerFired {
                     t,
                     node: NodeId(node as u32),
@@ -797,7 +754,7 @@ impl<'s> World<'s> {
 
     /// Failure injection: the radio goes silent. Queued control traffic
     /// dies with the node (counted, not silently discarded), its pending
-    /// protocol timers are cancelled — a later cold reboot must never
+    /// protocol timers are voided — a later cold reboot must never
     /// receive timers armed by the previous life — and data links are
     /// torn down with every held packet (queued or mid-transmission)
     /// accounted as a [`DropReason::NodeCrashed`] loss. Upstream
@@ -817,10 +774,11 @@ impl<'s> World<'s> {
         st.ctrl_queue.clear();
         st.mac_scheduled = false;
         st.mac_attempts = 0;
-        let sim = &mut self.sim;
-        let cancelled_timers = self.timers.cancel_owned(node as u32, |ev| {
-            sim.cancel(ev);
-        });
+        // Forgetting the tokens voids the timers; they stay queued until
+        // they surface in `step_until`.
+        let cancelled_timers = self.timers[node].len();
+        self.timers[node].clear();
+        self.stale_timers += cancelled_timers;
         let links = std::mem::take(&mut self.nodes[node].links);
         let mut dropped_data = 0usize;
         for (_, mut link) in links {
@@ -911,7 +869,7 @@ impl<'s> World<'s> {
     /// Reads one [`rica_trace::SampleRow`]'s worth of state into the
     /// recorder.
     fn record_sample(&mut self) {
-        let pending = self.sim.pending();
+        let pending = self.pending_events();
         let popped = self.sim.popped();
         let mut ctrl_queued = 0usize;
         let mut data_queued = 0usize;
@@ -1321,16 +1279,26 @@ impl<'s> World<'s> {
     // ------------------------------------------------------------ timers
 
     fn set_timer(&mut self, node: usize, delay: SimDuration, timer: Timer) -> TimerToken {
-        let token = self.timers.reserve();
-        let ev = self.sim.schedule_in(delay, Event::ProtoTimer { node, timer, token });
-        self.timers.bind(token, ev, node as u32);
+        let token = self.next_timer;
+        self.next_timer += 1;
+        self.timers[node].push(token);
+        self.sim.schedule_in(delay, Event::ProtoTimer { node, timer, token });
         TimerToken(token)
     }
 
-    fn cancel_timer(&mut self, token: TimerToken) {
-        if let Some(ev) = self.timers.remove(token.0) {
-            self.sim.cancel(ev);
+    /// Cancelling a fired or already cancelled timer is a no-op.
+    fn cancel_timer(&mut self, node: usize, token: TimerToken) {
+        if self.forget_timer(node, token.0) {
+            self.stale_timers += 1;
         }
+    }
+
+    /// Removes `token` from `node`'s live timers; false if it was not live.
+    fn forget_timer(&mut self, node: usize, token: u64) -> bool {
+        let live = &mut self.timers[node];
+        let Ok(i) = live.binary_search(&token) else { return false };
+        live.remove(i);
+        true
     }
 
     // ---------------------------------------------------------- dispatch
@@ -1426,7 +1394,7 @@ impl NodeCtx for Ctx<'_, '_> {
     }
 
     fn cancel_timer(&mut self, token: TimerToken) {
-        self.world.cancel_timer(token);
+        self.world.cancel_timer(self.node, token);
     }
 
     fn link_class_to(&mut self, neighbor: NodeId) -> Option<ChannelClass> {

@@ -15,9 +15,10 @@
 //!   `log10`), whose rounding differs between hosts: what holds is that the
 //!   same binary on the same libm reproduces every trial bit for bit, at
 //!   any worker count.
-//! * [`EventQueue`] / [`Simulator`] — a cancellable priority queue of events
-//!   with FIFO tie-breaking at equal timestamps, and a thin clock-advancing
-//!   wrapper around it.
+//! * [`EventQueue`] / [`Simulator`] — a priority queue of events with FIFO
+//!   tie-breaking at equal timestamps, and a thin clock-advancing wrapper
+//!   around it. The queue only orders: an event its owner no longer wants
+//!   still pops, and the owner drops it there.
 //!
 //! # Example
 //!
@@ -43,6 +44,6 @@ mod queue;
 mod rng;
 mod time;
 
-pub use queue::{EventQueue, EventToken, Simulator};
+pub use queue::{EventQueue, Simulator};
 pub use rng::Rng;
 pub use time::{usable_mean_gap, SimDuration, SimTime};

@@ -5,9 +5,9 @@
 //! studies show workload shape materially changes protocol rankings, so
 //! this crate opens that axis: a [`WorkloadSpec`] crosses an *arrival
 //! process* ([`ArrivalSpec`]: CBR, Poisson, on/off bursts with
-//! exponential or Pareto dwells, weighted mixes) with a *packet-size
-//! distribution* ([`SizeSpec`]: fixed, uniform, small-ack/large-data
-//! bimodal, truncated Pareto), and [`WorkloadSpec::build`] instantiates
+//! exponential or Pareto dwells) with a *packet-size distribution*
+//! ([`SizeSpec`]: fixed, uniform, small-ack/large-data bimodal), and
+//! [`WorkloadSpec::build`] instantiates
 //! it as a stateful per-flow [`FlowTraffic`] that owns the flow's
 //! seed-forked RNG and yields `(next gap, packet size)` pairs.
 //!

@@ -62,10 +62,6 @@ enum ArrivalState {
 impl FlowTraffic {
     /// Instantiates `spec` for one flow of mean rate `rate_pps` whose
     /// fixed-size anchor is `packet_bytes`, owning `rng`.
-    ///
-    /// A [`ArrivalSpec::Mixed`] spec resolves to one concrete component
-    /// here, drawn by weight from `rng` — the first draw(s) of the flow's
-    /// stream.
     pub fn new(spec: &WorkloadSpec, rate_pps: f64, packet_bytes: u32, mut rng: Rng) -> FlowTraffic {
         let arrival = ArrivalState::new(&spec.arrival, rate_pps, &mut rng);
         FlowTraffic { rng, arrival, size: spec.size, fixed_bytes: packet_bytes }
@@ -111,19 +107,6 @@ impl ArrivalState {
                     dwell: *dwell,
                     on_remaining_secs,
                 }
-            }
-            ArrivalSpec::Mixed(parts) => {
-                let total: f64 = parts.iter().map(|(w, _)| w).sum();
-                let mut x = rng.f64() * total;
-                let mut chosen = &parts[parts.len() - 1].1;
-                for (w, part) in parts {
-                    if x < *w {
-                        chosen = part;
-                        break;
-                    }
-                    x -= w;
-                }
-                ArrivalState::new(chosen, rate_pps, rng)
             }
         }
     }
@@ -202,10 +185,6 @@ impl FlowTraffic {
                 } else {
                     large
                 }
-            }
-            SizeSpec::Pareto { shape, min, cap } => {
-                let x = min as f64 / (1.0 - self.rng.f64()).powf(1.0 / shape);
-                (x.min(cap as f64)) as u32
             }
         }
     }
@@ -358,53 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_sizes_are_truncated_with_the_analytic_mean() {
-        let (shape, min, cap) = (1.5, 64u32, 1500u32);
-        let mut m = model(size(SizeSpec::Pareto { shape, min, cap }), 10.0, 512, 17);
-        let n = 200_000;
-        let mut sum = 0u64;
-        for _ in 0..n {
-            let b = m.packet_bytes();
-            assert!((min..=cap).contains(&b), "size {b} outside [{min}, {cap}]");
-            sum += b as u64;
-        }
-        // E[min(X, c)] = xm·α/(α−1) − xm^α·c^(1−α)/(α−1) for Pareto(α, xm);
-        // allow an extra byte of slack for the f64→u32 floor.
-        let (a, xm, c) = (shape, min as f64, cap as f64);
-        let want = xm * a / (a - 1.0) - xm.powf(a) * c.powf(1.0 - a) / (a - 1.0);
-        let mean = sum as f64 / n as f64;
-        assert!((mean - want).abs() < want * 0.02 + 1.0, "mean {mean} vs analytic {want}");
-    }
-
-    #[test]
-    fn mixed_assigns_components_by_weight() {
-        // A degenerate mix behaves exactly like its only live component…
-        let all_cbr =
-            arrival(ArrivalSpec::Mixed(vec![(1.0, ArrivalSpec::Cbr), (0.0, ArrivalSpec::Poisson)]));
-        let mut m = model(all_cbr, 10.0, 512, 19);
-        let _phase = m.next_gap();
-        for _ in 0..50 {
-            assert!((m.next_gap().as_secs_f64() - 0.1).abs() < 1e-12, "not CBR");
-        }
-        // …and a 30/70 mix assigns ~30% of flows the CBR component. A
-        // flow is CBR-like iff its post-phase gaps are constant.
-        let spec =
-            arrival(ArrivalSpec::Mixed(vec![(0.3, ArrivalSpec::Cbr), (0.7, ArrivalSpec::Poisson)]));
-        let parent = Rng::new(23);
-        let flows = 10_000;
-        let cbr_like = (0..flows)
-            .filter(|i| {
-                let mut m = FlowTraffic::new(&spec, 10.0, 512, parent.fork(*i as u64));
-                let _phase = m.next_gap();
-                let g = m.next_gap();
-                g == m.next_gap()
-            })
-            .count();
-        let frac = cbr_like as f64 / flows as f64;
-        assert!((frac - 0.3).abs() < 0.02, "CBR fraction {frac}");
-    }
-
-    #[test]
     fn streams_are_deterministic_and_fork_independent() {
         let spec = WorkloadSpec {
             arrival: ArrivalSpec::OnOffBurst {
@@ -412,7 +344,7 @@ mod tests {
                 off_mean_secs: 1.5,
                 dwell: Dwell::Pareto { shape: 1.5 },
             },
-            size: SizeSpec::Pareto { shape: 1.5, min: 64, cap: 1500 },
+            size: SizeSpec::Uniform { lo: 64, hi: 1500 },
         };
         let draw = |seed: u64| -> Vec<(SimDuration, u32)> {
             let mut m = spec.build(10.0, 512, Rng::new(seed));

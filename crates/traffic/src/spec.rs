@@ -51,12 +51,6 @@ pub enum ArrivalSpec {
         /// Dwell-time distribution for both phases.
         dwell: Dwell,
     },
-    /// A weighted composite: each *flow* is assigned one component,
-    /// drawn by weight from the flow's own seed-forked stream at model
-    /// construction. This models heterogeneous traffic mixes (some flows
-    /// bursty, some smooth) while each flow stays a single well-defined
-    /// process.
-    Mixed(Vec<(f64, ArrivalSpec)>),
 }
 
 /// The packet-size distribution of a flow.
@@ -80,16 +74,6 @@ pub enum SizeSpec {
         large: u32,
         /// Probability of a small packet, in `[0, 1]`.
         p_small: f64,
-    },
-    /// Truncated Pareto payloads: `min / U^(1/shape)` clamped to
-    /// `[min, cap]` (heavy-tailed sizes with a hard MTU-style ceiling).
-    Pareto {
-        /// Tail index; must be finite and `> 1`.
-        shape: f64,
-        /// Smallest payload; must be `>= 1`.
-        min: u32,
-        /// Truncation ceiling; must be `>= min`.
-        cap: u32,
     },
 }
 
@@ -166,17 +150,6 @@ fn arrival_label(out: &mut String, a: &ArrivalSpec) {
             };
             let _ = write!(out, "onoff({d},{on_mean_secs}/{off_mean_secs}s)");
         }
-        ArrivalSpec::Mixed(parts) => {
-            out.push_str("mix(");
-            for (i, (w, part)) in parts.iter().enumerate() {
-                if i > 0 {
-                    out.push('|');
-                }
-                let _ = write!(out, "{w}*");
-                arrival_label(out, part);
-            }
-            out.push(')');
-        }
     }
 }
 
@@ -188,9 +161,6 @@ fn size_label(out: &mut String, s: &SizeSpec) {
         }
         SizeSpec::Bimodal { small, large, p_small } => {
             let _ = write!(out, "bimodal({small}/{large},p={p_small})");
-        }
-        SizeSpec::Pareto { shape, min, cap } => {
-            let _ = write!(out, "pareto({shape},{min}..{cap})");
         }
     }
 }
@@ -219,26 +189,6 @@ fn validate_arrival(a: &ArrivalSpec) -> Result<(), String> {
             }
             validate_dwell(dwell)
         }
-        ArrivalSpec::Mixed(parts) => {
-            if parts.is_empty() {
-                return Err("a Mixed arrival needs at least one component".into());
-            }
-            let mut total = 0.0;
-            for (w, part) in parts {
-                if !(w.is_finite() && *w >= 0.0) {
-                    return Err(format!("mix weight must be finite and >= 0, got {w}"));
-                }
-                total += w;
-                if matches!(part, ArrivalSpec::Mixed(_)) {
-                    return Err("Mixed arrivals do not nest".into());
-                }
-                validate_arrival(part)?;
-            }
-            if total <= 0.0 {
-                return Err("mix weights must sum to a positive total".into());
-            }
-            Ok(())
-        }
     }
 }
 
@@ -258,15 +208,6 @@ fn validate_size(s: &SizeSpec) -> Result<(), String> {
             }
             if !(p_small.is_finite() && (0.0..=1.0).contains(p_small)) {
                 return Err(format!("bimodal p_small must be in [0, 1], got {p_small}"));
-            }
-            Ok(())
-        }
-        SizeSpec::Pareto { shape, min, cap } => {
-            if !(shape.is_finite() && *shape > 1.0) {
-                return Err(format!("Pareto size shape must be finite and > 1, got {shape}"));
-            }
-            if *min < 1 || cap < min {
-                return Err(format!("Pareto size needs 1 <= min <= cap, got {min}..{cap}"));
             }
             Ok(())
         }
@@ -307,11 +248,11 @@ mod tests {
             size: SizeSpec::Bimodal { small: 40, large: 1460, p_small: 0.3 },
         };
         assert_eq!(spec.label(), "onoff(pareto1.5,0.5/1.5s)+bimodal(40/1460,p=0.3)");
-        let mix = WorkloadSpec {
-            arrival: ArrivalSpec::Mixed(vec![(0.7, ArrivalSpec::Poisson), (0.3, ArrivalSpec::Cbr)]),
-            size: SizeSpec::Pareto { shape: 1.5, min: 64, cap: 1500 },
+        let cbr = WorkloadSpec {
+            arrival: ArrivalSpec::Cbr,
+            size: SizeSpec::Uniform { lo: 64, hi: 1500 },
         };
-        assert_eq!(mix.label(), "mix(0.7*poisson|0.3*cbr)+pareto(1.5,64..1500)");
+        assert_eq!(cbr.label(), "cbr+uniform(64..1500)");
     }
 
     #[test]
@@ -333,11 +274,6 @@ mod tests {
                 },
                 size: SizeSpec::Fixed,
             },
-            WorkloadSpec { arrival: ArrivalSpec::Mixed(vec![]), size: SizeSpec::Fixed },
-            WorkloadSpec {
-                arrival: ArrivalSpec::Mixed(vec![(0.0, ArrivalSpec::Cbr)]),
-                size: SizeSpec::Fixed,
-            },
             WorkloadSpec {
                 arrival: ArrivalSpec::Poisson,
                 size: SizeSpec::Uniform { lo: 100, hi: 50 },
@@ -346,25 +282,9 @@ mod tests {
                 arrival: ArrivalSpec::Poisson,
                 size: SizeSpec::Bimodal { small: 40, large: 1460, p_small: 1.5 },
             },
-            WorkloadSpec {
-                arrival: ArrivalSpec::Poisson,
-                size: SizeSpec::Pareto { shape: 0.9, min: 64, cap: 1500 },
-            },
         ];
         for spec in bad {
             assert!(spec.validate().is_err(), "{spec:?} should not validate");
         }
-    }
-
-    #[test]
-    fn mixed_does_not_nest() {
-        let nested = WorkloadSpec {
-            arrival: ArrivalSpec::Mixed(vec![(
-                1.0,
-                ArrivalSpec::Mixed(vec![(1.0, ArrivalSpec::Cbr)]),
-            )]),
-            size: SizeSpec::Fixed,
-        };
-        assert!(nested.validate().is_err());
     }
 }

@@ -1,12 +1,14 @@
-//! Packet conservation and metric sanity across random scenarios
-//! (property-style, over seeds, parameters, node counts, workloads,
-//! channel tiers and fault plans).
+//! Packet conservation, metric sanity and the silence of crashed nodes
+//! across random scenarios (property-style, over seeds, parameters, node
+//! counts, workloads, channel tiers and fault plans).
 
 use proptest::prelude::*;
 use rica_repro::channel::{ChannelConfig, ChannelFidelity};
 use rica_repro::faults::{FaultPlan, NodeGroup};
-use rica_repro::harness::{ProtocolKind, Scenario};
-use rica_repro::net::DATA_HEADER_BYTES;
+use rica_repro::harness::{ProtocolKind, Scenario, World};
+use rica_repro::net::{NodeId, DATA_HEADER_BYTES};
+use rica_repro::sim::SimTime;
+use rica_repro::trace::{RingSink, TraceEvent};
 use rica_repro::traffic::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};
 
 /// The fault plans a case draws from, for its `nodes` and 10 s.
@@ -36,6 +38,63 @@ fn workload(pick: usize) -> WorkloadSpec {
     }
 }
 
+/// The nodes a trace event names as sender, actor or receiver: the
+/// nodes whose radio or protocol state the event shows at work. Fault
+/// and channel-census events name none.
+fn actors(ev: &TraceEvent) -> [Option<NodeId>; 2] {
+    use TraceEvent::*;
+    match *ev {
+        TimerFired { node, .. }
+        | CtrlTx { node, .. }
+        | MacBusy { node, .. }
+        | MacAbandon { node, .. }
+        | CtrlQueueDrop { node, .. }
+        | DataDelivered { node, .. }
+        | DataDropped { node, .. }
+        | CtrlUnicastGaveUp { node, .. }
+        | RoutePhase { node, .. } => [Some(node), None],
+        MacCollision { tx, rx, .. } => [Some(tx), Some(rx)],
+        DataGenerated { src, .. } => [Some(src), None],
+        DataEnqueued { from, .. }
+        | DataTxStart { from, .. }
+        | DataRetry { from, .. }
+        | LinkBreak { from, .. } => [Some(from), None],
+        DataHop { from, to, .. } => [Some(from), Some(to)],
+        ClassTransition { .. }
+        | NodeCrashed { .. }
+        | NodeRebooted { .. }
+        | PartitionStart { .. }
+        | PartitionHealed { .. } => [None, None],
+    }
+}
+
+/// Asserts that no event names a node between its `NodeCrashed` and its
+/// next `NodeRebooted`: a dead node neither sends, receives, generates
+/// nor fires a timer. Returns the number of crashes.
+fn assert_dead_nodes_are_silent<'a>(
+    kind: ProtocolKind,
+    nodes: usize,
+    events: impl Iterator<Item = &'a TraceEvent>,
+) -> usize {
+    let mut dead = vec![false; nodes];
+    let mut crashes = 0;
+    for ev in events {
+        match *ev {
+            TraceEvent::NodeCrashed { node, .. } => {
+                dead[node.index()] = true;
+                crashes += 1;
+            }
+            TraceEvent::NodeRebooted { node, .. } => dead[node.index()] = false,
+            _ => {
+                for node in actors(ev).into_iter().flatten() {
+                    assert!(!dead[node.index()], "{kind}: crashed {node:?} is not silent: {ev:?}");
+                }
+            }
+        }
+    }
+    crashes
+}
+
 fn check(
     kind: ProtocolKind,
     seed: u64,
@@ -63,7 +122,19 @@ fn check(
         .channel(ChannelConfig { fidelity, ..ChannelConfig::default() })
         .faults(fault_plan(faults, nodes))
         .build();
-    let r = s.run(kind);
+    // Traced through a ring sink; tracing leaves the results unchanged.
+    let mut world = World::new(&s, kind, s.seed);
+    world.enable_trace(Box::new(RingSink::unbounded()));
+    world.start();
+    world.step_until(SimTime::MAX);
+    let mut sink = world.take_trace_sink().expect("sink installed");
+    let ring = sink.downcast_mut::<RingSink>().expect("ring sink");
+    assert_eq!(ring.seen() as usize, ring.events().count(), "unbounded ring must keep all");
+    let crashes = assert_dead_nodes_are_silent(kind, nodes, ring.events());
+    if faults == 1 {
+        assert!(crashes > 0, "{kind}: a churned trial crashed no node");
+    }
+    let r = world.finish();
     assert!(r.delivered + r.dropped() <= r.generated, "{kind}: over-accounted");
     assert!(r.delivery_ratio() <= 1.0 && r.delivery_ratio() >= 0.0);
     assert!(r.delay_mean_ms >= 0.0 && r.delay_mean_ms.is_finite());

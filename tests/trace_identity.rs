@@ -95,8 +95,9 @@ fn profiling_only_adds_diagnostics() {
     let profiled = world.finish();
     let diag = profiled.diagnostics.as_ref().expect("profiled run carries diagnostics");
     let profile = diag.event_profile.as_ref().expect("profiling rows present");
-    // Cancelled events are popped (and discarded) by the queue without
-    // ever reaching the dispatch loop, so profiled ≤ popped.
+    // Stale protocol timers (cancelled, or voided by a crash) are popped
+    // and dropped by `step_until` before it profiles them, so profiled ≤
+    // popped.
     assert!(profile.total_count() > 0);
     assert!(
         profile.total_count() <= diag.popped_events,

@@ -5,7 +5,7 @@
 #                                   append a snapshot
 #   tools/bench.sh compare [--max-regress <pct>] [--markdown]
 #                                   print first-vs-last snapshot speedups;
-#                                   with --max-regress, exit 2 if the last
+#                                   with --max-regress, exit 3 if the last
 #                                   snapshot regressed more than <pct>% on
 #                                   any entry vs the previous one; with
 #                                   --markdown, emit the table as GitHub
@@ -23,6 +23,9 @@
 #
 # The artifacts live at the repo root; snapshots are labeled and append-only,
 # so the perf trajectory across PRs stays reviewable in git history.
+#
+# hotloop exits 2 on a malformed command line (nothing runs), 1 on a
+# snapshot file it cannot read, parse or write, and 3 on a regression.
 #
 # Workloads covered (see crates/bench/src/bin/hotloop.rs): the paper-grid
 # trials per protocol, the 200-node scale trial on both channel tiers
