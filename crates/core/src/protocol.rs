@@ -467,14 +467,6 @@ impl Rica {
 }
 
 impl RoutingProtocol for Rica {
-    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
-        // Cold restart: routing tables, pending discoveries and CSI
-        // bookkeeping died with the node; receivers re-initiate routes
-        // on the next data arrival.
-        *self = Rica::new();
-        self.on_start(ctx);
-    }
-
     fn on_control(&mut self, ctx: &mut dyn NodeCtx, pkt: &ControlPacket, rx: RxInfo) {
         match *pkt {
             ControlPacket::Rreq { src, dst, bcast_id, csi_hops, topo_hops } => {

@@ -68,7 +68,7 @@ mod progress;
 pub use axis::Axis;
 pub use json::sweep_json;
 pub use plan::{fnv1a, SweepCell, SweepPlan, SweepResult, TrialJob};
-pub use pool::{effective_workers, run_jobs, ExecOptions};
+pub use pool::{effective_workers, ExecOptions};
 pub use progress::Progress;
 
 /// Shared CLI vocabulary for execution entry points: `--workers N` and

@@ -494,6 +494,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one trial")]
+    fn zero_trials_panics() {
+        SweepPlan::new(vec![1u8], vec![0.0], vec![5], 0, 0);
+    }
+
+    #[test]
     fn job_at_matches_materialised_grid() {
         use rica_traffic::{ArrivalSpec, SizeSpec, WorkloadSpec};
         let plan = SweepPlan::new(vec![1u8, 2, 3], vec![0.0, 36.0], vec![10, 50], 3, 100)

@@ -3,7 +3,6 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
 
@@ -49,32 +48,6 @@ pub fn effective_workers(configured: usize, total: usize) -> usize {
     } else {
         configured.min(total).max(1)
     }
-}
-
-/// Runs every job in one cost group on the shared dispatcher and returns
-/// the results **in job order** regardless of completion order.
-///
-/// # Panics
-///
-/// Propagates a panic from any job, and panics if `opts.workers == 0`.
-pub fn run_jobs<J, T, F>(jobs: &[J], opts: &ExecOptions, run: &F) -> Vec<T>
-where
-    J: Sync,
-    T: Send,
-    F: Fn(&J) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(jobs.len());
-    let Ok(()) = dispatch(
-        jobs.len(),
-        |_| 0,
-        opts,
-        &|i| run(&jobs[i]),
-        |_, result| {
-            out.push(result);
-            Ok::<(), Infallible>(())
-        },
-    );
-    out
 }
 
 /// Runs jobs `0..total` over `opts.workers` threads and hands
@@ -332,12 +305,33 @@ impl Schedule {
 mod tests {
     use super::*;
 
+    /// Runs jobs `0..total` in one cost group and collects what `commit`
+    /// receives, checking it arrives in job order.
+    fn run_all<T: Send>(
+        total: usize,
+        opts: &ExecOptions,
+        run: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(total);
+        let Ok(()) = dispatch(
+            total,
+            |_| 0,
+            opts,
+            &run,
+            |i, result| {
+                assert_eq!(i, out.len(), "results commit in job order");
+                out.push(result);
+                Ok::<(), std::convert::Infallible>(())
+            },
+        );
+        out
+    }
+
     #[test]
     fn results_are_in_job_order_for_any_worker_count() {
-        let jobs: Vec<u64> = (0..97).collect();
-        let expected: Vec<u64> = jobs.iter().map(|j| j * j).collect();
+        let expected: Vec<usize> = (0..97).map(|j| j * j).collect();
         for workers in [1, 2, 3, 8, 97, 200] {
-            let got = run_jobs(&jobs, &ExecOptions::with_workers(workers), &|&j: &u64| {
+            let got = run_all(97, &ExecOptions::with_workers(workers), |j| {
                 // Reverse-size workload so completion order ≠ job order.
                 if j < 10 {
                     std::thread::sleep(std::time::Duration::from_millis(1));
@@ -350,21 +344,21 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        let got: Vec<u64> = run_jobs(&[], &ExecOptions::with_workers(4), &|_: &u64| 0);
+        let got = run_all(0, &ExecOptions::with_workers(4), |j| j);
         assert!(got.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_panics() {
-        let _ = run_jobs(&[1u64], &ExecOptions { workers: 0, progress: Progress::Silent }, &|&j| j);
+        run_all(1, &ExecOptions { workers: 0, progress: Progress::Silent }, |j| j);
     }
 
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            run_jobs(&[1u64, 2, 3], &ExecOptions::with_workers(2), &|&j: &u64| {
-                if j == 2 {
+            run_all(3, &ExecOptions::with_workers(2), |j| {
+                if j == 1 {
                     panic!("boom");
                 }
                 j

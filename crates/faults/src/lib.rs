@@ -34,6 +34,10 @@ pub use rica_net::NodeId;
 /// node and traffic subsystems; 5000+ is reserved for faults.
 pub const FAULT_STREAM_BASE: u64 = 5_000;
 
+/// Partition episodes one plan may hold: the world gives each episode
+/// one bit of a `u32` partition signature.
+const MAX_PARTITIONS: usize = 32;
+
 /// One explicit crash (and optional cold reboot) of a terminal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashSpec {
@@ -195,6 +199,12 @@ impl FaultPlan {
             if !(ch.start_secs.is_finite() && ch.start_secs >= 0.0) {
                 return Err(format!("bad churn start {}", ch.start_secs));
             }
+        }
+        if self.partitions.len() > MAX_PARTITIONS {
+            return Err(format!(
+                "{} partition episodes, at most {MAX_PARTITIONS} allowed",
+                self.partitions.len()
+            ));
         }
         for p in &self.partitions {
             if !(p.start_secs.is_finite() && p.start_secs >= 0.0) {
@@ -410,5 +420,21 @@ mod tests {
             assert!(plan.validate(4).is_err(), "plan {plan:?} must be rejected");
         }
         assert!(FaultPlan::none().validate(4).is_ok());
+    }
+
+    #[test]
+    fn at_most_32_partition_episodes() {
+        // Episodes 0 and 32 would share a signature bit: with both active
+        // and splitting at 5 and at 10 nodes, nodes 2 and 7 would stay
+        // connected although episode 0 separates them.
+        let plan = |episodes: usize| {
+            (0..episodes).fold(FaultPlan::none(), |plan, e| {
+                let k = if e == 0 { 5 } else { 10 };
+                plan.with_partition(1.0, 2.0, NodeGroup::IdBelow(k))
+            })
+        };
+        assert!(plan(32).validate(12).is_ok());
+        let err = plan(33).validate(12).expect_err("a 33rd episode must be rejected");
+        assert!(err.contains("33 partition episodes") && err.contains("at most 32"), "{err}");
     }
 }

@@ -28,6 +28,7 @@
 
 use rica_exec::{ExecOptions, Progress};
 use rica_harness::experiments::{run_figures, Scale};
+use rica_harness::sweep::sweeps_json;
 
 /// Reports a malformed command line and exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -90,7 +91,7 @@ fn main() {
         ("trials", scale.trials.to_string()),
         ("nodes", scale.nodes.to_string()),
     ];
-    if let Err(e) = std::fs::write(&json_path, set.sweeps_json(&meta)) {
+    if let Err(e) = std::fs::write(&json_path, sweeps_json(&set.sweeps, &meta)) {
         eprintln!("# could not write {}: {e}", json_path.display());
         std::process::exit(1);
     }

@@ -1,10 +1,12 @@
-//! The paper's experiments: one function per experiment, one table of
-//! figures.
+//! The paper's experiments: one table of figures, each a view of the
+//! sweep it runs.
 //!
 //! Every figure of §III is regenerated here, and so is the
 //! design-parameter ablation: [`run_figures`] runs any set of figure ids
 //! ([`FIGURE_IDS`] lists the paper's; the README's "Quickstart" section
-//! shows the CLI). [`Scale`] controls fidelity: [`Scale::full`] is the
+//! shows the CLI). Every batch of trials is a [`SweepPlan`] run through
+//! [`sweep::run_plan`], and a figure renders straight from the labelled
+//! [`SweepResult`] it ran. [`Scale`] controls fidelity: [`Scale::full`] is the
 //! paper's exact environment (50 nodes, 500 s, 25 trials — minutes of
 //! wall time), [`Scale::quick`] is a reduced version and [`Scale::smoke`]
 //! the one CI runs.
@@ -14,7 +16,7 @@ use rica_metrics::{format_table, Aggregate, Align};
 use rica_net::ProtocolConfig;
 use rica_sim::SimDuration;
 
-use crate::{run_aggregate_with, sweep, ProtocolKind, Scenario};
+use crate::{sweep, ProtocolKind, Scenario};
 
 /// Experiment fidelity: how large and how often.
 #[derive(Debug, Clone)]
@@ -72,220 +74,162 @@ impl Scale {
         }
     }
 
-    fn scenario(&self, mean_speed_kmh: f64, rate_pps: f64) -> Scenario {
+    /// The template every batch of this scale runs at `rate_pps` per
+    /// flow; a plan's speeds, node counts and seeds override its own.
+    fn scenario(&self, rate_pps: f64) -> Scenario {
         Scenario::builder()
             .nodes(self.nodes)
             .flows(self.flows)
             .duration_secs(self.duration_secs)
-            .mean_speed_kmh(mean_speed_kmh)
             .rate_pps(rate_pps)
             .seed(self.seed)
             .build()
     }
 
-    /// Runs all five protocols over `speeds` at `rate_pps` per flow as one
-    /// `rica-exec` job grid, so every trial — not just the trials of one
-    /// data point — runs in parallel.
-    fn sweep(
+    /// Runs `protocols` over `speeds` on `base` as one `rica-exec` job
+    /// grid at this scale's node count, trials and seed, so every trial —
+    /// not just the trials of one data point — runs in parallel, and
+    /// every protocol runs the same seeds.
+    fn run(
         &self,
+        protocols: Vec<ProtocolKind>,
         speeds: Vec<f64>,
-        rate_pps: f64,
+        base: &Scenario,
         opts: &ExecOptions,
     ) -> SweepResult<ProtocolKind> {
-        let plan = SweepPlan::new(
-            ProtocolKind::ALL.to_vec(),
-            speeds,
-            vec![self.nodes],
-            self.trials,
-            self.seed,
-        );
-        // The plan's speeds override the template's.
-        sweep::run_plan(&plan, &self.scenario(0.0, rate_pps), opts)
+        let plan = SweepPlan::new(protocols, speeds, vec![self.nodes], self.trials, self.seed);
+        sweep::run_plan(&plan, base, opts)
     }
 }
 
-/// Result of a speed sweep: one [`Aggregate`] per (protocol, speed) —
-/// the raw material of Figures 2, 3 and 4.
-#[derive(Debug, Clone)]
-pub struct SpeedSweep {
-    /// Offered load (packets/s per flow).
-    pub rate_pps: f64,
-    /// The swept mean speeds (km/h).
-    pub speeds: Vec<f64>,
-    /// Aggregates per protocol, aligned with `speeds`.
-    pub results: Vec<(ProtocolKind, Vec<Aggregate>)>,
-    /// The raw executed sweep (per-trial summaries included) — the
-    /// machine-readable artifact source.
-    pub raw: SweepResult<ProtocolKind>,
+/// The sweep a figure renders: all five protocols at one load (pkt/s per
+/// flow) over one or more mean speeds.
+#[derive(Clone, Copy)]
+enum Sweep {
+    /// Figures 2–4: the scale's speeds at this load.
+    Speeds(f64),
+    /// Figure 5: 72 km/h at 10 pkt/s.
+    RouteQuality,
+    /// Figure 6: 36 km/h at this load.
+    Throughput(f64),
 }
 
-impl SpeedSweep {
-    fn table_of<F: Fn(&Aggregate) -> f64>(&self, caption: &str, metric: F) -> String {
-        let mut headers: Vec<String> = vec!["speed(km/h)".into()];
-        headers.extend(self.results.iter().map(|(k, _)| k.name().to_string()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let aligns = vec![Align::Right; headers.len()];
-        let rows: Vec<Vec<String>> = self
-            .speeds
-            .iter()
-            .enumerate()
-            .map(|(i, speed)| {
-                // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
-                let mut row = vec![format!("{speed:.0}")];
-                // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
-                row.extend(self.results.iter().map(|(_, aggs)| format!("{:.2}", metric(&aggs[i]))));
-                row
-            })
-            .collect();
-        format!("{caption}\n{}", format_table(&header_refs, &aligns, &rows))
-    }
-
-    /// Figure 2 view: average end-to-end delay (ms) vs speed.
-    pub fn delay_table(&self) -> String {
-        self.table_of(
-            &format!("Average end-to-end delay (ms), {} pkt/s per flow", self.rate_pps),
-            |a| a.delay_ms.mean(),
-        )
-    }
-
-    /// Figure 3 view: successful delivery percentage vs speed.
-    pub fn delivery_table(&self) -> String {
-        self.table_of(
-            &format!("Successful packet delivery (%), {} pkt/s per flow", self.rate_pps),
-            |a| a.delivery_pct.mean(),
-        )
-    }
-
-    /// Figure 4 view: routing overhead (kbps) vs speed.
-    pub fn overhead_table(&self) -> String {
-        self.table_of(&format!("Routing overhead (kbps), {} pkt/s per flow", self.rate_pps), |a| {
-            a.overhead_kbps.mean()
-        })
+impl Sweep {
+    /// The sweep's label in [`FigureSet::sweeps`] and the artifact, its
+    /// mean speeds (km/h) and its load.
+    fn spec(self, scale: &Scale) -> (String, Vec<f64>, f64) {
+        match self {
+            Sweep::Speeds(rate) => (format!("speed_sweep_{rate}pps"), scale.speeds.clone(), rate),
+            Sweep::RouteQuality => ("route_quality_72kmh".to_string(), vec![72.0], 10.0),
+            Sweep::Throughput(rate) => (format!("throughput_{rate}pps"), vec![36.0], rate),
+        }
     }
 }
 
-/// Runs the Figure 2/3/4 sweep at the given load for all five protocols
-/// over `scale`'s speeds.
-pub fn speed_sweep_with(rate_pps: f64, scale: &Scale, opts: &ExecOptions) -> SpeedSweep {
-    let raw = scale.sweep(scale.speeds.clone(), rate_pps, opts);
-    let results = ProtocolKind::ALL
+/// A figure's rendering of the sweep it ran, given that sweep's load.
+type View = fn(&SweepResult<ProtocolKind>, f64) -> String;
+
+/// One row per speed, one column per protocol: `metric`'s cross-trial
+/// mean in each cell.
+fn speed_table(
+    sweep: &SweepResult<ProtocolKind>,
+    caption: &str,
+    metric: fn(&Aggregate) -> f64,
+) -> String {
+    let (protocols, speeds) = (&sweep.plan.protocols, &sweep.plan.speeds_kmh);
+    let mut headers = vec!["speed(km/h)"];
+    headers.extend(protocols.iter().map(|k| k.name()));
+    let rows: Vec<Vec<String>> = speeds
         .iter()
-        .map(|&kind| {
-            let aggs = raw.cells_for(kind).iter().map(|c| c.aggregate.clone()).collect();
-            (kind, aggs)
+        .enumerate()
+        .map(|(i, speed)| {
+            // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
+            let mut row = vec![format!("{speed:.0}")];
+            row.extend(protocols.iter().map(|&k| {
+                // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
+                format!("{:.2}", metric(&sweep.cells_for(k)[i].aggregate))
+            }));
+            row
         })
         .collect();
-    SpeedSweep { rate_pps, speeds: scale.speeds.clone(), results, raw }
+    format!("{caption}\n{}", format_table(&headers, &vec![Align::Right; headers.len()], &rows))
 }
 
-/// Figure 5: route quality (average traversed-link throughput and hop
-/// count) at 72 km/h.
-#[derive(Debug, Clone)]
-pub struct RouteQuality {
-    /// One aggregate per protocol at the testing speed.
-    pub results: Vec<(ProtocolKind, Aggregate)>,
-    /// The raw executed sweep behind the aggregates.
-    pub raw: SweepResult<ProtocolKind>,
+/// Figure 2: average end-to-end delay (ms) vs speed.
+fn delay_table(sweep: &SweepResult<ProtocolKind>, rate_pps: f64) -> String {
+    let caption = format!("Average end-to-end delay (ms), {rate_pps} pkt/s per flow");
+    speed_table(sweep, &caption, |a| a.delay_ms.mean())
 }
 
-impl RouteQuality {
-    /// Figure 5(a) view.
-    pub fn link_throughput_table(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .results
-            .iter()
+/// Figure 3: successful delivery percentage vs speed.
+fn delivery_table(sweep: &SweepResult<ProtocolKind>, rate_pps: f64) -> String {
+    let caption = format!("Successful packet delivery (%), {rate_pps} pkt/s per flow");
+    speed_table(sweep, &caption, |a| a.delivery_pct.mean())
+}
+
+/// Figure 4: routing overhead (kbps) vs speed.
+fn overhead_table(sweep: &SweepResult<ProtocolKind>, rate_pps: f64) -> String {
+    let caption = format!("Routing overhead (kbps), {rate_pps} pkt/s per flow");
+    speed_table(sweep, &caption, |a| a.overhead_kbps.mean())
+}
+
+/// One row per protocol of a one-speed sweep: `cell` renders its
+/// aggregate under the column `header`.
+fn protocol_table(
+    sweep: &SweepResult<ProtocolKind>,
+    caption: &str,
+    header: &str,
+    cell: fn(&Aggregate) -> String,
+) -> String {
+    let rows: Vec<Vec<String>> =
+        sweep.cells.iter().map(|c| vec![c.protocol.name().into(), cell(&c.aggregate)]).collect();
+    let table = format_table(&["protocol", header], &[Align::Left, Align::Right], &rows);
+    format!("{caption}\n{table}")
+}
+
+/// Figure 5(a): average traversed-link throughput.
+fn link_throughput_table(sweep: &SweepResult<ProtocolKind>, _rate_pps: f64) -> String {
+    protocol_table(sweep, "Average link throughput (kbps) @ 72 km/h", "kbps", |a| {
+        // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
+        format!("{:.1}", a.link_throughput_kbps.mean())
+    })
+}
+
+/// Figure 5(b): average hop count.
+fn hops_table(sweep: &SweepResult<ProtocolKind>, _rate_pps: f64) -> String {
+    protocol_table(sweep, "Average number of hops @ 72 km/h", "hops", |a| {
+        // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
+        format!("{:.2}", a.hops.mean())
+    })
+}
+
+/// Figure 6: aggregate delivered throughput, one row per 4 s bin and one
+/// column per protocol.
+fn throughput_table(sweep: &SweepResult<ProtocolKind>, rate_pps: f64) -> String {
+    let mut headers = vec!["t(s)"];
+    headers.extend(sweep.cells.iter().map(|c| c.protocol.name()));
+    let series: Vec<&[f64]> =
+        sweep.cells.iter().map(|c| &c.aggregate.throughput_kbps[..]).collect();
+    let bins = series.iter().map(|v| v.len()).max().unwrap_or(0);
+    let rows: Vec<Vec<String>> = (0..bins)
+        .map(|b| {
+            let mut row = vec![format!("{}", (b + 1) * 4)];
             // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
-            .map(|(k, a)| vec![k.name().into(), format!("{:.1}", a.link_throughput_kbps.mean())])
-            .collect();
-        format!(
-            "Average link throughput (kbps) @ 72 km/h\n{}",
-            format_table(&["protocol", "kbps"], &[Align::Left, Align::Right], &rows)
-        )
-    }
-
-    /// Figure 5(b) view.
-    pub fn hops_table(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .results
-            .iter()
-            // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
-            .map(|(k, a)| vec![k.name().into(), format!("{:.2}", a.hops.mean())])
-            .collect();
-        format!(
-            "Average number of hops @ 72 km/h\n{}",
-            format_table(&["protocol", "hops"], &[Align::Left, Align::Right], &rows)
-        )
-    }
+            row.extend(series.iter().map(|v| v.get(b).map_or("-".into(), |x| format!("{x:.1}"))));
+            row
+        })
+        .collect();
+    format!(
+        "Aggregate network throughput (kbps per 4 s bin), {rate_pps} pkt/s per flow\n{}",
+        format_table(&headers, &vec![Align::Right; headers.len()], &rows)
+    )
 }
 
-/// Runs the Figure 5 experiment (72 km/h, 10 pkt/s).
-pub fn route_quality_with(scale: &Scale, opts: &ExecOptions) -> RouteQuality {
-    let raw = scale.sweep(vec![72.0], 10.0, opts);
-    let results = raw.cells.iter().map(|c| (c.protocol, c.aggregate.clone())).collect();
-    RouteQuality { results, raw }
-}
-
-/// Figure 6: aggregate delivered throughput per 4-second bin.
-#[derive(Debug, Clone)]
-pub struct ThroughputSeries {
-    /// Offered load (packets/s per flow).
-    pub rate_pps: f64,
-    /// Mean kbps per 4 s bin, per protocol.
-    pub results: Vec<(ProtocolKind, Vec<f64>)>,
-    /// The raw executed sweep behind the series.
-    pub raw: SweepResult<ProtocolKind>,
-}
-
-impl ThroughputSeries {
-    /// Text rendering of the series (one row per bin).
-    pub fn table(&self) -> String {
-        let mut headers: Vec<String> = vec!["t(s)".into()];
-        headers.extend(self.results.iter().map(|(k, _)| k.name().to_string()));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let aligns = vec![Align::Right; headers.len()];
-        let bins = self.results.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-        let rows: Vec<Vec<String>> = (0..bins)
-            .map(|b| {
-                let mut row = vec![format!("{}", (b + 1) * 4)];
-                row.extend(
-                    self.results
-                        .iter()
-                        // float-fmt: paper-figure table, deliberately rounded presentation output; exact results stream through rica_metrics
-                        .map(|(_, v)| v.get(b).map_or("-".into(), |x| format!("{x:.1}"))),
-                );
-                row
-            })
-            .collect();
-        format!(
-            "Aggregate network throughput (kbps per 4 s bin), {} pkt/s per flow\n{}",
-            self.rate_pps,
-            format_table(&header_refs, &aligns, &rows)
-        )
-    }
-}
-
-/// Runs the Figure 6 experiment at the given per-flow load (the paper plots
-/// 20 pkt/s and 60 pkt/s aggregate-equivalents) at 36 km/h mean speed.
-pub fn throughput_timeseries_with(
-    rate_pps: f64,
-    scale: &Scale,
-    opts: &ExecOptions,
-) -> ThroughputSeries {
-    let raw = scale.sweep(vec![36.0], rate_pps, opts);
-    let results =
-        raw.cells.iter().map(|c| (c.protocol, c.aggregate.throughput_kbps.clone())).collect();
-    ThroughputSeries { rate_pps, results, raw }
-}
-
-/// How one figure is made: the experiment it needs and its view of it.
+/// How one figure is made.
 #[derive(Clone, Copy)]
 enum Figure {
-    /// Figures 2–4: a view of the speed sweep at this load (pkt/s per flow).
-    Speed(f64, fn(&SpeedSweep) -> String),
-    /// Figure 5: a view of the 72 km/h route-quality run.
-    Quality(fn(&RouteQuality) -> String),
-    /// Figure 6: the 36 km/h throughput series at this load.
-    Throughput(f64),
+    /// A view of the sweep it renders.
+    Of(Sweep, View),
     /// The design-parameter ablation; it runs no sweep.
     Ablation,
 }
@@ -293,16 +237,16 @@ enum Figure {
 /// Every figure id and how it is made: the paper's figures in paper
 /// order, then the ablation, which `all` leaves out.
 const FIGURES: [(&str, Figure); 11] = [
-    ("fig2a", Figure::Speed(10.0, SpeedSweep::delay_table)),
-    ("fig2b", Figure::Speed(20.0, SpeedSweep::delay_table)),
-    ("fig3a", Figure::Speed(10.0, SpeedSweep::delivery_table)),
-    ("fig3b", Figure::Speed(20.0, SpeedSweep::delivery_table)),
-    ("fig4a", Figure::Speed(10.0, SpeedSweep::overhead_table)),
-    ("fig4b", Figure::Speed(20.0, SpeedSweep::overhead_table)),
-    ("fig5a", Figure::Quality(RouteQuality::link_throughput_table)),
-    ("fig5b", Figure::Quality(RouteQuality::hops_table)),
-    ("fig6a", Figure::Throughput(20.0)),
-    ("fig6b", Figure::Throughput(60.0)),
+    ("fig2a", Figure::Of(Sweep::Speeds(10.0), delay_table)),
+    ("fig2b", Figure::Of(Sweep::Speeds(20.0), delay_table)),
+    ("fig3a", Figure::Of(Sweep::Speeds(10.0), delivery_table)),
+    ("fig3b", Figure::Of(Sweep::Speeds(20.0), delivery_table)),
+    ("fig4a", Figure::Of(Sweep::Speeds(10.0), overhead_table)),
+    ("fig4b", Figure::Of(Sweep::Speeds(20.0), overhead_table)),
+    ("fig5a", Figure::Of(Sweep::RouteQuality, link_throughput_table)),
+    ("fig5b", Figure::Of(Sweep::RouteQuality, hops_table)),
+    ("fig6a", Figure::Of(Sweep::Throughput(20.0), throughput_table)),
+    ("fig6b", Figure::Of(Sweep::Throughput(60.0), throughput_table)),
     ("ablation", Figure::Ablation),
 ];
 
@@ -318,27 +262,22 @@ pub const FIGURE_IDS: [&str; FIGURES.len() - 1] = {
 };
 
 /// Everything one experiment run produces: the rendered figures and the
-/// raw sweeps behind them (for the JSON artifact).
+/// sweeps they were rendered from (the JSON artifact renders these
+/// through [`sweep::sweeps_json`]).
 #[derive(Debug, Clone)]
 pub struct FigureSet {
     /// `(figure id, rendered table)` pairs in request order.
     pub figures: Vec<(&'static str, String)>,
-    /// The labeled raw sweeps the figures were rendered from, in first-use
+    /// The labeled sweeps the figures were rendered from, in first-use
     /// order.
     pub sweeps: Vec<(String, SweepResult<ProtocolKind>)>,
 }
 
-impl FigureSet {
-    /// Renders the raw sweeps as the `sweep_results.json` artifact.
-    pub fn sweeps_json(&self, meta: &[(&str, String)]) -> String {
-        sweep::sweeps_json(&self.sweeps, meta)
-    }
-}
-
 /// Runs the figures `ids` names (`all` stands for [`FIGURE_IDS`]) and
-/// renders each once, in request order. Each sweep they need runs once:
-/// figures 2/3/4 at one load share a sweep, and so do 5a/5b. An unknown id
-/// is an error, returned before anything runs.
+/// renders each once, in request order. A figure finds the sweep it
+/// renders in [`FigureSet::sweeps`] by label and runs it only if it is
+/// not there yet: figures 2/3/4 at one load share a sweep, and so do
+/// 5a/5b. An unknown id is an error, returned before anything runs.
 pub fn run_figures(ids: &[&str], scale: &Scale, opts: &ExecOptions) -> Result<FigureSet, String> {
     let mut wanted: Vec<(&'static str, Figure)> = Vec::new();
     for requested in ids {
@@ -356,49 +295,26 @@ pub fn run_figures(ids: &[&str], scale: &Scale, opts: &ExecOptions) -> Result<Fi
         }
     }
     let mut set = FigureSet { figures: Vec::new(), sweeps: Vec::new() };
-    let (mut speed, mut quality, mut series) = (Vec::new(), None, Vec::new());
     for (id, figure) in wanted {
         let table = match figure {
-            Figure::Speed(rate, view) => view(first_use(
-                &mut speed,
-                |s: &SpeedSweep| s.rate_pps == rate,
-                || {
-                    let s = speed_sweep_with(rate, scale, opts);
-                    set.sweeps.push((format!("speed_sweep_{rate}pps"), s.raw.clone()));
-                    s
-                },
-            )),
-            Figure::Quality(view) => view(quality.get_or_insert_with(|| {
-                let q = route_quality_with(scale, opts);
-                set.sweeps.push(("route_quality_72kmh".to_string(), q.raw.clone()));
-                q
-            })),
-            Figure::Throughput(rate) => first_use(
-                &mut series,
-                |t: &ThroughputSeries| t.rate_pps == rate,
-                || {
-                    let t = throughput_timeseries_with(rate, scale, opts);
-                    set.sweeps.push((format!("throughput_{rate}pps"), t.raw.clone()));
-                    t
-                },
-            )
-            .table(),
+            Figure::Of(sweep, view) => {
+                let (label, speeds, rate) = sweep.spec(scale);
+                let ran = match set.sweeps.iter().position(|(ran, _)| *ran == label) {
+                    Some(ran) => ran,
+                    None => {
+                        let base = scale.scenario(rate);
+                        let result = scale.run(ProtocolKind::ALL.to_vec(), speeds, &base, opts);
+                        set.sweeps.push((label, result));
+                        set.sweeps.len() - 1
+                    }
+                };
+                view(&set.sweeps[ran].1, rate)
+            }
             Figure::Ablation => ablation(scale, opts),
         };
         set.figures.push((id, table));
     }
     Ok(set)
-}
-
-/// The entry of `done` that `is` picks, made by `run` on first use.
-fn first_use<T>(done: &mut Vec<T>, is: impl Fn(&T) -> bool, run: impl FnOnce() -> T) -> &T {
-    match done.iter().position(is) {
-        Some(i) => &done[i],
-        None => {
-            done.push(run());
-            &done[done.len() - 1]
-        }
-    }
 }
 
 /// One design-parameter ablation: a caption, the protocol it runs, and its
@@ -463,8 +379,9 @@ const ABLATIONS: [Ablation; 5] = [
     ),
 ];
 
-/// Runs every [`ABLATIONS`] setting at `scale`, 36 km/h and 10 pkt/s per
-/// flow, and renders one delay / delivery / overhead table per ablation.
+/// Runs every [`ABLATIONS`] setting as a one-cell plan at `scale`,
+/// 36 km/h and 10 pkt/s per flow, and renders one delay / delivery /
+/// overhead table per ablation.
 fn ablation(scale: &Scale, opts: &ExecOptions) -> String {
     let tables: Vec<String> = ABLATIONS
         .iter()
@@ -472,9 +389,10 @@ fn ablation(scale: &Scale, opts: &ExecOptions) -> String {
             let rows: Vec<Vec<String>> = settings
                 .iter()
                 .map(|&(label, set)| {
-                    let mut scenario = scale.scenario(36.0, 10.0);
-                    set(&mut scenario.protocol);
-                    let agg = run_aggregate_with(&scenario, kind, scale.trials, opts);
+                    let mut base = scale.scenario(10.0);
+                    set(&mut base.protocol);
+                    let setting = scale.run(vec![kind], vec![36.0], &base, opts);
+                    let agg = &setting.cells_for(kind)[0].aggregate;
                     let means =
                         [agg.delay_ms.mean(), agg.delivery_pct.mean(), agg.overhead_kbps.mean()];
                     let mut row = vec![label.to_string()];
@@ -506,16 +424,6 @@ mod tests {
             trials: 1,
             speeds: vec![0.0, 36.0],
             seed: 11,
-        }
-    }
-
-    #[test]
-    fn sweep_tables_render() {
-        let sweep = speed_sweep_with(10.0, &tiny_scale(), &ExecOptions::serial());
-        for table in [sweep.delay_table(), sweep.delivery_table(), sweep.overhead_table()] {
-            assert!(table.contains("RICA"));
-            assert!(table.contains("AODV"));
-            assert!(table.lines().count() >= 4, "caption + header + rule + 2 rows:\n{table}");
         }
     }
 
@@ -556,6 +464,13 @@ mod tests {
         // Caption, header and rule per table, one row per setting, and a
         // blank line between tables.
         assert_eq!(out.lines().count(), 3 * ABLATIONS.len() + rows + ABLATIONS.len() - 1, "{out}");
+        const WANT_ABLATION: u64 = 0x32b72dd4516f98ca;
+        let hash = rica_exec::fnv1a(out.as_bytes());
+        if std::env::var("GOLDEN_PRINT").is_ok() {
+            println!("WANT_ABLATION = 0x{hash:016x};");
+            return;
+        }
+        assert_eq!(hash, WANT_ABLATION, "ablation tables changed:\n{out}");
     }
 
     /// The figure-set pins: the ten tables as the `figures` binary prints
@@ -569,16 +484,16 @@ mod tests {
         let mut set = run_figures(&["all"], &scale, &ExecOptions::serial()).unwrap();
         let tables: String =
             set.figures.iter().map(|(id, out)| format!("== {id} ==\n{out}\n")).collect();
-        for (_, sweep) in &mut set.sweeps {
-            sweep.wall_secs = 0.0;
-            sweep.workers = 0;
+        for (_, ran) in &mut set.sweeps {
+            ran.wall_secs = 0.0;
+            ran.workers = 0;
         }
         let meta = [
             ("scale", "tiny".to_string()),
             ("trials", scale.trials.to_string()),
             ("nodes", scale.nodes.to_string()),
         ];
-        let sweeps = set.sweeps_json(&meta);
+        let sweeps = sweep::sweeps_json(&set.sweeps, &meta);
         let (tables_hash, sweeps_hash) =
             (rica_exec::fnv1a(tables.as_bytes()), rica_exec::fnv1a(sweeps.as_bytes()));
         if std::env::var("GOLDEN_PRINT").is_ok() {
@@ -587,18 +502,5 @@ mod tests {
         }
         assert_eq!(tables_hash, WANT_TABLES, "figure tables changed:\n{tables}");
         assert_eq!(sweeps_hash, WANT_SWEEPS, "sweep artifact changed:\n{sweeps}");
-    }
-
-    #[test]
-    fn throughput_series_shapes() {
-        let mut scale = tiny_scale();
-        scale.speeds = vec![36.0];
-        let ts = throughput_timeseries_with(10.0, &scale, &ExecOptions::serial());
-        assert_eq!(ts.results.len(), 5);
-        // 8 s / 4 s bins = 2 bins.
-        for (_, v) in &ts.results {
-            assert_eq!(v.len(), 2);
-        }
-        assert!(ts.table().contains("t(s)"));
     }
 }

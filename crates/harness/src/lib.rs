@@ -16,11 +16,11 @@
 //! * and the paper's metric set (`rica-metrics`).
 //!
 //! [`Scenario`] describes one configuration; [`Scenario::run`] executes a
-//! single deterministic trial, [`run_trials`] fans 25 seeded trials out
-//! over the `rica-exec` worker pool, [`sweep`] executes whole declarative
-//! sweep plans (protocols × speeds × node counts × workloads × trials)
-//! through that engine, and [`experiments`] regenerates every figure of
-//! the paper.
+//! single deterministic trial, and [`sweep::run_plan`] runs every batch
+//! of seeded trials: a declarative sweep plan (protocols × speeds × node
+//! counts × workloads × trials) fanned out over the `rica-exec` worker
+//! pool. [`experiments`] regenerates every figure of the paper from the
+//! sweeps it runs.
 //!
 //! ```
 //! use rica_harness::{ProtocolKind, Scenario};
@@ -39,14 +39,9 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-mod runner;
 mod scenario;
 pub mod sweep;
 mod world;
 
-pub use runner::{run_aggregate, run_aggregate_with, run_trials, run_trials_with};
 pub use scenario::{Flow, ProtocolKind, Scenario, ScenarioBuilder};
 pub use world::World;
-
-/// Result of one simulation trial (alias of [`rica_metrics::TrialSummary`]).
-pub type TrialReport = rica_metrics::TrialSummary;

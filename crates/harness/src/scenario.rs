@@ -2,7 +2,6 @@
 
 use rica_channel::ChannelConfig;
 use rica_faults::FaultPlan;
-use rica_mac::MacConfig;
 use rica_net::{NodeId, ProtocolConfig, RoutingProtocol, DATA_HEADER_BYTES};
 use rica_sim::{Rng, SimDuration};
 use rica_traffic::WorkloadSpec;
@@ -136,8 +135,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Channel model parameters.
     pub channel: ChannelConfig,
-    /// MAC parameters.
-    pub mac: MacConfig,
     /// Protocol parameters (BGCA's offered-rate field is filled from
     /// `rate_pps`/`packet_bytes` by [`ScenarioBuilder::build`]).
     pub protocol: ProtocolConfig,
@@ -224,7 +221,6 @@ impl Default for ScenarioBuilder {
                 duration: SimDuration::from_secs(500),
                 seed: 0,
                 channel: ChannelConfig::default(),
-                mac: MacConfig::default(),
                 protocol: ProtocolConfig::default(),
             },
         }

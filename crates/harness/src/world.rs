@@ -166,6 +166,8 @@ pub struct World<'s> {
     scenario: &'s Scenario,
     sim: Simulator<Event>,
     nodes: Vec<NodeState>,
+    /// The protocol every node runs; a rebooted node gets a fresh one.
+    kind: ProtocolKind,
     protos: Vec<Box<dyn RoutingProtocol>>,
     channel: ChannelModel,
     medium: CommonMedium,
@@ -191,7 +193,8 @@ pub struct World<'s> {
     /// Which partition episodes are currently in effect.
     partition_active: Vec<bool>,
     /// Per-node partition signature: the OR of each active episode's
-    /// membership bit. A link is cut exactly when its endpoints'
+    /// membership bit (bit `e` for episode `e`; a valid fault plan holds
+    /// at most 32 episodes). A link is cut exactly when its endpoints'
     /// signatures differ; all-zeros (no active partition) cuts nothing.
     partition_sig: Vec<u32>,
     /// Whether each flow's traffic renewal chain is still scheduled; a
@@ -315,11 +318,19 @@ impl<'s> World<'s> {
         let protos: Vec<Box<dyn RoutingProtocol>> =
             (0..scenario.nodes).map(|_| kind.make()).collect();
         // Scenario fields are pub and routinely mutated after build(), so
-        // the builder's rate validation can be bypassed; re-check here in
-        // every build profile — the generators' release-mode response to
-        // a degenerate rate is a silent zero-traffic trial, which must
-        // stay a loud failure instead.
-        for f in &flows {
+        // the builder's rate validation can be bypassed; check every flow
+        // here in every build profile: its endpoints must be two distinct
+        // nodes, and its rate usable — the generators' release-mode
+        // response to a degenerate rate is a silent zero-traffic trial,
+        // which must stay a loud failure instead.
+        for (i, f) in flows.iter().enumerate() {
+            assert!(
+                f.src.index() < scenario.nodes && f.dst.index() < scenario.nodes && f.src != f.dst,
+                "flow {i} ({} -> {}) needs two distinct endpoints among the {} nodes",
+                f.src,
+                f.dst,
+                scenario.nodes
+            );
             assert!(
                 rica_sim::usable_mean_gap(f.rate_pps).is_some(),
                 "flow {} -> {} has an unusable rate {}",
@@ -371,6 +382,7 @@ impl<'s> World<'s> {
             scenario,
             sim: Simulator::new(),
             nodes,
+            kind,
             protos,
             channel: ChannelModel::with_nodes(
                 scenario.channel.clone(),
@@ -802,10 +814,11 @@ impl<'s> World<'s> {
     }
 
     /// Failure injection: a crashed terminal powers back on with no
-    /// memory of its previous life. The protocol restarts cold
-    /// ([`RoutingProtocol::on_reboot`]) and must re-join routing like a
-    /// late joiner; flows sourced here whose renewal chains stopped at the
-    /// crash draw a fresh inter-arrival gap and start generating again.
+    /// memory of its previous life. It gets a fresh protocol instance,
+    /// started like any other ([`RoutingProtocol::on_start`]), and must
+    /// re-join routing like a late joiner; flows sourced here whose
+    /// renewal chains stopped at the crash draw a fresh inter-arrival gap
+    /// and start generating again.
     fn on_reboot(&mut self, node: usize) {
         if !self.dead[node] {
             return; // overlapping schedules: already up
@@ -814,7 +827,8 @@ impl<'s> World<'s> {
         self.dead[node] = false;
         // Queues, links and MAC flags were reset at crash time; the
         // incarnation bump keeps any still-pending old events inert.
-        self.dispatch(node, |proto, ctx| proto.on_reboot(ctx));
+        self.protos[node] = self.kind.make();
+        self.dispatch(node, |proto, ctx| proto.on_start(ctx));
         let mut resumed_flows = 0usize;
         for f in 0..self.flows.len() {
             if self.flows[f].src.index() == node && !self.traffic_live[f] {
@@ -839,7 +853,7 @@ impl<'s> World<'s> {
             let mut sig = 0u32;
             for (e, ep) in self.faults.partitions.iter().enumerate() {
                 if self.partition_active[e] && ep.group[i] {
-                    sig |= 1 << (e % 32);
+                    sig |= 1 << e;
                 }
             }
             self.partition_sig[i] = sig;
@@ -952,11 +966,7 @@ impl<'s> World<'s> {
         if inc != self.incarnation[node] {
             return; // scheduled by a previous life; the crash reset the pipeline
         }
-        if self.dead[node] {
-            self.nodes[node].mac_scheduled = false;
-            self.nodes[node].mac_attempts = 0;
-            return;
-        }
+        debug_assert!(!self.dead[node], "a dead node {node} scheduled a MAC attempt");
         if self.nodes[node].ctrl_queue.is_empty() {
             self.nodes[node].mac_scheduled = false;
             self.nodes[node].mac_attempts = 0;
@@ -964,9 +974,6 @@ impl<'s> World<'s> {
         }
         let pos = self.position(node);
         if self.medium.is_busy_near(node as u32, pos, now) {
-            // `self.scenario` is a shared borrow with its own lifetime, so
-            // the config needs no clone alongside the node borrow.
-            let mac = &self.scenario.mac;
             let st = &mut self.nodes[node];
             st.mac_attempts += 1;
             let attempts = st.mac_attempts;
@@ -979,7 +986,7 @@ impl<'s> World<'s> {
                 self.trace(|t| TraceEvent::MacAbandon { t, node: NodeId(node as u32), kind });
                 self.sim.schedule_in(IFS, Event::MacAttempt { node, inc });
             } else {
-                let delay = backoff_delay(mac, attempts - 1, &mut st.rng);
+                let delay = backoff_delay(attempts - 1, &mut st.rng);
                 self.trace(|t| TraceEvent::MacBusy { t, node: NodeId(node as u32), attempts });
                 self.sim.schedule_in(delay, Event::MacAttempt { node, inc });
             }
@@ -1209,9 +1216,10 @@ impl<'s> World<'s> {
     }
 
     fn on_data_tx_end(&mut self, from: usize, to: usize, inc: u32) {
-        if inc != self.incarnation[from] || self.dead[from] {
+        if inc != self.incarnation[from] {
             return; // link state was cleared when the sender crashed
         }
+        debug_assert!(!self.dead[from], "a dead node {from} scheduled a data transmission");
         let p_from = self.position(from);
         let p_to = self.position(to);
         let in_range = self.partition_sig[from] == self.partition_sig[to]
@@ -1558,6 +1566,25 @@ mod tests {
         let mut s = small_static(false);
         s.explicit_flows = Some(vec![Flow::new(NodeId(0), NodeId(1), 0.0, 512)]);
         s.run(ProtocolKind::Rica);
+    }
+
+    #[test]
+    fn flows_must_join_two_distinct_nodes() {
+        // An unknown source would index past the node table at its first
+        // packet, an unknown destination would be searched for until
+        // discovery gave up, and a flow to itself routes nothing: each is
+        // rejected when the world is built, naming the flow.
+        for (src, dst) in [(2, 1), (0, 9), (1, 1)] {
+            let mut s = small_static(false);
+            s.explicit_flows = Some(vec![
+                Flow::new(NodeId(0), NodeId(1), 10.0, 512),
+                Flow::new(NodeId(src), NodeId(dst), 10.0, 512),
+            ]);
+            let payload = std::panic::catch_unwind(|| World::new(&s, ProtocolKind::Aodv, 1))
+                .expect_err("the flow must be rejected");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains(&format!("flow 1 (n{src} -> n{dst})")), "{msg}");
+        }
     }
 
     #[test]

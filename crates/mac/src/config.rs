@@ -26,27 +26,13 @@ pub fn tx_duration(bits: u64) -> SimDuration {
     SimDuration::from_secs_f64(bits as f64 / COMMON_RATE_BPS)
 }
 
-/// The CSMA/CA contention window: the backoff after the k-th busy attempt
-/// is uniform in `[0, min(slot · 2^k, cw_max))` (see
-/// [`backoff_delay`](crate::backoff_delay)).
-///
-/// Defaults are standard engineering values. The common channel's other
-/// parameters (§III.A: 250 kbps, 250 m radio range) and its CSMA timing
-/// are the constants of this module.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MacConfig {
-    /// Base contention slot: backoff after the k-th busy attempt is uniform
-    /// in `[0, min(slot · 2^k, cw_max))`.
-    pub slot: SimDuration,
-    /// Upper bound of the contention window.
-    pub cw_max: SimDuration,
-}
-
-impl Default for MacConfig {
-    fn default() -> Self {
-        MacConfig { slot: SimDuration::from_micros(500), cw_max: SimDuration::from_millis(8) }
-    }
-}
+/// Base contention slot: the backoff after the k-th busy carrier sense
+/// is uniform on `[1 ns, min(BACKOFF_SLOT · 2^k, CW_MAX)]` (see
+/// [`backoff_delay`](crate::backoff_delay)). This and [`CW_MAX`] are
+/// standard engineering values.
+pub const BACKOFF_SLOT: SimDuration = SimDuration::from_micros(500);
+/// Upper bound of the contention window.
+pub const CW_MAX: SimDuration = SimDuration::from_millis(8);
 
 #[cfg(test)]
 mod tests {

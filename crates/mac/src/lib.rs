@@ -33,7 +33,7 @@ mod medium;
 
 pub use backoff::backoff_delay;
 pub use config::{
-    tx_duration, MacConfig, BROADCAST_JITTER, COMMON_RATE_BPS, CTRL_QUEUE_CAP, CTRL_RETRY_LIMIT,
-    IFS, MAX_ATTEMPTS, UNICAST_JITTER,
+    tx_duration, BACKOFF_SLOT, BROADCAST_JITTER, COMMON_RATE_BPS, CTRL_QUEUE_CAP, CTRL_RETRY_LIMIT,
+    CW_MAX, IFS, MAX_ATTEMPTS, UNICAST_JITTER,
 };
 pub use medium::{CommonMedium, TxId};

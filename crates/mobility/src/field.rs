@@ -48,11 +48,6 @@ impl Field {
     pub fn random_point(&self, rng: &mut Rng) -> Vec2 {
         Vec2::new(rng.range_f64(0.0, self.width), rng.range_f64(0.0, self.height))
     }
-
-    /// The diagonal length — an upper bound on any in-field distance.
-    pub fn diagonal(&self) -> f64 {
-        self.width.hypot(self.height)
-    }
 }
 
 impl Default for Field {
@@ -70,7 +65,6 @@ mod tests {
         assert_eq!(Field::PAPER.width(), 1000.0);
         assert_eq!(Field::PAPER.height(), 1000.0);
         assert_eq!(Field::default(), Field::PAPER);
-        assert!((Field::PAPER.diagonal() - 1414.2135).abs() < 1e-3);
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl Vec2 {
         d.x * d.x + d.y * d.y
     }
 
-    /// The unit vector in this direction, or zero for the zero vector.
-    pub fn normalized(self) -> Vec2 {
-        let len = self.length();
-        if len == 0.0 {
-            Vec2::ZERO
-        } else {
-            self / len
-        }
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     pub fn lerp(self, other: Vec2, t: f64) -> Vec2 {
         self + (other - self) * t
@@ -117,9 +107,6 @@ mod tests {
     fn norms() {
         assert_eq!(Vec2::new(3.0, 4.0).length(), 5.0);
         assert_eq!(Vec2::new(3.0, 4.0).distance_sq(Vec2::ZERO), 25.0);
-        assert_eq!(Vec2::ZERO.normalized(), Vec2::ZERO);
-        let u = Vec2::new(10.0, 0.0).normalized();
-        assert!((u.length() - 1.0).abs() < 1e-12);
     }
 
     #[test]

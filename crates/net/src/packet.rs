@@ -311,16 +311,6 @@ impl DataPacket {
         self.hops += 1;
         self.rate_sum_kbps += class.rate_kbps();
     }
-
-    /// Mean rate (kbps) of the links traversed, or `None` before the first
-    /// hop. This is Figure 5(a)'s per-packet contribution.
-    pub fn mean_link_rate_kbps(&self) -> Option<f64> {
-        if self.hops == 0 {
-            None
-        } else {
-            Some(self.rate_sum_kbps / self.hops as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -424,10 +414,9 @@ mod tests {
     #[test]
     fn hop_recording_accumulates() {
         let mut p = DataPacket::new(FlowId(0), 0, NodeId(0), NodeId(5), 512, SimTime::ZERO);
-        assert_eq!(p.mean_link_rate_kbps(), None);
         p.record_hop(ChannelClass::A);
         p.record_hop(ChannelClass::D);
         assert_eq!(p.hops, 2);
-        assert_eq!(p.mean_link_rate_kbps(), Some(150.0));
+        assert_eq!(p.rate_sum_kbps, 300.0);
     }
 }

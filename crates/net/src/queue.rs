@@ -78,11 +78,6 @@ impl LinkQueue {
         self.items.is_empty()
     }
 
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() >= self.cap
-    }
-
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.cap
@@ -126,7 +121,6 @@ mod tests {
         for i in 0..10 {
             assert!(q.push(SimTime::ZERO, pkt(i)).is_none());
         }
-        assert!(q.is_full());
         let rejected = q.push(SimTime::ZERO, pkt(10)).unwrap();
         assert_eq!(rejected.seq, 10);
         assert_eq!(q.len(), 10);

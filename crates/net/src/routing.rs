@@ -229,23 +229,14 @@ pub struct TopologySnapshot {
 /// contribution) and `rica_protocols::{Aodv, Abr, Bgca, LinkState}`.
 pub trait RoutingProtocol {
     /// Called once at simulation start (schedule periodic timers here).
+    /// A terminal that reboots after a crash gets a fresh instance, whose
+    /// `on_start` runs at the reboot: all protocol state died with the
+    /// node, and no topology snapshot is replayed.
     fn on_start(&mut self, _ctx: &mut dyn NodeCtx) {}
 
     /// Receives the initial global topology view (link state only; the
     /// default implementation ignores it).
     fn on_topology_snapshot(&mut self, _ctx: &mut dyn NodeCtx, _snap: &TopologySnapshot) {}
-
-    /// The terminal comes back from a crash (fault injection). All
-    /// protocol state died with the node: implementations must reset to
-    /// their cold-start state and re-arm their periodic timers — the
-    /// harness has already cancelled every timer the old incarnation
-    /// held, and no topology snapshot is replayed (a rebooted terminal
-    /// re-joins routing through the protocol's own discovery). The
-    /// default restarts without clearing (correct only for stateless
-    /// protocols); every real implementation overrides it.
-    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
-        self.on_start(ctx);
-    }
 
     /// A control packet arrived on the common channel.
     ///

@@ -77,13 +77,6 @@ impl RoutingProtocol for Abr {
         ctx.set_timer(rica_sim::SimDuration::from_nanos(jitter_ns), Timer::Beacon);
     }
 
-    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
-        // Cold restart: associativity ticks and routes died with the
-        // node; re-arm the beacon and rebuild stability from scratch.
-        *self = Abr::new();
-        self.on_start(ctx);
-    }
-
     fn on_control(&mut self, ctx: &mut dyn NodeCtx, pkt: &ControlPacket, rx: RxInfo) {
         let me = ctx.id();
         let now = ctx.now();

@@ -70,13 +70,6 @@ impl Aodv {
 }
 
 impl RoutingProtocol for Aodv {
-    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
-        // Cold restart: routes, reverse paths and reply history all died
-        // with the node; routes re-form through fresh discovery.
-        *self = Aodv::new();
-        self.on_start(ctx);
-    }
-
     fn on_control(&mut self, ctx: &mut dyn NodeCtx, pkt: &ControlPacket, rx: RxInfo) {
         let me = ctx.id();
         let now = ctx.now();

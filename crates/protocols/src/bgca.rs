@@ -83,13 +83,6 @@ impl RoutingProtocol for Bgca {
         ctx.set_timer(BGCA_MONITOR_PERIOD, Timer::LinkMonitor);
     }
 
-    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
-        // Cold restart: flow tables, guard state and reply history died
-        // with the node; re-arm the bandwidth monitor.
-        *self = Bgca::new();
-        self.on_start(ctx);
-    }
-
     fn on_control(&mut self, ctx: &mut dyn NodeCtx, pkt: &ControlPacket, rx: RxInfo) {
         let me = ctx.id();
         match *pkt {

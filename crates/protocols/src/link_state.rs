@@ -271,14 +271,6 @@ impl RoutingProtocol for LinkState {
         ctx.set_timer(rica_sim::SimDuration::from_nanos(jitter_ns), Timer::LinkMonitor);
     }
 
-    fn on_reboot(&mut self, ctx: &mut dyn NodeCtx) {
-        // Cold restart with no topology snapshot replay: the rebooted
-        // terminal re-learns the graph through beacons and LSU flooding
-        // alone, exactly like a terminal joining late.
-        *self = LinkState::new();
-        self.on_start(ctx);
-    }
-
     fn on_topology_snapshot(&mut self, ctx: &mut dyn NodeCtx, snap: &TopologySnapshot) {
         let me = ctx.id();
         let now = ctx.now();

@@ -227,35 +227,6 @@ impl Rng {
             }
         }
     }
-
-    /// [`Rng::normal_ziggurat`] scaled to mean `mu` and standard deviation
-    /// `sigma`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or non-finite.
-    pub fn normal_ziggurat_with(&mut self, mu: f64, sigma: f64) -> f64 {
-        assert!(sigma.is_finite() && sigma >= 0.0, "sigma must be >= 0, got {sigma}");
-        mu + sigma * self.normal_ziggurat()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.usize_below(i + 1);
-            items.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "choose from empty slice");
-        &items[self.usize_below(items.len())]
-    }
 }
 
 // ----------------------------------------------------------- ziggurat tables
@@ -540,17 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn ziggurat_scaled_moments() {
-        let mut r = Rng::new(59);
-        let n = 200_000;
-        let xs: Vec<f64> = (0..n).map(|_| r.normal_ziggurat_with(3.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
     fn ziggurat_tables_are_consistent() {
         let tab = zig_tables();
         // Monotone decreasing widths, x[1] = R, closing at 0.
@@ -567,16 +527,6 @@ mod tests {
         }
         // The base strip: virtual width x[0] times f(R) is V too.
         assert!((tab.x[0] * tab.f[1] - ZIG_V).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = Rng::new(19);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

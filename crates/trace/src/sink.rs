@@ -141,11 +141,6 @@ impl RingSink {
     pub fn seen(&self) -> u64 {
         self.seen
     }
-
-    /// Consumes the ring, returning the retained events oldest-first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events.into()
-    }
 }
 
 impl TraceSink for RingSink {
@@ -179,7 +174,7 @@ mod tests {
         ring.record(&ev(1));
         ring.record(&ev(2));
         assert_eq!(ring.seen(), 3);
-        let kept: Vec<_> = ring.into_events();
+        let kept: Vec<_> = ring.events().cloned().collect();
         assert_eq!(kept, vec![ev(1), ev(2)]);
     }
 

@@ -64,7 +64,7 @@ pub mod prelude {
     pub use rica_channel::{ChannelClass, ChannelConfig};
     pub use rica_exec::{ExecOptions, Progress, SweepPlan, SweepResult};
     pub use rica_faults::{FaultPlan, NodeGroup};
-    pub use rica_harness::{ProtocolKind, Scenario, ScenarioBuilder, TrialReport};
+    pub use rica_harness::{ProtocolKind, Scenario, ScenarioBuilder};
     pub use rica_net::{NodeId, RoutingProtocol};
     pub use rica_sim::{Rng, SimTime};
     pub use rica_traffic::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};

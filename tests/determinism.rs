@@ -2,7 +2,8 @@
 //! for every protocol, and the parallel runner must preserve that.
 
 use rica_repro::exec::{ExecOptions, SweepPlan};
-use rica_repro::harness::{run_trials, run_trials_with, sweep, ProtocolKind, Scenario};
+use rica_repro::harness::{sweep, ProtocolKind, Scenario};
+use rica_repro::metrics::TrialSummary;
 
 fn scenario(seed: u64) -> Scenario {
     Scenario::builder()
@@ -30,10 +31,17 @@ fn different_seeds_differ_somewhere() {
     assert_ne!(a, b, "seeds should matter");
 }
 
+/// The trials of a one-protocol plan of `s` at its own speed and node
+/// count: seeds `s.seed + 0..n`.
+fn trials(s: &Scenario, kind: ProtocolKind, n: usize, opts: &ExecOptions) -> Vec<TrialSummary> {
+    let plan = SweepPlan::new(vec![kind], vec![s.mean_speed_kmh], vec![s.nodes], n, s.seed);
+    sweep::run_plan(&plan, s, opts).cells_for(kind)[0].trials.clone()
+}
+
 #[test]
 fn parallel_runner_matches_direct_runs() {
     let s = scenario(9);
-    let batch = run_trials(&s, ProtocolKind::Bgca, 3);
+    let batch = trials(&s, ProtocolKind::Bgca, 3, &ExecOptions::default());
     for (i, summary) in batch.iter().enumerate() {
         let direct = s.run_seeded(ProtocolKind::Bgca, s.seed + i as u64);
         assert_eq!(*summary, direct, "trial {i} differs under threading");
@@ -64,14 +72,14 @@ fn worker_count_never_changes_results() {
     }
 }
 
-/// Same invariant through the plain trial runner.
+/// Same invariant for the trials of a one-protocol plan.
 #[test]
 fn run_trials_is_worker_count_invariant() {
     let s = scenario(33);
-    let reference = run_trials_with(&s, ProtocolKind::Bgca, 5, &ExecOptions::serial());
+    let reference = trials(&s, ProtocolKind::Bgca, 5, &ExecOptions::serial());
     for workers in [2, 8] {
-        let racy = run_trials_with(&s, ProtocolKind::Bgca, 5, &ExecOptions::with_workers(workers));
-        assert_eq!(reference, racy, "{workers} workers changed run_trials output");
+        let racy = trials(&s, ProtocolKind::Bgca, 5, &ExecOptions::with_workers(workers));
+        assert_eq!(reference, racy, "{workers} workers changed the trials");
     }
 }
 

@@ -132,8 +132,9 @@ fn bursty_bimodal_12_node_summaries_are_pinned() {
 
 /// 12 mobile nodes under seed-forked crash–reboot churn — pins the
 /// fault subsystem end to end: schedule resolution from the trial
-/// master seed, cold reboots (`on_reboot`), traffic resumption and the
-/// recovery block in the summary Debug rendering.
+/// master seed, cold reboots (a fresh protocol started at the reboot),
+/// traffic resumption and the recovery block in the summary Debug
+/// rendering.
 #[test]
 fn churn_12_node_summaries_are_pinned() {
     use rica_repro::faults::FaultPlan;

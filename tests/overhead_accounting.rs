@@ -3,9 +3,10 @@
 //! internally consistent.
 
 use rica_repro::harness::{ProtocolKind, Scenario};
+use rica_repro::metrics::TrialSummary;
 use rica_repro::net::{ControlKind, DATA_ACK_BYTES};
 
-fn run(kind: ProtocolKind) -> rica_repro::harness::TrialReport {
+fn run(kind: ProtocolKind) -> TrialSummary {
     Scenario::builder()
         .nodes(20)
         .flows(4)
@@ -45,9 +46,7 @@ fn ack_bits_cover_at_least_the_delivered_hops() {
 
 #[test]
 fn protocols_emit_only_their_own_vocabulary() {
-    let has = |r: &rica_repro::harness::TrialReport, k: ControlKind| {
-        r.control_bits.get(&k).copied().unwrap_or(0) > 0
-    };
+    let has = |r: &TrialSummary, k: ControlKind| r.control_bits.get(&k).copied().unwrap_or(0) > 0;
     let rica = run(ProtocolKind::Rica);
     assert!(has(&rica, ControlKind::CsiCheck), "RICA must emit CSI checks");
     assert!(!has(&rica, ControlKind::Lsu), "RICA never floods LSUs");
