@@ -1,14 +1,17 @@
-//! Hot-loop wall-clock recorder: the perf trajectory behind `BENCH_micro.json`.
+//! Hot-loop wall-clock recorder: the substrate trajectory behind
+//! `BENCH_micro.json`.
 //!
-//! Times the single-trial hot path (the thing `rica-exec` multiplies
-//! across the sweep grid) plus the substrate micro-loops, and appends the
-//! numbers as a labeled snapshot to a committed JSON artifact so speedups
-//! are recorded measurements, not claims.
+//! Times eight substrate loops with fixed iteration counts, none of which
+//! builds a world, a scenario or a trial record, and appends the numbers
+//! as a labeled snapshot to a committed JSON artifact so speedups are
+//! recorded measurements, not claims.
 //!
-//! These rows are a per-layer trajectory, not the judged benchmark: the
-//! end-to-end fleet-sweep benchmark (trial throughput, latency
-//! percentiles, heap) is `perfbench/`, run as declared in
-//! `BENCHMARK.json` (see `perfbench/README.md`).
+//! Whole trials are timed by `perfbench/`, the judged end-to-end
+//! benchmark declared in `BENCHMARK.json` (see `perfbench/README.md`),
+//! and the golden trials of `tests/golden_metrics.rs` pin their exact
+//! work counts. `BENCH_micro.json` keeps the retired whole-trial rows
+//! (`trial/*`, `micro/trace_noop_overhead`, `micro/fleet_stream_overhead`)
+//! as history up to its `pr12-heap-queue` snapshot.
 //!
 //! ```text
 //! cargo run --release -p rica-bench --bin hotloop                    # measure + print
@@ -23,38 +26,28 @@
 //! cargo run --release -p rica-bench --bin hotloop -- --quick         # CI smoke (seconds, no file)
 //! ```
 //!
-//! Workloads:
+//! Rows (seconds per fixed workload, comparable across snapshots):
 //!
-//! * `trial/paper50/<PROTO>` — one 100 s trial of the paper's §III.A grid
-//!   (50 nodes, 10 flows, 36 km/h, 10 pkt/s) per protocol, seed 1.
-//! * `trial/scale200/RICA` — 200 nodes / 20 flows / 100 s: the scenario
-//!   the spatial grid exists for.
-//! * `trial/scale200_approx/RICA` — the same trial on the approx channel
-//!   tier (`ChannelFidelity::Approx`): ziggurat innovations, dt-quantised
-//!   decay.
-//! * `trial/workload_burst/RICA` — the same 200-node grid at the paper's
-//!   20 pkt/s overload driven through `rica-traffic` (on/off bursts,
-//!   bimodal sizes): the workload-generation path's perf trajectory.
-//! * `trial/churn/RICA` — the paper grid under whole-population
-//!   crash–reboot churn (`rica-faults`): the fault machinery's perf
-//!   trajectory next to `trial/paper50/RICA`.
-//! * `micro/trace_noop_overhead` — the paper-grid RICA trial with a
-//!   disabled (`NoopSink`) trace sink installed; compare against
-//!   `trial/paper50/RICA` to read the observability tax (kept ≤2%).
-//! * `micro/fleet_stream_overhead` — serialise + parse round-trips of a
-//!   realistic per-trial JSONL record (`rica_metrics::TrialRecord`): the
-//!   streaming tax a sharded `rica-fleet` sweep pays per trial on top of
-//!   the trial itself.
-//! * `micro/…` — event-queue, channel-sampling and mobility loops with
-//!   fixed iteration counts (seconds per fixed workload, comparable
-//!   across snapshots). `micro/event_queue_backoff_storm` schedules and
-//!   pops only; the snapshots committed before the queue lost its
-//!   cancellation API timed a cancel step too, so its row does not
-//!   compare with them.
+//! * `micro/event_queue_push_pop` — push then drain: the large-heap regime.
+//! * `micro/event_queue_backoff_storm` — MAC-retry bursts around a
+//!   sliding `now` with bounded pops: the few-hundred-deep regime of real
+//!   trials. It schedules and pops only; the snapshots committed before
+//!   the queue lost its cancellation API timed a cancel step too, so its
+//!   row does not compare with them.
+//! * `micro/channel_class_sequential` — one pair's class, sampled every
+//!   millisecond on the exact tier.
+//! * `micro/mobility_position` — random-waypoint positions.
+//! * `micro/ou_sample_repeat_dt` and `micro/ou_sample_repeat_dt_approx` —
+//!   OU samples over a small vocabulary of repeated gaps through the
+//!   decay cache, on the exact and the approx tier.
+//! * `micro/ziggurat_normal` — raw ziggurat standard normals.
+//! * `micro/broadcast_fanout` — the epoch-cached spatial-grid candidate
+//!   query and exact range filter at the 200-node scale.
 //!
-//! Each workload runs `--reps` times (default 3) and the minimum wall
-//! time is recorded, which is the most noise-robust statistic on a busy
-//! container.
+//! Each row runs `--reps` times (default 3; once with `--quick`, which
+//! also cuts the iteration counts 20-fold) and the minimum wall time is
+//! recorded, which is the most noise-robust statistic on a busy
+//! container. Every row prints `timed <row>` to stderr when it is done.
 //!
 //! Exit codes: 2 for a malformed command line (an unknown flag, or a
 //! missing or malformed value; nothing runs), 1 for a snapshot file that
@@ -63,7 +56,7 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "host-side: this recorder exists to time trials from outside them"
+    reason = "host-side: this recorder exists to time loops from outside them"
 )]
 
 use std::hint::black_box;
@@ -71,13 +64,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rica_channel::{ChannelConfig, ChannelFidelity, ChannelModel, DecayCache, OuProcess};
-use rica_harness::{ProtocolKind, Scenario, World};
+use rica_channel::{ChannelConfig, ChannelModel, DecayCache, OuProcess};
 use rica_metrics::json::{parse_json, push_string};
 use rica_mobility::{Field, SpatialGrid, Vec2, Waypoint};
 use rica_sim::{EventQueue, Rng, SimTime};
-use rica_trace::NoopSink;
-use rica_traffic::{ArrivalSpec, Dwell, SizeSpec, WorkloadSpec};
 
 struct Opts {
     label: Option<String>,
@@ -133,349 +123,166 @@ fn parse_opts(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
     Ok(opts)
 }
 
-/// Minimum wall-clock seconds of `reps` runs of `work`.
-fn time_min<O>(reps: usize, mut work: impl FnMut() -> O) -> f64 {
+/// Appends row `name`: the minimum wall-clock seconds of `reps` runs of
+/// `work`.
+fn time_row<O>(
+    entries: &mut Vec<(String, f64)>,
+    name: &str,
+    reps: usize,
+    mut work: impl FnMut() -> O,
+) {
     let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let t0 = Instant::now();
         black_box(work());
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    best
+    entries.push((name.to_string(), best));
+    eprintln!("  timed {name}");
+}
+
+/// The simulator's dt regime: a small vocabulary of exact repeats (tx
+/// durations, CSI periods, IFS quanta) across many processes sharing one
+/// (sigma, tau), which is the decay cache's target. `approx` samples
+/// through the approx tier (ziggurat innovations, dt quantisation).
+fn ou_repeat_dt(iters: u64, approx: bool) -> f64 {
+    let gaps = [0.016384, 1.0, 0.002048, 0.016384, 0.081920, 1.0, 0.016384, 0.000512];
+    let mut seeder = Rng::new(11);
+    let mut procs: Vec<OuProcess> =
+        (0..64).map(|_| OuProcess::new(6.0, 15.0, &mut seeder)).collect();
+    let mut cache = DecayCache::new(6.0, 15.0);
+    let mut rng = Rng::new(12);
+    let mut acc = 0.0f64;
+    let mut t = vec![0.0f64; procs.len()];
+    for i in 0..iters {
+        let p = (i % 64) as usize;
+        t[p] += gaps[(i % 8) as usize];
+        let at = SimTime::from_secs_f64(t[p]);
+        acc += if approx {
+            procs[p].sample_approx(at, &mut rng, &mut cache)
+        } else {
+            procs[p].sample_cached(at, &mut rng, &mut cache)
+        };
+    }
+    acc
 }
 
 fn run_all(quick: bool, reps: usize) -> Vec<(String, f64)> {
-    let mut entries = Vec::new();
-    let trial_secs = if quick { 4.0 } else { 100.0 };
     let reps = if quick { 1 } else { reps };
-
-    // The paper grid: 50 nodes, 10 flows, 36 km/h, 10 pkt/s.
-    for kind in ProtocolKind::ALL {
-        let s = Scenario::builder()
-            .mean_speed_kmh(36.0)
-            .rate_pps(10.0)
-            .duration_secs(trial_secs)
-            .seed(1)
-            .build();
-        let secs = time_min(reps, || s.run_seeded(kind, 1));
-        entries.push((format!("trial/paper50/{}", kind.name()), secs));
-        eprintln!("  timed trial/paper50/{}", kind.name());
-    }
-
-    // The scale target the spatial grid unlocks.
-    let s200 = Scenario::builder()
-        .nodes(200)
-        .flows(20)
-        .rate_pps(10.0)
-        .mean_speed_kmh(36.0)
-        .duration_secs(trial_secs)
-        .seed(1)
-        .build();
-    let secs = time_min(reps, || s200.run_seeded(ProtocolKind::Rica, 1));
-    entries.push(("trial/scale200/RICA".to_string(), secs));
-    eprintln!("  timed trial/scale200/RICA");
-
-    // The same scale trial on the approx channel tier (ziggurat
-    // innovations, dt-quantised decay) — the row
-    // the fidelity tier's ≥1.5× full-trial target is read from, next to
-    // `trial/scale200/RICA` above.
-    let s200a = Scenario::builder()
-        .nodes(200)
-        .flows(20)
-        .rate_pps(10.0)
-        .mean_speed_kmh(36.0)
-        .duration_secs(trial_secs)
-        .seed(1)
-        .channel(ChannelConfig { fidelity: ChannelFidelity::Approx, ..ChannelConfig::default() })
-        .build();
-    let secs = time_min(reps, || s200a.run_seeded(ProtocolKind::Rica, 1));
-    entries.push(("trial/scale200_approx/RICA".to_string(), secs));
-    eprintln!("  timed trial/scale200_approx/RICA");
-
-    // The workload-generation path at overload: 200 nodes, 20 flows of
-    // bursty on/off traffic at the paper's 20 pkt/s with bimodal sizes.
-    let burst = Scenario::builder()
-        .nodes(200)
-        .flows(20)
-        .rate_pps(20.0)
-        .mean_speed_kmh(36.0)
-        .duration_secs(trial_secs)
-        .seed(1)
-        .workload(WorkloadSpec {
-            arrival: ArrivalSpec::OnOffBurst {
-                on_mean_secs: 0.5,
-                off_mean_secs: 1.5,
-                dwell: Dwell::Exponential,
-            },
-            size: SizeSpec::Bimodal { small: 40, large: 1460, p_small: 0.3 },
-        })
-        .build();
-    let secs = time_min(reps, || burst.run_seeded(ProtocolKind::Rica, 1));
-    entries.push(("trial/workload_burst/RICA".to_string(), secs));
-    eprintln!("  timed trial/workload_burst/RICA");
-
-    // The fault-injection path under churn: the paper grid with a
-    // seed-forked crash–reboot renewal process over the whole population.
-    // Compare against `trial/paper50/RICA` to read the fault machinery's
-    // tax (incarnation guards, voided timers dropped as they surface,
-    // recovery accounting) plus the extra protocol work the churn itself
-    // induces.
-    let churn = Scenario::builder()
-        .mean_speed_kmh(36.0)
-        .rate_pps(10.0)
-        .duration_secs(trial_secs)
-        .seed(1)
-        .faults(rica_faults::FaultPlan::none().with_churn(40.0, 10.0, 5.0))
-        .build();
-    let secs = time_min(reps, || churn.run_seeded(ProtocolKind::Rica, 1));
-    entries.push(("trial/churn/RICA".to_string(), secs));
-    eprintln!("  timed trial/churn/RICA");
-
-    // The observability tax when nothing listens: the paper-grid RICA
-    // trial with a `NoopSink` installed, so every emission site takes its
-    // `Some(tracer)` branch and discards the event. Compare against
-    // `trial/paper50/RICA` above — the ratio is the disabled-sink
-    // overhead the trace layer promises to keep within noise (≤2%).
-    let s = Scenario::builder()
-        .mean_speed_kmh(36.0)
-        .rate_pps(10.0)
-        .duration_secs(trial_secs)
-        .seed(1)
-        .build();
-    let secs = time_min(reps, || {
-        let mut world = World::new(&s, ProtocolKind::Rica, 1);
-        world.enable_trace(Box::new(NoopSink));
-        world.run()
+    let iters = if quick { 10_000u64 } else { 200_000 };
+    let mut rows = Vec::new();
+    time_row(&mut rows, "micro/event_queue_push_pop", reps, || {
+        let mut rng = Rng::new(1);
+        let mut q = EventQueue::new();
+        for i in 0..iters {
+            q.schedule(SimTime::from_nanos(rng.u64_below(1_000_000_000)), i);
+        }
+        let mut count = 0u64;
+        while q.pop().is_some() {
+            count += 1;
+        }
+        count
     });
-    entries.push(("micro/trace_noop_overhead".to_string(), secs));
-    eprintln!("  timed micro/trace_noop_overhead");
-
-    // Substrate micro-loops (fixed op counts → comparable seconds).
-    let micro_iters = if quick { 10_000u64 } else { 200_000 };
-    entries.push((
-        "micro/event_queue_push_pop".to_string(),
-        time_min(reps, || {
-            let mut rng = Rng::new(1);
-            let mut q = EventQueue::new();
-            for i in 0..micro_iters {
-                q.schedule(SimTime::from_nanos(rng.u64_below(1_000_000_000)), i);
+    time_row(&mut rows, "micro/event_queue_backoff_storm", reps, || {
+        // The MacAttempt pattern: bursts of short-horizon retries around a
+        // sliding `now`, sparse far-future timers, bounded pops as the
+        // world's event loop makes them. The queue stays a few hundred
+        // events deep, as in real trials (unlike push-then-drain above,
+        // which measures the large-heap regime).
+        let mut rng = Rng::new(9);
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        let mut fired = 0u64;
+        for round in 0..(iters / 4) {
+            for _ in 0..3 {
+                let at = now + 1_000 + rng.u64_below(2_000_000);
+                q.schedule(SimTime::from_nanos(at), at);
             }
-            let mut count = 0u64;
-            while q.pop().is_some() {
-                count += 1;
+            if round % 16 == 0 {
+                let at = now + 3_000_000_000 + rng.u64_below(1_000_000_000);
+                q.schedule(SimTime::from_nanos(at), at);
             }
-            count
-        }),
-    ));
-    entries.push((
-        "micro/event_queue_backoff_storm".to_string(),
-        time_min(reps, || {
-            // The MacAttempt pattern: bursts of short-horizon retries
-            // around a sliding `now`, sparse far-future timers, bounded
-            // pops as the world's event loop makes them. The queue stays
-            // a few hundred events deep, as in real trials (unlike
-            // push-then-drain above, which measures the large-heap
-            // regime).
-            let mut rng = Rng::new(9);
-            let mut q = EventQueue::new();
-            let mut now = 0u64;
-            let mut fired = 0u64;
-            for round in 0..(micro_iters / 4) {
-                for _ in 0..3 {
-                    let at = now + 1_000 + rng.u64_below(2_000_000);
-                    q.schedule(SimTime::from_nanos(at), at);
-                }
-                if round % 16 == 0 {
-                    let at = now + 3_000_000_000 + rng.u64_below(1_000_000_000);
-                    q.schedule(SimTime::from_nanos(at), at);
-                }
-                let until = now + 1_200_000;
-                while let Some((t, _)) = q.pop_at_or_before(SimTime::from_nanos(until)) {
-                    now = now.max(t.as_nanos());
-                    fired += 1;
-                }
-                now = now.max(until);
+            let until = now + 1_200_000;
+            while let Some((t, _)) = q.pop_at_or_before(SimTime::from_nanos(until)) {
+                now = now.max(t.as_nanos());
+                fired += 1;
             }
-            fired
-        }),
-    ));
-    entries.push((
-        "micro/channel_class_sequential".to_string(),
-        time_min(reps, || {
-            let mut model = ChannelModel::new(ChannelConfig::default(), Rng::new(3));
-            let a = Vec2::new(0.0, 0.0);
-            let p = Vec2::new(120.0, 40.0);
-            let mut acc = 0u32;
-            for i in 0..micro_iters {
-                let t = SimTime::from_nanos(i * 1_000_000);
-                if let Some(cl) = model.class_between(0, 1, a, p, t) {
-                    acc += cl.level() as u32;
-                }
+            now = now.max(until);
+        }
+        fired
+    });
+    time_row(&mut rows, "micro/channel_class_sequential", reps, || {
+        let mut model = ChannelModel::new(ChannelConfig::default(), Rng::new(3));
+        let a = Vec2::new(0.0, 0.0);
+        let p = Vec2::new(120.0, 40.0);
+        let mut acc = 0u32;
+        for i in 0..iters {
+            let t = SimTime::from_nanos(i * 1_000_000);
+            if let Some(cl) = model.class_between(0, 1, a, p, t) {
+                acc += cl.level() as u32;
             }
-            acc
-        }),
-    ));
-    entries.push((
-        "micro/mobility_position".to_string(),
-        time_min(reps, || {
-            let mut w = Waypoint::new(Field::PAPER, 20.0, 3.0, Rng::new(5));
-            let mut acc = 0.0f64;
-            for i in 0..micro_iters {
-                acc += w.position_at(SimTime::from_nanos(i * 50_000_000)).x;
-            }
-            acc
-        }),
-    ));
-    entries.push((
-        "micro/ou_sample_repeat_dt".to_string(),
-        time_min(reps, || {
-            // The simulator's dt regime: a small vocabulary of exact
-            // repeats (tx durations, CSI periods, IFS quanta) across many
-            // processes sharing one (sigma, tau) — the decay cache's
-            // target. Seconds per fixed op count, comparable across
-            // snapshots.
-            let gaps = [0.016384, 1.0, 0.002048, 0.016384, 0.081920, 1.0, 0.016384, 0.000512];
-            let mut seeder = Rng::new(11);
-            let mut procs: Vec<OuProcess> =
-                (0..64).map(|_| OuProcess::new(6.0, 15.0, &mut seeder)).collect();
-            let mut cache = DecayCache::new(6.0, 15.0);
-            let mut rng = Rng::new(12);
-            let mut acc = 0.0f64;
-            let mut t = vec![0.0f64; procs.len()];
-            for i in 0..micro_iters {
-                let p = (i % 64) as usize;
-                t[p] += gaps[(i % 8) as usize];
-                acc += procs[p].sample_cached(SimTime::from_secs_f64(t[p]), &mut rng, &mut cache);
-            }
-            acc
-        }),
-    ));
-    entries.push((
-        "micro/ou_sample_repeat_dt_approx".to_string(),
-        time_min(reps, || {
-            // The same dt regime through the approx tier: ziggurat
-            // innovations + dt quantisation. Compare against
-            // `micro/ou_sample_repeat_dt` — this pair is where the
-            // fidelity tier's ≥2× sampling target is read.
-            let gaps = [0.016384, 1.0, 0.002048, 0.016384, 0.081920, 1.0, 0.016384, 0.000512];
-            let mut seeder = Rng::new(11);
-            let mut procs: Vec<OuProcess> =
-                (0..64).map(|_| OuProcess::new(6.0, 15.0, &mut seeder)).collect();
-            let mut cache = DecayCache::new(6.0, 15.0);
-            let mut rng = Rng::new(12);
-            let mut acc = 0.0f64;
-            let mut t = vec![0.0f64; procs.len()];
-            for i in 0..micro_iters {
-                let p = (i % 64) as usize;
-                t[p] += gaps[(i % 8) as usize];
-                acc += procs[p].sample_approx(SimTime::from_secs_f64(t[p]), &mut rng, &mut cache);
-            }
-            acc
-        }),
-    ));
-    entries.push((
-        "micro/ziggurat_normal".to_string(),
-        time_min(reps, || {
-            // Raw standard-normal throughput of the ziggurat sampler
-            // (~98.8% of draws take the single-u64 fast path). The
-            // Box–Muller floor it breaks is visible in the exact-tier OU
-            // rows above.
-            let mut rng = Rng::new(17);
-            let mut acc = 0.0f64;
-            for _ in 0..micro_iters {
-                acc += rng.normal_ziggurat();
-            }
-            acc
-        }),
-    ));
-    entries.push((
-        "micro/broadcast_fanout".to_string(),
-        time_min(reps, || {
-            // The per-transmission fan-out pattern at the 200-node scale:
-            // an epoch-cached candidate query (grid superset + exact
-            // snapshot-disc trim) reused across transmissions, each
-            // re-checking exact distances against a drifting transmitter.
-            let mut rng = Rng::new(21);
-            let positions: Vec<Vec2> =
-                (0..200).map(|_| Field::PAPER.random_point(&mut rng)).collect();
-            let mut grid = SpatialGrid::new(Field::PAPER, 83.0);
-            grid.rebuild(&positions);
-            let radius = 250.0 + 24.0;
-            let keep_sq = (radius + 1.0) * (radius + 1.0);
-            let mut cached: Vec<u32> = Vec::new();
-            let mut acc = 0u64;
-            for epoch in 0..(micro_iters / 64) {
-                let tx = (epoch % 200) as usize;
-                let center = positions[tx];
-                // One query + snapshot-disc trim per (node, epoch)…
-                grid.query_unordered_into(center, radius, &mut cached);
-                cached.retain(|&j| {
-                    j as usize != tx && positions[j as usize].distance_sq(center) <= keep_sq
-                });
-                // …reused by every transmission the node makes before the
-                // next grid rebuild, each re-filtering exactly against the
-                // transmitter's drifted position.
-                for k in 0..16 {
-                    let p_tx = Vec2::new(center.x + 0.4 * k as f64, center.y);
-                    for &j in &cached {
-                        if positions[j as usize].distance_sq(p_tx) <= 62_500.0 {
-                            acc += 1;
-                        }
+        }
+        acc
+    });
+    time_row(&mut rows, "micro/mobility_position", reps, || {
+        let mut w = Waypoint::new(Field::PAPER, 20.0, 3.0, Rng::new(5));
+        let mut acc = 0.0f64;
+        for i in 0..iters {
+            acc += w.position_at(SimTime::from_nanos(i * 50_000_000)).x;
+        }
+        acc
+    });
+    time_row(&mut rows, "micro/ou_sample_repeat_dt", reps, || ou_repeat_dt(iters, false));
+    // Compare against `micro/ou_sample_repeat_dt`: this pair is where the
+    // approx tier's ≥2× sampling target is read.
+    time_row(&mut rows, "micro/ou_sample_repeat_dt_approx", reps, || ou_repeat_dt(iters, true));
+    time_row(&mut rows, "micro/ziggurat_normal", reps, || {
+        // Raw standard-normal throughput of the ziggurat sampler (~98.8%
+        // of draws take the single-u64 fast path). The Box–Muller floor it
+        // breaks is visible in the exact-tier OU row above.
+        let mut rng = Rng::new(17);
+        let mut acc = 0.0f64;
+        for _ in 0..iters {
+            acc += rng.normal_ziggurat();
+        }
+        acc
+    });
+    time_row(&mut rows, "micro/broadcast_fanout", reps, || {
+        // The per-transmission fan-out pattern at the 200-node scale: an
+        // epoch-cached candidate query (grid superset + exact
+        // snapshot-disc trim) reused across transmissions, each
+        // re-checking exact distances against a drifting transmitter.
+        let mut rng = Rng::new(21);
+        let positions: Vec<Vec2> = (0..200).map(|_| Field::PAPER.random_point(&mut rng)).collect();
+        let mut grid = SpatialGrid::new(Field::PAPER, 83.0);
+        grid.rebuild(&positions);
+        let radius = 250.0 + 24.0;
+        let keep_sq = (radius + 1.0) * (radius + 1.0);
+        let mut cached: Vec<u32> = Vec::new();
+        let mut acc = 0u64;
+        for epoch in 0..(iters / 64) {
+            let tx = (epoch % 200) as usize;
+            let center = positions[tx];
+            // One query + snapshot-disc trim per (node, epoch)…
+            grid.query_unordered_into(center, radius, &mut cached);
+            cached.retain(|&j| {
+                j as usize != tx && positions[j as usize].distance_sq(center) <= keep_sq
+            });
+            // …reused by every transmission the node makes before the next
+            // grid rebuild, each re-filtering exactly against the
+            // transmitter's drifted position.
+            for k in 0..16 {
+                let p_tx = Vec2::new(center.x + 0.4 * k as f64, center.y);
+                for &j in &cached {
+                    if positions[j as usize].distance_sq(p_tx) <= 62_500.0 {
+                        acc += 1;
                     }
                 }
             }
-            acc
-        }),
-    ));
-    // One realistic trial summary (delivery, drops, control traffic, a
-    // throughput series), round-tripped through the fleet streaming
-    // codec — the per-trial cost a sharded sweep adds on top of the
-    // trial itself. Built once; the loop times serialise + parse.
-    let streamed = {
-        use rica_net::{DataPacket, DropReason, FlowId, NodeId};
-        let mut m = rica_metrics::Metrics::new();
-        let mut rng = Rng::new(23);
-        for i in 0..400u64 {
-            m.on_generated();
-            match rng.u64_below(10) {
-                0 => m.on_dropped(DropReason::NoRoute),
-                1 => m.on_dropped(DropReason::LinkBreak),
-                _ => {
-                    let pkt =
-                        DataPacket::new(FlowId(0), i, NodeId(0), NodeId(1), 512, SimTime::ZERO);
-                    let at = SimTime::from_secs_f64(i as f64 * 0.22 + rng.f64() * 0.05);
-                    m.on_delivered(&pkt, at);
-                }
-            }
-            m.on_control_tx(rica_net::ControlKind::Rreq, 416);
-            m.on_ack_tx(128);
         }
-        m.finish(rica_sim::SimDuration::from_secs(100))
-    };
-    entries.push((
-        "micro/fleet_stream_overhead".to_string(),
-        time_min(reps, || {
-            let rec = rica_metrics::TrialRecord {
-                job: 17,
-                cell: 3,
-                trial: 2,
-                seed: 44,
-                summary: streamed.clone(),
-            };
-            let mut acc = 0usize;
-            for i in 0..(micro_iters / 16) {
-                let mut r = rec.clone();
-                r.job = i as usize;
-                let line = r.to_line();
-                acc +=
-                    rica_metrics::TrialRecord::parse(&line).expect("round-trip").summary.generated
-                        as usize
-                        + line.len();
-            }
-            acc
-        }),
-    ));
-    entries
+        acc
+    });
+    rows
 }
 
 // ------------------------------------------------------------- artifact IO

@@ -188,7 +188,7 @@ mod tests {
         plan.run(&ExecOptions::serial(), |job| {
             let mut m = Metrics::new();
             for _ in 0..(job.seed + job.protocol as u64) {
-                m.on_generated();
+                m.on_generated_flow(0, 0);
             }
             m.finish(SimDuration::from_secs(4))
         })
@@ -312,7 +312,7 @@ mod tests {
         let mut r = plan.run(&ExecOptions::serial(), |job| {
             let mut m = Metrics::new();
             for _ in 0..(job.seed + job.protocol as u64 + job.trial as u64) {
-                m.on_generated();
+                m.on_generated_flow(0, 0);
             }
             if job.workload == 1 {
                 m.enable_workload(1);

@@ -34,7 +34,7 @@
 //! `Fn(&TrialJob<P>) -> TrialSummary` that actually runs one simulation
 //! trial. `rica-harness` layers the paper's `Scenario` vocabulary on
 //! top (see `rica_harness::sweep`), which keeps the dependency graph
-//! acyclic: sim → traffic/metrics → **exec** → harness → bench. (The
+//! acyclic: sim → traffic/metrics → **exec** → harness. (The
 //! scenario-shaped concepts a plan carries are its sweep axes — see
 //! [`Axis`]: workload specs, channel fidelities and fault plans are pure
 //! data with no simulator dependency, so the layering holds.)
@@ -49,7 +49,7 @@
 //! let result = plan.run(&ExecOptions::serial(), |job| {
 //!     let mut m = Metrics::new();
 //!     for _ in 0..job.seed % 7 {
-//!         m.on_generated();
+//!         m.on_generated_flow(0, 0);
 //!     }
 //!     m.finish(SimDuration::from_secs(1))
 //! });
@@ -93,12 +93,14 @@ impl ExecArgs {
     /// # Errors
     ///
     /// Returns a message naming the flag if either flag is missing its
-    /// value or `--workers` is not a number.
+    /// value or `--workers` is not a positive integer.
     ///
     /// ```
     /// let args = |a: &[&str]| rica_exec::ExecArgs::parse(a.iter().map(|s| s.to_string()));
     /// assert_eq!(args(&["--workers", "2", "fig2a"]).unwrap().workers, Some(2));
-    /// assert_eq!(args(&["--workers", "x"]).unwrap_err(), "--workers needs a number, got \"x\"");
+    /// let err = "--workers needs a positive integer, got";
+    /// assert_eq!(args(&["--workers", "x"]).unwrap_err(), format!("{err} \"x\""));
+    /// assert_eq!(args(&["--workers", "0"]).unwrap_err(), format!("{err} \"0\""));
     /// assert_eq!(args(&["--json"]).unwrap_err(), "--json needs a path");
     /// ```
     pub fn parse(args: impl Iterator<Item = String>) -> Result<ExecArgs, String> {
@@ -107,10 +109,11 @@ impl ExecArgs {
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--workers" => {
-                    let v = args.next().ok_or("--workers needs a number")?;
-                    let n =
-                        v.parse().map_err(|_| format!("--workers needs a number, got {v:?}"))?;
-                    parsed.workers = Some(n);
+                    let v = args.next().ok_or("--workers needs a positive integer")?;
+                    match v.parse() {
+                        Ok(n) if n > 0 => parsed.workers = Some(n),
+                        _ => return Err(format!("--workers needs a positive integer, got {v:?}")),
+                    }
                 }
                 "--json" => {
                     let p = args.next().ok_or("--json needs a path")?;
@@ -124,7 +127,11 @@ impl ExecArgs {
 
     /// The resolved worker count (explicit → `RICA_WORKERS` → available
     /// parallelism).
-    pub fn resolved_workers(&self) -> usize {
+    ///
+    /// # Errors
+    ///
+    /// See [`resolve_workers`].
+    pub fn resolved_workers(&self) -> Result<usize, String> {
         resolve_workers(self.workers)
     }
 }
@@ -133,18 +140,28 @@ impl ExecArgs {
 /// `RICA_WORKERS` environment variable, then the machine's available
 /// parallelism.
 ///
+/// # Errors
+///
+/// Without an explicit count, returns a message naming `RICA_WORKERS` if
+/// it is set but is not a positive integer.
+///
 /// ```
-/// assert_eq!(rica_exec::resolve_workers(Some(3)), 3);
-/// assert!(rica_exec::resolve_workers(None) >= 1);
+/// assert_eq!(rica_exec::resolve_workers(Some(3)), Ok(3));
+/// std::env::set_var("RICA_WORKERS", "2");
+/// assert_eq!(rica_exec::resolve_workers(None), Ok(2));
+/// std::env::set_var("RICA_WORKERS", "two");
+/// let err = rica_exec::resolve_workers(None).unwrap_err();
+/// assert_eq!(err, "RICA_WORKERS needs a positive integer, got \"two\"");
 /// ```
-pub fn resolve_workers(explicit: Option<usize>) -> usize {
+pub fn resolve_workers(explicit: Option<usize>) -> Result<usize, String> {
     if let Some(n) = explicit {
-        return n.max(1);
+        return Ok(n.max(1));
     }
-    if let Ok(v) = std::env::var("RICA_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
+    let Some(raw) = std::env::var_os("RICA_WORKERS") else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    match raw.to_str().map(|v| v.trim().parse()) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err(format!("RICA_WORKERS needs a positive integer, got {raw:?}")),
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

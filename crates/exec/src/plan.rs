@@ -38,9 +38,10 @@ pub struct SweepPlan<P> {
     pub faults: Vec<FaultPlan>,
     /// Seeded repetitions per grid cell.
     pub trials: usize,
-    /// Base seed; trial `i` of every cell runs with `base_seed + i`, so
-    /// all cells share common random numbers across the protocol axis
-    /// (paired comparison, as the paper's 25-trial averages do).
+    /// Base seed; trial `i` of every cell runs with `base_seed + i`
+    /// (wrapping past `u64::MAX`), so all cells share common random
+    /// numbers across the protocol axis (paired comparison, as the
+    /// paper's 25-trial averages do).
     pub base_seed: u64,
 }
 
@@ -206,7 +207,7 @@ impl<P: Copy> SweepPlan<P> {
             fidelity: self.fidelities[fidelity],
             faults,
             trial,
-            seed: self.base_seed + trial as u64,
+            seed: self.base_seed.wrapping_add(trial as u64),
         }
     }
 
@@ -444,7 +445,7 @@ mod tests {
         let mut m = Metrics::new();
         let n = (job.seed % 5) + job.trial as u64 + job.protocol as u64;
         for _ in 0..n {
-            m.on_generated();
+            m.on_generated_flow(0, 0);
         }
         m.finish(SimDuration::from_secs(1))
     }
@@ -464,6 +465,13 @@ mod tests {
         // Protocol-major order: first half is protocol 1.
         assert!(jobs[..24].iter().all(|j| j.protocol == 1));
         assert!(jobs[24..].iter().all(|j| j.protocol == 2));
+    }
+
+    #[test]
+    fn seeds_wrap_past_the_largest_base_seed() {
+        let plan = SweepPlan::new(vec![1u8], vec![0.0], vec![5], 2, u64::MAX);
+        assert_eq!(plan.job(0, 0).seed, u64::MAX);
+        assert_eq!(plan.job(0, 1).seed, 0);
     }
 
     #[test]

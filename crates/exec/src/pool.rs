@@ -22,8 +22,19 @@ pub struct ExecOptions {
 
 impl Default for ExecOptions {
     /// Available parallelism (honouring `RICA_WORKERS`), silent progress.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming `RICA_WORKERS` if it is set but is not a positive
+    /// integer.
+    ///
+    /// ```should_panic
+    /// std::env::set_var("RICA_WORKERS", "0");
+    /// let _ = rica_exec::ExecOptions::default();
+    /// ```
     fn default() -> Self {
-        ExecOptions { workers: crate::resolve_workers(None), progress: Progress::Silent }
+        let workers = crate::resolve_workers(None).unwrap_or_else(|e| panic!("{e}"));
+        ExecOptions { workers, progress: Progress::Silent }
     }
 }
 

@@ -253,7 +253,7 @@ mod tests {
         let generated = 100;
         let delivered = 80 + (noise * job.protocol as u64) % 20;
         for i in 0..generated {
-            m.on_generated();
+            m.on_generated_flow(0, 0);
             if i < delivered {
                 let pkt = DataPacket::new(FlowId(0), i, NodeId(0), NodeId(1), 512, SimTime::ZERO);
                 let at = SimTime::ZERO + SimDuration::from_millis(10 + noise * job.protocol as u64);

@@ -170,7 +170,7 @@ fn parse(args: impl Iterator<Item = String>) -> Args {
             }
             "--dir" => out.dir = Some(PathBuf::from(raw)),
             "--shards" => shards = Some(count(raw, "--shards")),
-            "--workers" => out.workers = Some(value(raw, "--workers", "an integer", |_| true)),
+            "--workers" => out.workers = Some(count(raw, "--workers")),
             "--json" => out.json = Some(PathBuf::from(raw)),
             "--ci-delivery" => out.ci_delivery = target(raw, "--ci-delivery"),
             "--ci-delay" => out.ci_delay = target(raw, "--ci-delay"),
@@ -214,8 +214,10 @@ fn build(a: &Args) -> (SweepPlan<ProtocolKind>, Scenario) {
     (plan, base)
 }
 
+/// The worker pool's options, exiting 2 on an unusable `RICA_WORKERS`.
 fn exec_options(a: &Args) -> ExecOptions {
-    let mut opts = ExecOptions::with_workers(rica_exec::resolve_workers(a.workers));
+    let workers = rica_exec::resolve_workers(a.workers).unwrap_or_else(|e| die(&e));
+    let mut opts = ExecOptions::with_workers(workers);
     opts.progress = Progress::Stderr;
     opts
 }

@@ -157,7 +157,7 @@ mod tests {
         let mut m = Metrics::new();
         let n = job.seed % 7 + job.protocol as u64 + job.trial as u64 + job.nodes as u64;
         for i in 0..n {
-            m.on_generated();
+            m.on_generated_flow(0, 0);
             if i % 2 == 0 {
                 // Deliver half the packets with job-dependent delays so
                 // aggregates carry real means and variances.

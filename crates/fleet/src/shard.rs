@@ -236,7 +236,7 @@ mod tests {
     fn toy_runner(job: &TrialJob<u8>) -> TrialSummary {
         let mut m = Metrics::new();
         for _ in 0..(job.seed % 7 + job.protocol as u64 + job.trial as u64) {
-            m.on_generated();
+            m.on_generated_flow(0, 0);
         }
         m.finish(SimDuration::from_secs(1))
     }

@@ -72,15 +72,17 @@ fn deeply_nested_manifest_exits_2_with_an_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `fleet args`, killing it after two minutes: a hang fails the
-/// caller's exit-code check instead of blocking the suite.
-fn fleet_with_deadline(args: &[&str]) -> (Option<i32>, String, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_fleet"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("run");
+/// Runs `fleet args` with `RICA_WORKERS` set to `workers_env` (unset for
+/// `None`), killing it after two minutes: a hang fails the caller's
+/// exit-code check instead of blocking the suite.
+fn fleet_with_deadline(args: &[&str], workers_env: Option<&str>) -> (Option<i32>, String, String) {
+    let mut fleet = Command::new(env!("CARGO_BIN_EXE_fleet"));
+    match workers_env {
+        Some(v) => fleet.env("RICA_WORKERS", v),
+        None => fleet.env_remove("RICA_WORKERS"),
+    };
+    let mut child =
+        fleet.args(args).stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().expect("run");
     let deadline = Instant::now() + Duration::from_secs(120);
     while child.try_wait().expect("wait").is_none() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
@@ -123,25 +125,31 @@ fn unusable_flag_values_exit_2_naming_the_flag_before_anything_runs() {
     // A four-job plan of 1 s trials; each case then overrides one flag.
     let base = ["--protocols", "rica,aodv", "--speeds", "0,36", "--nodes", "4"];
     let base = [&base[..], &["--trials", "1", "--flows", "1", "--duration", "1"]].concat();
-    let cases: [(&str, &[&str], &str); 13] = [
-        ("sweep", &["--protocols", ""], "--protocols"),
-        ("sweep", &["--speeds", ","], "--speeds"),
-        ("sweep", &["--speeds", "nan"], "--speeds"),
-        ("sweep", &["--nodes", "1"], "--nodes"),
-        ("sweep", &["--nodes", "2", "--flows", "3"], "--flows"),
-        ("sweep", &["--rate", "0"], "--rate"),
-        ("sweep", &["--duration", "-1"], "--duration"),
-        ("sweep", &["--shards", "0"], "--shards"),
-        ("sweep", &["--shards", "5"], "--shards"),
-        ("adaptive", &["--trials", "0"], "--trials"),
-        ("adaptive", &["--batch", "0"], "--batch"),
-        ("adaptive", &["--ci-delivery", "-1"], "--ci-delivery"),
-        ("adaptive", &["--ci-delay", "nan"], "--ci-delay"),
+    // (command, `RICA_WORKERS` (unset for `None`), overriding flags, what
+    // the message names)
+    let cases: [(&str, Option<&str>, &[&str], &str); 17] = [
+        ("sweep", None, &["--protocols", ""], "--protocols"),
+        ("sweep", None, &["--speeds", ","], "--speeds"),
+        ("sweep", None, &["--speeds", "nan"], "--speeds"),
+        ("sweep", None, &["--nodes", "1"], "--nodes"),
+        ("sweep", None, &["--nodes", "2", "--flows", "3"], "--flows"),
+        ("sweep", None, &["--rate", "0"], "--rate"),
+        ("sweep", None, &["--duration", "-1"], "--duration"),
+        ("sweep", None, &["--shards", "0"], "--shards"),
+        ("sweep", None, &["--shards", "5"], "--shards"),
+        ("sweep", None, &["--workers", "0"], "--workers"),
+        ("sweep", Some("abc"), &[], "RICA_WORKERS"),
+        ("adaptive", None, &["--trials", "0"], "--trials"),
+        ("adaptive", None, &["--batch", "0"], "--batch"),
+        ("adaptive", None, &["--ci-delivery", "-1"], "--ci-delivery"),
+        ("adaptive", None, &["--ci-delay", "nan"], "--ci-delay"),
+        ("adaptive", None, &["--workers", "0"], "--workers"),
+        ("adaptive", Some("0"), &[], "RICA_WORKERS"),
     ];
-    for (cmd, bad, flag) in cases {
+    for (cmd, workers_env, bad, flag) in cases {
         let json = dir.join("adaptive.json");
         let args = [&[cmd, "--dir", d, "--json", json.to_str().unwrap()], &base[..], bad].concat();
-        let (code, stdout, stderr) = fleet_with_deadline(&args);
+        let (code, stdout, stderr) = fleet_with_deadline(&args, workers_env);
         assert_eq!(code, Some(2), "fleet {cmd} {bad:?}: {stderr}");
         assert!(stderr.starts_with("fleet: ") && stderr.contains(flag), "{bad:?}: {stderr}");
         assert!(stdout.is_empty() && !dir.exists(), "fleet {cmd} {bad:?} ran");
@@ -152,7 +160,7 @@ fn unusable_flag_values_exit_2_naming_the_flag_before_anything_runs() {
 fn a_plan_with_fewer_jobs_than_the_default_shard_count_gets_a_shard_per_job() {
     let dir = std::env::temp_dir().join(format!("rica_fleet_cli_small_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (code, _, stderr) = fleet_with_deadline(&[
+    let args = [
         "sweep",
         "--dir",
         dir.to_str().unwrap(),
@@ -168,10 +176,33 @@ fn a_plan_with_fewer_jobs_than_the_default_shard_count_gets_a_shard_per_job() {
         "1",
         "--duration",
         "1",
-    ]);
+    ];
+    let (code, _, stderr) = fleet_with_deadline(&args, None);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("ran 2 shard(s), reused 0"), "{stderr}");
     assert_eq!(load_manifest(&dir).unwrap().expect("a manifest").shards.len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_largest_base_seed_wraps_to_zero() {
+    let dir = std::env::temp_dir().join(format!("rica_fleet_cli_seed_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let args = [
+        &["sweep", "--dir", d, "--seed", "18446744073709551615", "--trials", "2"][..],
+        &["--protocols", "aodv", "--speeds", "0", "--nodes", "4"],
+        &["--flows", "1", "--duration", "1"],
+    ]
+    .concat();
+    let (code, _, stderr) = fleet_with_deadline(&args, None);
+    assert_eq!(code, Some(0), "{stderr}");
+    let manifest = load_manifest(&dir).unwrap().expect("a manifest");
+    let seeds: Vec<u64> = (0..manifest.shards.len())
+        .flat_map(|shard| read_shard(&manifest, shard, &dir).unwrap())
+        .map(|record| record.seed)
+        .collect();
+    assert_eq!(seeds, [u64::MAX, 0]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

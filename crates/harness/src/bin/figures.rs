@@ -75,7 +75,7 @@ fn main() {
     if let Some(t) = trials_override {
         scale.trials = t;
     }
-    let workers = exec_args.resolved_workers();
+    let workers = exec_args.resolved_workers().unwrap_or_else(|e| usage_error(&e));
     let opts = ExecOptions { workers, progress: Progress::Stderr };
     eprintln!(
         "# scale: {scale_name} ({} nodes, {} flows, {} s, {} trials, speeds {:?}, {} workers)",

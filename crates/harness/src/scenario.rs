@@ -2,7 +2,7 @@
 
 use rica_channel::ChannelConfig;
 use rica_faults::FaultPlan;
-use rica_net::{NodeId, ProtocolConfig, RoutingProtocol, DATA_HEADER_BYTES};
+use rica_net::{NodeId, ProtocolConfig, RoutingProtocol, DATA_HEADER_BYTES, DATA_PAYLOAD_BYTES};
 use rica_sim::{Rng, SimDuration};
 use rica_traffic::WorkloadSpec;
 
@@ -109,13 +109,12 @@ pub struct Scenario {
     /// Mean terminal speed in km/h; each terminal draws leg speeds
     /// uniformly from `[0, 2 × mean]` (MAXSPEED = twice the mean).
     pub mean_speed_kmh: f64,
-    /// Number of random distinct flows (paper: 10) — ignored if
-    /// `explicit_flows` is set.
+    /// Number of random distinct flows (paper: 10), each carrying
+    /// [`DATA_PAYLOAD_BYTES`] payloads — ignored if `explicit_flows` is
+    /// set.
     pub flows: usize,
     /// Per-flow packet rate (paper: 10 or 20 packets/s).
     pub rate_pps: f64,
-    /// Data payload size (paper: 512 bytes).
-    pub packet_bytes: u32,
     /// Workload shape applied to every flow (paper default: Poisson
     /// arrivals of fixed-size packets, which reproduces the legacy
     /// traffic stream bit for bit).
@@ -136,7 +135,7 @@ pub struct Scenario {
     /// Channel model parameters.
     pub channel: ChannelConfig,
     /// Protocol parameters (BGCA's offered-rate field is filled from
-    /// `rate_pps`/`packet_bytes` by [`ScenarioBuilder::build`]).
+    /// `rate_pps` by [`ScenarioBuilder::build`]).
     pub protocol: ProtocolConfig,
 }
 
@@ -149,7 +148,7 @@ impl Scenario {
     /// Per-flow offered rate in kbps (payload + header), as the BGCA guard
     /// sees it.
     pub fn offered_kbps(&self) -> f64 {
-        self.rate_pps * ((self.packet_bytes + DATA_HEADER_BYTES) as f64 * 8.0) / 1000.0
+        self.rate_pps * ((DATA_PAYLOAD_BYTES + DATA_HEADER_BYTES) as f64 * 8.0) / 1000.0
     }
 
     /// The flows of a trial: explicit if given, otherwise `flows` random
@@ -183,7 +182,7 @@ impl Scenario {
             if src == dst || !used.insert((src, dst)) {
                 continue;
             }
-            flows.push(Flow::new(NodeId(src), NodeId(dst), self.rate_pps, self.packet_bytes));
+            flows.push(Flow::new(NodeId(src), NodeId(dst), self.rate_pps, DATA_PAYLOAD_BYTES));
         }
         flows
     }
@@ -213,7 +212,6 @@ impl Default for ScenarioBuilder {
                 mean_speed_kmh: 36.0,
                 flows: 10,
                 rate_pps: 10.0,
-                packet_bytes: 512,
                 workload: WorkloadSpec::default(),
                 explicit_flows: None,
                 pinned_positions: None,
@@ -249,12 +247,6 @@ impl ScenarioBuilder {
     /// Sets the per-flow Poisson rate (packets/second).
     pub fn rate_pps(mut self, v: f64) -> Self {
         self.scenario.rate_pps = v;
-        self
-    }
-
-    /// Sets the data payload size (bytes).
-    pub fn packet_bytes(mut self, v: u32) -> Self {
-        self.scenario.packet_bytes = v;
         self
     }
 
@@ -354,7 +346,6 @@ mod tests {
         assert_eq!(s.nodes, 50);
         assert_eq!(s.flows, 10);
         assert_eq!(s.rate_pps, 10.0);
-        assert_eq!(s.packet_bytes, 512);
         assert_eq!(s.duration, SimDuration::from_secs(500));
     }
 

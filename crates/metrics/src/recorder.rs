@@ -171,14 +171,8 @@ impl Metrics {
         }
     }
 
-    /// A source generated a data packet.
-    pub fn on_generated(&mut self) {
-        self.generated += 1;
-    }
-
     /// A source generated a data packet of `bits` on-air bits for `flow`
-    /// ([`Metrics::on_generated`] plus offered-load accounting when
-    /// workload recording is enabled).
+    /// (offered-load accounting only when workload recording is enabled).
     pub fn on_generated_flow(&mut self, flow: u32, bits: u64) {
         self.generated += 1;
         if let Some(w) = &mut self.workload {
@@ -226,15 +220,10 @@ impl Metrics {
         }
     }
 
-    /// A data packet was dropped.
-    pub fn on_dropped(&mut self, reason: DropReason) {
-        self.drops[reason as usize] += 1;
-    }
-
-    /// A data packet of `flow` was dropped at `now`
-    /// ([`Metrics::on_dropped`] plus disruption-window accounting when
-    /// recovery recording is enabled: the first drop on a flow after a
-    /// fault opens a window that the flow's next delivery closes).
+    /// A data packet of `flow` was dropped at `now` (disruption-window
+    /// accounting only when recovery recording is enabled: the first drop
+    /// on a flow after a fault opens a window that the flow's next
+    /// delivery closes).
     pub fn on_dropped_flow(&mut self, flow: u32, reason: DropReason, now: SimTime) {
         self.drops[reason as usize] += 1;
         if let Some(r) = &mut self.recovery {
@@ -634,11 +623,11 @@ mod tests {
     fn delay_and_delivery() {
         let mut m = Metrics::new();
         for _ in 0..4 {
-            m.on_generated();
+            m.on_generated_flow(0, 0);
         }
         m.on_delivered(&pkt_with_hops(&[ChannelClass::A], 1.0), SimTime::from_secs_f64(1.1));
         m.on_delivered(&pkt_with_hops(&[ChannelClass::A], 2.0), SimTime::from_secs_f64(2.3));
-        m.on_dropped(DropReason::BufferOverflow);
+        m.on_dropped_flow(0, DropReason::BufferOverflow, SimTime::ZERO);
         let s = m.finish(SimDuration::from_secs(10));
         assert_eq!(s.generated, 4);
         assert_eq!(s.delivered, 2);
@@ -651,8 +640,8 @@ mod tests {
     #[test]
     fn route_quality_metrics() {
         let mut m = Metrics::new();
-        m.on_generated();
-        m.on_generated();
+        m.on_generated_flow(0, 0);
+        m.on_generated_flow(0, 0);
         // One packet over A+D (2 hops, 300 kbps summed), one over B (1 hop).
         m.on_delivered(
             &pkt_with_hops(&[ChannelClass::A, ChannelClass::D], 0.0),
@@ -682,9 +671,9 @@ mod tests {
     #[test]
     fn throughput_binning() {
         let mut m = Metrics::new();
-        m.on_generated();
-        m.on_generated();
-        m.on_generated();
+        m.on_generated_flow(0, 0);
+        m.on_generated_flow(0, 0);
+        m.on_generated_flow(0, 0);
         let p = pkt_with_hops(&[ChannelClass::A], 0.0);
         m.on_delivered(&p, SimTime::from_secs_f64(1.0)); // bin 0
         m.on_delivered(&p, SimTime::from_secs_f64(5.0)); // bin 1

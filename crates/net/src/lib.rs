@@ -54,6 +54,7 @@ pub use flatmap::{IdMap, KeyMap};
 pub use ids::{FlowId, NodeId};
 pub use packet::{
     ControlKind, ControlPacket, DataPacket, LsuEntry, DATA_ACK_BYTES, DATA_HEADER_BYTES,
+    DATA_PAYLOAD_BYTES,
 };
 pub use queue::LinkQueue;
 pub use routing::{

@@ -273,6 +273,11 @@ pub struct DataPacket {
 /// Data-plane header size (addresses, flow id, seq, flags), in bytes.
 pub const DATA_HEADER_BYTES: u32 = 24;
 
+/// Payload size of a scenario's random flows, in bytes (paper: 512 bytes,
+/// §III.A): the exact size under the fixed-size workload, the anchor of
+/// the other size distributions.
+pub const DATA_PAYLOAD_BYTES: u32 = 512;
+
 /// Size of the per-packet data acknowledgment on the reverse PN code, in
 /// bytes. ACK bits count towards the routing-overhead metric (§III.A).
 pub const DATA_ACK_BYTES: u32 = 16;

@@ -32,5 +32,5 @@ mod timeseries;
 
 pub use event::TraceEvent;
 pub use profile::EventProfiler;
-pub use sink::{JsonlSink, NoopSink, RingSink, TraceSink};
+pub use sink::{JsonlSink, RingSink, TraceSink};
 pub use timeseries::{SampleRow, TimeseriesRecorder};

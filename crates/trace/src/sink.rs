@@ -33,20 +33,6 @@ impl dyn TraceSink {
     }
 }
 
-/// Discards everything. The sink behind "zero overhead when disabled"
-/// measurements: the tracing *call sites* stay live, the events go
-/// nowhere.
-#[derive(Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _ev: &TraceEvent) {}
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// Streams events to a file as JSON Lines (one object per line, schema
 /// documented on [`TraceEvent::to_json`]). A trace must never abort the
 /// trial it observes, so the first I/O error stops the writing and waits
@@ -184,7 +170,7 @@ mod tests {
         sink.record(&ev(9));
         let ring = sink.downcast_mut::<RingSink>().expect("concrete type is RingSink");
         assert_eq!(ring.seen(), 1);
-        assert!(sink.downcast_mut::<NoopSink>().is_none());
+        assert!(sink.downcast_mut::<JsonlSink>().is_none());
     }
 
     #[test]

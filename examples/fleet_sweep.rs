@@ -34,11 +34,12 @@ fn label(k: &ProtocolKind) -> String {
 }
 
 fn main() {
-    let args = rica_repro::exec::ExecArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
-        eprintln!("fleet_sweep: {e}");
-        std::process::exit(2)
-    });
-    let workers = args.resolved_workers();
+    let workers = rica_repro::exec::ExecArgs::parse(std::env::args().skip(1))
+        .and_then(|args| args.resolved_workers())
+        .unwrap_or_else(|e| {
+            eprintln!("fleet_sweep: {e}");
+            std::process::exit(2)
+        });
     let opts = ExecOptions { workers, progress: Progress::Stderr };
 
     // Protocols × speeds × workloads, small enough to finish in seconds:

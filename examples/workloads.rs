@@ -20,7 +20,10 @@ fn main() {
         eprintln!("workloads: {e}");
         std::process::exit(2)
     });
-    let workers = args.resolved_workers();
+    let workers = args.resolved_workers().unwrap_or_else(|e| {
+        eprintln!("workloads: {e}");
+        std::process::exit(2)
+    });
 
     // A reduced paper grid (30 nodes instead of 50, 20 s instead of
     // 500 s) so the example runs in seconds; the axes are the point.

@@ -8,16 +8,24 @@
 //! hash of the summary's `Debug` rendering, plus a couple of plain fields
 //! so a mismatch is diagnosable at a glance.
 //!
+//! Each trial also pins its work counts from `World::diagnostics()`
+//! (profiling off): events popped and still pending, channel pairs,
+//! decay-cache hits and misses, and medium transmissions. They are exact
+//! on any host, so a change that does more work for the same results
+//! (say, twice the events per delivery) fails here even when no summary
+//! field moves.
+//!
 //! To regenerate after an *intentional* behaviour change:
 //!
 //! ```text
 //! GOLDEN_PRINT=1 cargo test -q --test golden_metrics -- --nocapture
 //! ```
 //!
-//! and paste the printed rows over the `GOLDEN_*` tables.
+//! and paste the printed rows over the `GOLDEN` and `WORK` tables.
 
 use rica_exec::{sweep_json, ExecOptions, SweepPlan};
-use rica_harness::{sweep::run_plan, ProtocolKind, Scenario};
+use rica_harness::{sweep::run_plan, ProtocolKind, Scenario, World};
+use rica_sim::SimTime;
 
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -31,9 +39,43 @@ fn fnv1a(s: &str) -> u64 {
 /// `(protocol, summary-debug hash, generated, delivered)`.
 type GoldenRow = (ProtocolKind, u64, u64, u64);
 
-fn check(scenario: &Scenario, table: &[GoldenRow], name: &str) {
-    for &(kind, want_hash, want_generated, want_delivered) in table {
-        let summary = scenario.run(kind);
+/// One trial's work counts, read from `World::diagnostics()` at the end
+/// of the trial.
+#[derive(Debug, PartialEq)]
+struct Work {
+    /// Events popped from the queue.
+    popped: u64,
+    /// Events still queued that would be handled.
+    pending: usize,
+    /// Channel pair processes instantiated.
+    pairs: usize,
+    /// Decay-cache hits.
+    hits: u64,
+    /// Decay-cache misses.
+    misses: u64,
+    /// Transmissions begun on the common medium.
+    txs: u64,
+}
+
+/// Runs each golden trial and checks its summary against `table` and its
+/// work counts against the row of `work` at the same position.
+fn check(scenario: &Scenario, table: &[GoldenRow], work: &[Work], name: &str) {
+    for (i, &(kind, want_hash, want_generated, want_delivered)) in table.iter().enumerate() {
+        // `Scenario::run`, with the diagnostics read before `finish`.
+        let mut world = World::new(scenario, kind, scenario.seed);
+        world.start();
+        world.step_until(SimTime::MAX);
+        let d = world.diagnostics();
+        let (hits, misses) = d.decay_cache.expect("the decay caches are always on");
+        let got = Work {
+            popped: d.popped_events,
+            pending: d.pending_events,
+            pairs: d.channel_active_pairs,
+            hits,
+            misses,
+            txs: d.medium_txs,
+        };
+        let summary = world.finish();
         let debug = format!("{summary:?}");
         let hash = fnv1a(&debug);
         if std::env::var("GOLDEN_PRINT").is_ok() {
@@ -41,6 +83,7 @@ fn check(scenario: &Scenario, table: &[GoldenRow], name: &str) {
                 "({name}) (ProtocolKind::{kind:?}, 0x{hash:016x}, {}, {}),",
                 summary.generated, summary.delivered
             );
+            println!("({name}) {got:?},");
             continue;
         }
         assert_eq!(
@@ -52,6 +95,7 @@ fn check(scenario: &Scenario, table: &[GoldenRow], name: &str) {
             hash, want_hash,
             "{name}/{kind}: summary no longer byte-identical; full summary:\n{debug}"
         );
+        assert_eq!(Some(&got), work.get(i), "{name}/{kind}: work counts drifted");
     }
 }
 
@@ -65,6 +109,13 @@ fn mobile_12_node_summaries_are_pinned() {
         (ProtocolKind::Aodv, 0xcfd9cd2a5a21b264, 866, 254),
         (ProtocolKind::LinkState, 0x760c0493d4ffbaf0, 866, 236),
     ];
+    const WORK: &[Work] = &[
+        Work { popped: 3981, pending: 9, pairs: 22, hits: 620, misses: 4356, txs: 949 },
+        Work { popped: 7593, pending: 20, pairs: 22, hits: 674, misses: 4838, txs: 912 },
+        Work { popped: 4896, pending: 20, pairs: 24, hits: 800, misses: 5376, txs: 1214 },
+        Work { popped: 3815, pending: 7, pairs: 22, hits: 746, misses: 3994, txs: 856 },
+        Work { popped: 4809, pending: 30, pairs: 24, hits: 4130, misses: 6230, txs: 801 },
+    ];
     let s = Scenario::builder()
         .nodes(12)
         .flows(3)
@@ -73,7 +124,7 @@ fn mobile_12_node_summaries_are_pinned() {
         .mean_speed_kmh(36.0)
         .seed(7)
         .build();
-    check(&s, GOLDEN, "mobile12");
+    check(&s, GOLDEN, WORK, "mobile12");
 }
 
 /// 25 faster nodes, 5 flows — more link breaks and repairs.
@@ -86,6 +137,13 @@ fn mobile_25_node_summaries_are_pinned() {
         (ProtocolKind::Aodv, 0x7cab4730ab2e9d2a, 1007, 775),
         (ProtocolKind::LinkState, 0x07d0d4ce3f33ad66, 1007, 962),
     ];
+    const WORK: &[Work] = &[
+        Work { popped: 11309, pending: 17, pairs: 138, hits: 6468, misses: 15800, txs: 1785 },
+        Work { popped: 17647, pending: 38, pairs: 137, hits: 8116, misses: 19466, txs: 2281 },
+        Work { popped: 9956, pending: 43, pairs: 138, hits: 7478, misses: 14478, txs: 1466 },
+        Work { popped: 7901, pending: 12, pairs: 134, hits: 6624, misses: 8092, txs: 1005 },
+        Work { popped: 38157, pending: 64, pairs: 140, hits: 27182, misses: 87668, txs: 10002 },
+    ];
     let s = Scenario::builder()
         .nodes(25)
         .flows(5)
@@ -94,7 +152,7 @@ fn mobile_25_node_summaries_are_pinned() {
         .mean_speed_kmh(72.0)
         .seed(11)
         .build();
-    check(&s, GOLDEN, "mobile25");
+    check(&s, GOLDEN, WORK, "mobile25");
 }
 
 /// 12 mobile nodes under a bursty on/off arrival process with bimodal
@@ -110,6 +168,13 @@ fn bursty_bimodal_12_node_summaries_are_pinned() {
         (ProtocolKind::Abr, 0x62482850aa616c6a, 999, 91),
         (ProtocolKind::Aodv, 0xc767fa92090abe4a, 999, 95),
         (ProtocolKind::LinkState, 0x71746edd6ceb0c6d, 999, 97),
+    ];
+    const WORK: &[Work] = &[
+        Work { popped: 2816, pending: 7, pairs: 22, hits: 420, misses: 2640, txs: 562 },
+        Work { popped: 6235, pending: 18, pairs: 22, hits: 354, misses: 2266, txs: 502 },
+        Work { popped: 3633, pending: 17, pairs: 24, hits: 466, misses: 3380, txs: 831 },
+        Work { popped: 2573, pending: 5, pairs: 22, hits: 310, misses: 2092, txs: 490 },
+        Work { popped: 4761, pending: 29, pairs: 24, hits: 4236, misses: 5742, txs: 803 },
     ];
     let s = Scenario::builder()
         .nodes(12)
@@ -127,7 +192,7 @@ fn bursty_bimodal_12_node_summaries_are_pinned() {
             size: SizeSpec::Bimodal { small: 40, large: 1460, p_small: 0.3 },
         })
         .build();
-    check(&s, GOLDEN, "bursty12");
+    check(&s, GOLDEN, WORK, "bursty12");
 }
 
 /// 12 mobile nodes under seed-forked crash–reboot churn — pins the
@@ -145,6 +210,13 @@ fn churn_12_node_summaries_are_pinned() {
         (ProtocolKind::Aodv, 0x57220fc0136f17f3, 803, 98),
         (ProtocolKind::LinkState, 0xb6bb3e176c65d7f5, 803, 189),
     ];
+    const WORK: &[Work] = &[
+        Work { popped: 3126, pending: 6, pairs: 19, hits: 402, misses: 2834, txs: 742 },
+        Work { popped: 5997, pending: 16, pairs: 19, hits: 242, misses: 3172, txs: 807 },
+        Work { popped: 4005, pending: 16, pairs: 21, hits: 442, misses: 3674, txs: 1067 },
+        Work { popped: 3067, pending: 7, pairs: 19, hits: 258, misses: 2858, txs: 778 },
+        Work { popped: 3929, pending: 22, pairs: 21, hits: 2294, misses: 4048, txs: 629 },
+    ];
     let s = Scenario::builder()
         .nodes(12)
         .flows(3)
@@ -154,7 +226,7 @@ fn churn_12_node_summaries_are_pinned() {
         .seed(7)
         .faults(FaultPlan::none().with_churn(12.0, 4.0, 5.0))
         .build();
-    check(&s, GOLDEN, "churn12");
+    check(&s, GOLDEN, WORK, "churn12");
 }
 
 /// 12 mobile nodes with a timed partition-and-heal episode — pins the
@@ -170,6 +242,13 @@ fn partition_heal_12_node_summaries_are_pinned() {
         (ProtocolKind::Aodv, 0xbc057208e3c1fa52, 866, 239),
         (ProtocolKind::LinkState, 0x5570635da4da97a9, 866, 236),
     ];
+    const WORK: &[Work] = &[
+        Work { popped: 3881, pending: 8, pairs: 22, hits: 542, misses: 4324, txs: 886 },
+        Work { popped: 7464, pending: 20, pairs: 22, hits: 652, misses: 4668, txs: 846 },
+        Work { popped: 4738, pending: 20, pairs: 24, hits: 796, misses: 5000, txs: 1147 },
+        Work { popped: 3671, pending: 8, pairs: 22, hits: 630, misses: 3896, txs: 804 },
+        Work { popped: 4753, pending: 35, pairs: 24, hits: 3658, misses: 5838, txs: 781 },
+    ];
     let s = Scenario::builder()
         .nodes(12)
         .flows(3)
@@ -179,7 +258,7 @@ fn partition_heal_12_node_summaries_are_pinned() {
         .seed(7)
         .faults(FaultPlan::none().with_partition(10.0, 20.0, NodeGroup::IdBelow(6)))
         .build();
-    check(&s, GOLDEN, "partition12");
+    check(&s, GOLDEN, WORK, "partition12");
 }
 
 /// The full `sweep_results.json` artifact through `rica-exec` must stay

@@ -27,13 +27,14 @@
 # hotloop exits 2 on a malformed command line (nothing runs), 1 on a
 # snapshot file it cannot read, parse or write, and 3 on a regression.
 #
-# Workloads covered (see crates/bench/src/bin/hotloop.rs): the paper-grid
-# trials per protocol, the 200-node scale trial on both channel tiers
-# (trial/scale200/RICA, trial/scale200_approx/RICA), the bursty 200-node
-# overload trial through rica-traffic (trial/workload_burst/RICA), and the
-# substrate micro-loops including the approx-tier sampling pair
-# (micro/ou_sample_repeat_dt[_approx], micro/ziggurat_normal). `smoke`
-# runs them all in quick mode in CI.
+# Rows (see crates/bench/src/bin/hotloop.rs): eight substrate loops, none
+# of which builds a world: the event queue (micro/event_queue_push_pop,
+# micro/event_queue_backoff_storm), channel sampling on both tiers
+# (micro/channel_class_sequential, micro/ou_sample_repeat_dt[_approx],
+# micro/ziggurat_normal), mobility (micro/mobility_position) and the
+# broadcast fan-out (micro/broadcast_fanout). `smoke` runs them all in
+# quick mode in CI. Whole trials are timed by perfbench/ (BENCHMARK.json),
+# and the golden trials in tests/golden_metrics.rs pin their work counts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
