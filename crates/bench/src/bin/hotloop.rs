@@ -359,6 +359,14 @@ fn compare(path: &Path, max_regress: Option<f64>, markdown: bool) -> Result<bool
     // baseline) when it differs from the first: a PR description wants
     // "vs the last PR" next to "vs the dawn of time".
     let prev_col = (snaps.len() > 2).then(|| &snaps[snaps.len() - 2]);
+    // Rows follow the last snapshot; an earlier snapshot that lacks a row
+    // shows `—` for its time and its ratio.
+    let secs_in =
+        |rows: &[(String, f64)], name: &str| rows.iter().find(|(n, _)| n == name).map(|r| r.1);
+    let time_cell = |secs: Option<f64>| secs.map_or("—".to_string(), |s| format!("{s:.4}s"));
+    let ratio_cell = |secs: Option<f64>, cur_secs: f64, times: char| {
+        secs.map_or("—".to_string(), |s| format!("{:.2}{times}", s / cur_secs))
+    };
     if markdown {
         match prev_col {
             Some((prev_label, _)) => {
@@ -373,36 +381,34 @@ fn compare(path: &Path, max_regress: Option<f64>, markdown: bool) -> Result<bool
                 println!("|---|---:|---:|---:|");
             }
         }
-        for (name, base_secs) in base {
-            let Some((_, cur_secs)) = cur.iter().find(|(n, _)| n == name) else { continue };
+        for (name, cur_secs) in cur {
+            let base_secs = secs_in(base, name);
             match prev_col {
                 Some((_, prev)) => {
-                    let prev_cell = prev
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map_or(("—".to_string(), "—".to_string()), |(_, p)| {
-                            (format!("{p:.4}s"), format!("{:.2}×", p / cur_secs))
-                        });
+                    let prev_secs = secs_in(prev, name);
                     println!(
-                        "| `{name}` | {base_secs:.4}s | {} | {cur_secs:.4}s | {} | {:.2}× |",
-                        prev_cell.0,
-                        prev_cell.1,
-                        base_secs / cur_secs
+                        "| `{name}` | {} | {} | {cur_secs:.4}s | {} | {} |",
+                        time_cell(base_secs),
+                        time_cell(prev_secs),
+                        ratio_cell(prev_secs, *cur_secs, '×'),
+                        ratio_cell(base_secs, *cur_secs, '×')
                     );
                 }
                 None => println!(
-                    "| `{name}` | {base_secs:.4}s | {cur_secs:.4}s | {:.2}× |",
-                    base_secs / cur_secs
+                    "| `{name}` | {} | {cur_secs:.4}s | {} |",
+                    time_cell(base_secs),
+                    ratio_cell(base_secs, *cur_secs, '×')
                 ),
             }
         }
     } else {
         println!("{:<34} {:>12} {:>12} {:>9}", "workload", base_label, cur_label, "speedup");
-        for (name, base_secs) in base {
-            let Some((_, cur_secs)) = cur.iter().find(|(n, _)| n == name) else { continue };
+        for (name, cur_secs) in cur {
+            let base_secs = secs_in(base, name);
             println!(
-                "{name:<34} {base_secs:>11.4}s {cur_secs:>11.4}s {:>8.2}x",
-                base_secs / cur_secs
+                "{name:<34} {:>12} {cur_secs:>11.4}s {:>9}",
+                time_cell(base_secs),
+                ratio_cell(base_secs, *cur_secs, 'x')
             );
         }
     }

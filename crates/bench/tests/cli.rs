@@ -1,6 +1,7 @@
 //! The `hotloop` binary's exit codes: a malformed command line exits 2
 //! naming the flag before any workload runs, a snapshot file it cannot
-//! read exits 1, and a regression past `--max-regress` exits 3.
+//! read exits 1, and a regression past `--max-regress` exits 3. Its
+//! `--compare` tables print every row of the last snapshot.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -39,17 +40,61 @@ fn malformed_flags_exit_2_naming_the_flag_before_anything_runs() {
     }
 }
 
+/// A snapshot document with one `(label, [(row, secs)])` per snapshot.
+fn snapshot_doc(snaps: &[(&str, &[(&str, &str)])]) -> String {
+    let snaps: Vec<String> = snaps
+        .iter()
+        .map(|(label, rows)| {
+            let rows: Vec<String> =
+                rows.iter().map(|(row, secs)| format!("      \"{row}\":{secs}")).collect();
+            format!("    {{\"label\":\"{label}\",\"entries\":{{\n{}\n    }}}}", rows.join(",\n"))
+        })
+        .collect();
+    format!("{{\n  \"schema\": 1,\n  \"snapshots\": [\n{}\n  ]\n}}\n", snaps.join(",\n"))
+}
+
+/// A row the first snapshot lacks still prints, with `—` for the missing
+/// time and ratio, in the text and the markdown table.
+#[test]
+fn compare_prints_rows_the_first_snapshot_lacks() {
+    let doc = snapshot_doc(&[
+        ("first", &[("micro/old", "1.000000")]),
+        ("prev", &[("micro/old", "1.000000"), ("micro/new", "2.000000")]),
+        ("last", &[("micro/old", "0.500000"), ("micro/new", "1.000000")]),
+    ]);
+    let path = temp_file("new_row");
+    std::fs::write(&path, doc).unwrap();
+    let json = path.to_str().unwrap();
+    let text = hotloop(&["--compare", "--json", json]);
+    let markdown = hotloop(&["--compare", "--json", json, "--markdown"]);
+    let _ = std::fs::remove_file(&path);
+    let text = String::from_utf8(text.stdout).unwrap();
+    let markdown = String::from_utf8(markdown.stdout).unwrap();
+    let line = |table: &str, row: &str| {
+        table.lines().find(|l| l.contains(row)).map(str::to_string).unwrap_or_default()
+    };
+    assert!(line(&text, "micro/old").ends_with("2.00x"), "{text}");
+    assert_eq!(
+        line(&text, "micro/new").split_whitespace().collect::<Vec<_>>(),
+        ["micro/new", "—", "1.0000s", "—"],
+        "{text}"
+    );
+    assert_eq!(
+        line(&markdown, "micro/new"),
+        "| `micro/new` | — | 2.0000s | 1.0000s | 2.00× | — |",
+        "{markdown}"
+    );
+    assert_eq!(
+        line(&markdown, "micro/old"),
+        "| `micro/old` | 1.0000s | 1.0000s | 0.5000s | 2.00× | 2.00× |",
+        "{markdown}"
+    );
+}
+
 #[test]
 fn compare_exits_3_on_a_regression_and_1_on_an_unreadable_file() {
-    let snapshot = |label: &str, secs: &str| {
-        format!("    {{\"label\":\"{label}\",\"entries\":{{\n      \"micro/x\":{secs}\n    }}}}")
-    };
     let doc = |next: &str| {
-        format!(
-            "{{\n  \"schema\": 1,\n  \"snapshots\": [\n{},\n{}\n  ]\n}}\n",
-            snapshot("base", "1.000000"),
-            snapshot("next", next)
-        )
+        snapshot_doc(&[("base", &[("micro/x", "1.000000")]), ("next", &[("micro/x", next)])])
     };
     let path = temp_file("compare");
     let json = path.to_str().unwrap();

@@ -52,6 +52,7 @@ impl ChannelClass {
     ///
     /// Class A = 1 hop, B = 1.67, C = 3.33, D = 5 — exactly the paper's
     /// route metric.
+    #[inline]
     pub fn csi_hops(self) -> f64 {
         250.0 / self.rate_kbps()
     }

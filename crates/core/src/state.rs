@@ -139,7 +139,7 @@ pub(crate) struct Tables {
     pub possible: KeyMap<FlowKey, PossibleRoute>,
     /// RREQ floods already seen, per flow, with the reverse pointer
     /// towards the source.
-    pub rreq_reverse: FloodHistory<u64>,
+    pub rreq_reverse: FloodHistory,
     /// CSI-check waves already re-broadcast (dedup).
     pub csi_seen: KeyMap<FlowKey, u64>,
     /// Source-side state per destination.

@@ -119,6 +119,9 @@ struct InFlight {
     class: Option<ChannelClass>,
 }
 
+/// A node's data link to one neighbour. It exists only while it holds a
+/// packet, queued or in flight: `try_start_data` removes an idle link
+/// with an empty queue, and a missing link reads as an idle one.
 #[derive(Debug, Default)]
 struct DataLink {
     queue: LinkQueue,
@@ -611,8 +614,7 @@ impl<'s> World<'s> {
         let snapshot = self.build_snapshot();
         for i in 0..self.nodes.len() {
             self.dispatch(i, |proto, ctx| proto.on_start(ctx));
-            let snap = snapshot.clone();
-            self.dispatch(i, move |proto, ctx| proto.on_topology_snapshot(ctx, &snap));
+            self.dispatch(i, |proto, ctx| proto.on_topology_snapshot(ctx, &snapshot));
         }
         // Schedule the resolved fault plan. Empty plans schedule nothing,
         // so fault-free trials keep their exact event sequence.
@@ -1171,16 +1173,22 @@ impl<'s> World<'s> {
     }
 
     /// Starts transmitting the next queued packet on `from → to`, if idle.
+    /// An idle link with nothing left to send is removed, so its queue
+    /// buffer exists only while it holds a packet.
     fn try_start_data(&mut self, from: usize, to: usize) {
         let now = self.sim.now();
         let mut expired = std::mem::take(&mut self.scratch_expired);
-        let pkt = match self.nodes[from].links.get_mut(&to) {
+        let links = &mut self.nodes[from].links;
+        let pkt = match links.get_mut(&to) {
             Some(link) if link.in_flight.is_none() => link.queue.pop_fresh(now, &mut expired),
             _ => {
                 self.scratch_expired = expired;
                 return;
             }
         };
+        if pkt.is_none() {
+            links.remove(&to);
+        }
         for stale in expired.drain(..) {
             self.drop_data_at(from, stale, DropReason::BufferTimeout);
         }
@@ -1585,6 +1593,34 @@ mod tests {
             let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
             assert!(msg.contains(&format!("flow 1 (n{src} -> n{dst})")), "{msg}");
         }
+    }
+
+    #[test]
+    fn data_links_exist_only_while_they_hold_a_packet() {
+        let s = Scenario::builder()
+            .nodes(20)
+            .flows(8)
+            .rate_pps(20.0)
+            .duration_secs(20.0)
+            .mean_speed_kmh(36.0)
+            .seed(3)
+            .build();
+        let mut w = World::new(&s, ProtocolKind::Aodv, 3);
+        w.start();
+        let mut busy_links = 0;
+        for t in 1..=20 {
+            w.step_until(SimTime::from_secs_f64(f64::from(t)));
+            for (i, node) in w.nodes.iter().enumerate() {
+                for (to, link) in &node.links {
+                    assert!(
+                        !link.queue.is_empty() || link.in_flight.is_some(),
+                        "n{i} holds an idle link to n{to} at {t} s"
+                    );
+                }
+                busy_links += node.links.len();
+            }
+        }
+        assert!(busy_links > 0, "the trial never loaded a link");
     }
 
     #[test]

@@ -29,8 +29,10 @@ struct Transmission {
 ///   another terminal in its own range (hidden terminals collide), and not
 ///   transmitting itself (half-duplex)?
 ///
-/// Finished transmissions must be pruned with [`CommonMedium::prune_before`]
-/// once the clock has passed them (they can no longer overlap anything new).
+/// Finished transmissions are pruned with [`CommonMedium::prune_before`]
+/// once the clock has passed them. They can no longer overlap a *new*
+/// transmission, but pruning also hides them from a live one that started
+/// before they ended (see `prune_before`).
 #[derive(Debug)]
 pub struct CommonMedium {
     range_sq: f64,
@@ -159,8 +161,16 @@ impl CommonMedium {
             .any(|&(o_node, o_pos)| o_node == rx_node || self.in_range(rx_pos, o_pos))
     }
 
-    /// Discards transmissions that ended strictly before `now` (they cannot
-    /// overlap any transmission that is still live or future).
+    /// Discards transmissions that ended strictly before `now`.
+    ///
+    /// They cannot overlap a transmission that starts at or after `now`,
+    /// but they can overlap one that is still live: a transmission that
+    /// started before a pruned one ended collided with it in time, and its
+    /// own delivery check, made when it ends, no longer sees the pruned
+    /// one. Such lost overlaps let some receptions succeed that the full
+    /// overlap set would collide; keeping every transmission that ended
+    /// after the earliest start among live transmissions would see them
+    /// all, at the price of a new realisation of every trial.
     pub fn prune_before(&mut self, now: SimTime) {
         self.active.retain(|t| t.end >= now);
         self.prepared = None;
@@ -254,8 +264,9 @@ mod tests {
         let mut m = medium();
         let a = m.begin_tx(0, Vec2::new(0.0, 0.0), t(0), t(10));
         let _b = m.begin_tx(2, Vec2::new(400.0, 0.0), t(5), t(15));
-        // At t=15 we evaluate b's delivery; a (ended at 10) must still be
-        // present if we only pruned < 10.
+        // Pruning at a's end keeps a; pruning past it drops a even though
+        // b, live until 15, overlapped it in [5, 10): b's delivery check at
+        // 15 then no longer sees a (a lost overlap, see `prune_before`).
         m.prune_before(t(10));
         assert_eq!(m.tracked(), 2, "a ends exactly at prune instant: kept");
         m.prune_before(t(11));

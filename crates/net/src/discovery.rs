@@ -139,35 +139,74 @@ impl Discovery {
 
 /// A relay's flood history: per flow `(source, destination)`, the floods it
 /// has already seen, each with the neighbour its first copy came from —
-/// the reverse path towards the flood's origin. `I` identifies a flood
-/// within its flow: the broadcast id of a RREQ or BQ, `(origin, id)` of a
-/// local query.
-#[derive(Debug)]
-pub struct FloodHistory<I> {
-    by_flow: KeyMap<(NodeId, NodeId), KeyMap<I, NodeId>>,
+/// the reverse path towards the flood's origin.
+///
+/// A flood is identified within its flow by a `u64`: the broadcast id of a
+/// RREQ or BQ, or, for a local query, [`FloodHistory::query_id`], which
+/// packs the query's origin into the high half and its `u32` id into the
+/// low half, so queries from different origins never share an id.
+///
+/// Each flow keeps one array of the floods it has seen, sorted by id. An
+/// entry is 12 bytes, 4-byte aligned: the id as two `u32` halves, high
+/// half first, and the first sender. A `(u64, NodeId)` pair would take 16
+/// bytes and a `((NodeId, u64), NodeId)` local-query entry 24; these
+/// histories are the largest state a flooding protocol keeps.
+///
+/// ```
+/// use rica_net::{FloodHistory, NodeId};
+/// let mut h = FloodHistory::default();
+/// let flow = (NodeId(0), NodeId(9));
+/// let query = FloodHistory::query_id(NodeId(5), 7);
+/// assert_eq!(query, 5 << 32 | 7);
+/// assert!(h.first_copy(flow, query, NodeId(6)));
+/// assert!(!h.first_copy(flow, query, NodeId(8)), "a later copy is a duplicate");
+/// assert_eq!(h.toward_origin(flow, query), Some(NodeId(6)));
+/// ```
+#[derive(Debug, Default)]
+pub struct FloodHistory {
+    by_flow: KeyMap<(NodeId, NodeId), Vec<Seen>>,
 }
 
-impl<I> Default for FloodHistory<I> {
-    fn default() -> Self {
-        FloodHistory { by_flow: KeyMap::new() }
+/// One flood a relay has seen: its id as `[high, low]` halves and the
+/// neighbour its first copy came from.
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    id: [u32; 2],
+    from: NodeId,
+}
+
+const _: () = assert!(std::mem::size_of::<Seen>() == 12 && std::mem::align_of::<Seen>() == 4);
+
+impl Seen {
+    fn id(&self) -> u64 {
+        (u64::from(self.id[0]) << 32) | u64::from(self.id[1])
     }
 }
 
-impl<I: Ord + Copy> FloodHistory<I> {
+impl FloodHistory {
+    /// The id of local query `id` from `origin`: the origin in the high
+    /// half, the query id in the low half.
+    pub fn query_id(origin: NodeId, id: u32) -> u64 {
+        (u64::from(origin.raw()) << 32) | u64::from(id)
+    }
+
     /// Whether this copy of flood `id` of `flow`, heard from `from`, is the
     /// first; the first copy's sender is remembered as the reverse path.
-    pub fn first_copy(&mut self, flow: (NodeId, NodeId), id: I, from: NodeId) -> bool {
-        let seen = self.by_flow.or_insert_with(flow, KeyMap::new);
-        if seen.contains_key(&id) {
-            return false;
+    pub fn first_copy(&mut self, flow: (NodeId, NodeId), id: u64, from: NodeId) -> bool {
+        let seen = self.by_flow.or_insert_with(flow, Vec::new);
+        match seen.binary_search_by_key(&id, Seen::id) {
+            Ok(_) => false,
+            Err(i) => {
+                seen.insert(i, Seen { id: [(id >> 32) as u32, id as u32], from });
+                true
+            }
         }
-        seen.insert(id, from);
-        true
     }
 
     /// The neighbour the first copy of flood `id` of `flow` came from.
-    pub fn toward_origin(&self, flow: (NodeId, NodeId), id: I) -> Option<NodeId> {
-        self.by_flow.get(&flow).and_then(|seen| seen.get(&id)).copied()
+    pub fn toward_origin(&self, flow: (NodeId, NodeId), id: u64) -> Option<NodeId> {
+        let seen = self.by_flow.get(&flow)?;
+        seen.binary_search_by_key(&id, Seen::id).ok().map(|i| seen[i].from)
     }
 }
 
@@ -282,16 +321,70 @@ mod tests {
 
     #[test]
     fn flood_history_keeps_the_first_copy_per_flow() {
-        let mut h: FloodHistory<u64> = FloodHistory::default();
+        let mut h = FloodHistory::default();
         let flow = (NodeId(0), NodeId(9));
         assert!(h.first_copy(flow, 4, NodeId(1)));
         assert!(!h.first_copy(flow, 4, NodeId(2)), "a later copy is a duplicate");
         assert!(h.first_copy((NodeId(1), NodeId(9)), 4, NodeId(2)), "ids are per flow");
         assert_eq!(h.toward_origin(flow, 4), Some(NodeId(1)), "the first sender is kept");
         assert_eq!(h.toward_origin(flow, 5), None);
-        let mut lq: FloodHistory<(NodeId, u64)> = FloodHistory::default();
-        assert!(lq.first_copy(flow, (NodeId(5), 0), NodeId(6)));
-        assert!(lq.first_copy(flow, (NodeId(7), 0), NodeId(6)), "ids are per origin");
-        assert_eq!(lq.toward_origin(flow, (NodeId(5), 0)), Some(NodeId(6)));
+        let mut lq = FloodHistory::default();
+        let query = |origin, id| FloodHistory::query_id(NodeId(origin), id);
+        assert!(lq.first_copy(flow, query(5, 0), NodeId(6)));
+        assert!(lq.first_copy(flow, query(7, 0), NodeId(6)), "ids are per origin");
+        assert_eq!(lq.toward_origin(flow, query(5, 0)), Some(NodeId(6)));
+        assert_eq!(lq.toward_origin(flow, query(7, 0)), Some(NodeId(6)));
+        assert_eq!(lq.toward_origin(flow, query(5, 1)), None);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One half of a packed id: both ends of the `u32` range and a few
+    /// small values.
+    fn half() -> impl Strategy<Value = u32> {
+        prop_oneof![Just(0u32), Just(1), Just(u32::MAX - 1), Just(u32::MAX), 0u32..4]
+    }
+
+    /// A packed local-query id whose origin and id reach 0 and `u32::MAX`.
+    fn query_id() -> impl Strategy<Value = u64> {
+        (half(), half()).prop_map(|(origin, id)| FloodHistory::query_id(NodeId(origin), id))
+    }
+
+    proptest! {
+        /// `first_copy` and `toward_origin` answer exactly as a map from
+        /// `(flow, id)` to the first sender does, for random interleavings
+        /// over a few flows, small broadcast ids and packed query ids.
+        #[test]
+        fn flood_history_matches_a_btreemap(
+            ops in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    (0u32..3, 0u32..3),
+                    prop_oneof![0u64..6, query_id(), Just(u64::MAX)],
+                    0u32..8,
+                ),
+                1..300,
+            ),
+        ) {
+            let mut h = FloodHistory::default();
+            let mut model: BTreeMap<((NodeId, NodeId), u64), NodeId> = BTreeMap::new();
+            for (insert, (src, dst), id, from) in ops {
+                let flow = (NodeId(src), NodeId(dst));
+                if insert {
+                    let first = !model.contains_key(&(flow, id));
+                    if first {
+                        model.insert((flow, id), NodeId(from));
+                    }
+                    prop_assert_eq!(h.first_copy(flow, id, NodeId(from)), first);
+                }
+                prop_assert_eq!(h.toward_origin(flow, id), model.get(&(flow, id)).copied());
+            }
+        }
     }
 }

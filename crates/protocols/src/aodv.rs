@@ -24,7 +24,7 @@ struct Route {
 #[derive(Debug, Default)]
 pub struct Aodv {
     /// Per-flow RREQ dedup + reverse pointers.
-    reverse: FloodHistory<u64>,
+    reverse: FloodHistory,
     /// At a destination: highest flood id already answered, per source.
     replied: IdMap<u64>,
     /// Destination-keyed forwarding table.

@@ -91,10 +91,10 @@ pub(crate) struct FlowRouter {
     /// Per-flow route entries.
     pub routes: KeyMap<FlowKey, FlowEntry>,
     /// Discovery floods (BQ / RREQ) seen, with reverse pointers.
-    pub floods: FloodHistory<u64>,
-    /// Local queries seen, keyed `(origin, id)`, with the neighbour
+    pub floods: FloodHistory,
+    /// Local queries seen, keyed by [`query_id`], with the neighbour
     /// towards their origin.
-    queries: FloodHistory<(NodeId, u64)>,
+    queries: FloodHistory,
     /// In-progress local repairs per flow.
     pub repairs: KeyMap<FlowKey, Repair>,
     /// Destination side: highest discovery flood already answered, per
@@ -102,7 +102,16 @@ pub(crate) struct FlowRouter {
     replied: IdMap<u64>,
     /// Source side: packets awaiting a route, floods and retries.
     discovery: Discovery,
-    next_lq: u64,
+    /// Id of the next local query this terminal starts. A `u32`, so a
+    /// query's origin and id pack into one flood-history id.
+    next_lq: u32,
+}
+
+/// The flood-history id of local query `bcast_id` from `origin`. Query ids
+/// come from a terminal's `u32` counter, so the narrowing is exact.
+fn query_id(origin: NodeId, bcast_id: u64) -> u64 {
+    let id = u32::try_from(bcast_id).expect("local-query ids come from a u32 counter");
+    FloodHistory::query_id(origin, id)
 }
 
 impl FlowRouter {
@@ -166,7 +175,7 @@ impl FlowRouter {
                 if origin == me {
                     return;
                 }
-                if !self.queries.first_copy((src, dst), (origin, bcast_id), rx.from) {
+                if !self.queries.first_copy((src, dst), query_id(origin, bcast_id), rx.from) {
                     return;
                 }
                 let csi_hops = csi_hops + rx.class.csi_hops();
@@ -218,15 +227,15 @@ impl FlowRouter {
             }
             ControlPacket::LqRep { src, dst, origin, seq, csi_hops, topo_hops } => {
                 let key = (src, dst);
-                let Some(toward_origin) = self.queries.toward_origin(key, (origin, seq)) else {
+                let Some(up) = self.queries.toward_origin(key, query_id(origin, seq)) else {
                     return;
                 };
                 let e = self.routes.or_insert_with(key, || FlowEntry::new(now));
-                e.upstream = Some(toward_origin);
+                e.upstream = Some(up);
                 e.downstream = Some(rx.from);
                 e.last_used = now;
                 let reply = ControlPacket::LqRep { src, dst, origin, seq, csi_hops, topo_hops };
-                ctx.unicast(toward_origin, reply);
+                ctx.unicast(up, reply);
             }
             ControlPacket::Rerr { src, dst, .. } => {
                 let key = (src, dst);
@@ -346,7 +355,7 @@ impl FlowRouter {
         link_down: bool,
     ) {
         let me = ctx.id();
-        let bcast_id = self.next_lq;
+        let bcast_id = u64::from(self.next_lq);
         self.next_lq += 1;
         let ttl =
             self.routes.get(&key).map_or(2, |e| e.hops_to_dst).saturating_add(LQ_TTL_SLACK).max(1);

@@ -21,11 +21,12 @@ use rica_sim::SimTime;
 /// The link-state protocol.
 #[derive(Debug, Default)]
 pub struct LinkState {
-    /// Everyone's advertised adjacencies, indexed by origin id; each list
-    /// is sorted by neighbour id (the relaxation order Dijkstra relies
-    /// on). Flat because LSU dedup + topology reads dominate this
-    /// protocol's hot path.
-    topo: Vec<Vec<(NodeId, f64)>>,
+    /// Everyone's advertised adjacencies, indexed by origin id: each
+    /// neighbour with the link's class, whose CSI hop distance is the
+    /// Dijkstra cost. Each list is sorted by neighbour id (the relaxation
+    /// order Dijkstra relies on). Flat because LSU dedup + topology reads
+    /// dominate this protocol's hot path.
+    topo: Vec<Vec<(NodeId, ChannelClass)>>,
     /// Newest LSU sequence seen per origin id (dedup + ordering; `None` =
     /// origin never heard, so *any* sequence — including 0 — is news).
     lsu_seen: Vec<Option<u64>>,
@@ -93,7 +94,7 @@ impl LinkState {
     }
 
     /// The (created-on-demand) adjacency list of `origin`.
-    fn topo_entry(&mut self, origin: NodeId) -> &mut Vec<(NodeId, f64)> {
+    fn topo_entry(&mut self, origin: NodeId) -> &mut Vec<(NodeId, ChannelClass)> {
         let i = origin.index();
         if i >= self.topo.len() {
             self.topo.resize_with(i + 1, Vec::new);
@@ -102,15 +103,15 @@ impl LinkState {
     }
 
     /// Inserts or updates one sorted-adjacency entry.
-    fn adj_set(adj: &mut Vec<(NodeId, f64)>, n: NodeId, cost: f64) {
+    fn adj_set(adj: &mut Vec<(NodeId, ChannelClass)>, n: NodeId, class: ChannelClass) {
         match adj.binary_search_by_key(&n, |e| e.0) {
-            Ok(i) => adj[i].1 = cost,
-            Err(i) => adj.insert(i, (n, cost)),
+            Ok(i) => adj[i].1 = class,
+            Err(i) => adj.insert(i, (n, class)),
         }
     }
 
     /// Removes one sorted-adjacency entry (no-op when absent).
-    fn adj_remove(adj: &mut Vec<(NodeId, f64)>, n: NodeId) {
+    fn adj_remove(adj: &mut Vec<(NodeId, ChannelClass)>, n: NodeId) {
         if let Ok(i) = adj.binary_search_by_key(&n, |e| e.0) {
             adj.remove(i);
         }
@@ -161,8 +162,8 @@ impl LinkState {
             }
             self.dijkstra_settled[u.index()] = true;
             if let Some(adj) = self.topo.get(u.index()) {
-                for &(v, cost) in adj {
-                    let nd = d + cost;
+                for &(v, class) in adj {
+                    let nd = d + class.csi_hops();
                     if nd < self.dijkstra_dist[v.index()] {
                         self.dijkstra_dist[v.index()] = nd;
                         self.next_hops[v.index()] =
@@ -248,8 +249,8 @@ impl LinkState {
         // Update our own view immediately.
         // `advertised` iterates in ascending id order: the list collects
         // already sorted.
-        let own: Vec<(NodeId, f64)> =
-            self.advertised.iter().map(|(n, &c)| (n, c.csi_hops())).collect();
+        let own: Vec<(NodeId, ChannelClass)> =
+            self.advertised.iter().map(|(n, &c)| (n, c)).collect();
         *self.topo_entry(me) = own;
         self.invalidate_routes();
         ctx.broadcast(ControlPacket::Lsu {
@@ -275,9 +276,8 @@ impl RoutingProtocol for LinkState {
         let me = ctx.id();
         let now = ctx.now();
         for &(a, b, class) in &snap.links {
-            let cost = class.csi_hops();
-            Self::adj_set(self.topo_entry(a), b, cost);
-            Self::adj_set(self.topo_entry(b), a, cost);
+            Self::adj_set(self.topo_entry(a), b, class);
+            Self::adj_set(self.topo_entry(b), a, class);
             if a == me {
                 self.advertised.insert(b, class);
                 self.neighbors.insert(b, now);
@@ -312,7 +312,7 @@ impl RoutingProtocol for LinkState {
                 // the paper's change-flooding scheme.
                 let adj = self.topo_entry(origin);
                 for e in entries.iter() {
-                    Self::adj_set(adj, e.neighbor, e.class.csi_hops());
+                    Self::adj_set(adj, e.neighbor, e.class);
                 }
                 for d in down.iter() {
                     Self::adj_remove(adj, *d);
