@@ -3,8 +3,8 @@
 use crate::state::{Candidate, DestState, FlowKey, SourceState, Tables};
 use crate::{PossibleRoute, RouteEntry};
 use rica_net::{
-    ControlPacket, DataPacket, Discovery, DropReason, NodeCtx, NodeId, RoutePhase, RoutingProtocol,
-    RxInfo, Timer, FLOW_IDLE_TIMEOUT, REPLY_WINDOW, ROUTE_IDLE_TIMEOUT,
+    ControlPacket, DataPacket, Discovery, DropReason, NodeCtx, NodeId, ReplyWindow, RoutePhase,
+    RoutingProtocol, RxInfo, Timer, FLOW_IDLE_TIMEOUT, ROUTE_IDLE_TIMEOUT,
 };
 
 /// The RICA protocol (§II of the paper). One instance runs on every
@@ -15,6 +15,9 @@ pub struct Rica {
     t: Tables,
     /// Source side: packets awaiting a route, RREQ floods and retries.
     discovery: Discovery,
+    /// Destination side: the RREQ copies collected per source, scored by
+    /// (CSI distance, topological hops).
+    replies: ReplyWindow<(f64, u8)>,
 }
 
 impl Rica {
@@ -67,7 +70,6 @@ impl Rica {
         let Some(cand) = st.window.take() else { return };
         let switched = st.next_hop != Some(cand.via);
         st.next_hop = Some(cand.via);
-        st.route_metric = cand.metric;
         // A fresh route supersedes any discovery in progress.
         self.discovery.conclude(ctx, dst);
         if cand.needs_rupd && switched {
@@ -175,17 +177,12 @@ impl Rica {
         let now = ctx.now();
         let src = pkt.src;
         let hops = pkt.hops.clamp(1, u8::MAX as u32) as u8;
-        let update = pkt.route_update;
         ctx.deliver_local(pkt);
         let period = ctx.config().csi_check_period;
         let ds = self.t.dests.get_or_insert_with(src, || DestState::new(now));
         ds.last_data_rx = now;
         // The TTL of future CSI checks tracks the *current* path length.
-        if update || ds.known_topo_hops == 0 {
-            ds.known_topo_hops = hops;
-        } else {
-            ds.known_topo_hops = hops.max(1);
-        }
+        ds.known_topo_hops = hops;
         // Receiver-initiated: the destination starts the periodic CSI
         // checking as soon as the flow is alive (§II.C).
         if !ds.csi_timer_armed {
@@ -244,25 +241,8 @@ impl Rica {
             // Destination: collect copies for the reply window and answer
             // the best (§II.B: "the destination ... chooses a route with the
             // minimal distance value").
-            let now = ctx.now();
-            let ds = self.t.dests.get_or_insert_with(src, || DestState::new(now));
-            if ds.last_replied_bcast.is_some_and(|last| bcast_id <= last) {
-                return; // stale flood already answered
-            }
-            match &mut ds.reply_window {
-                Some((wid, best_csi, best_topo, via)) if *wid == bcast_id => {
-                    if new_csi < *best_csi {
-                        *best_csi = new_csi;
-                        *best_topo = new_topo;
-                        *via = rx.from;
-                    }
-                }
-                Some(_) => { /* a different flood is being collected; ignore */ }
-                None => {
-                    ds.reply_window = Some((bcast_id, new_csi, new_topo, rx.from));
-                    ctx.set_timer(REPLY_WINDOW, Timer::ReplyWindow { src, dst });
-                }
-            }
+            let score = (new_csi, new_topo);
+            self.replies.offer(ctx, (src, bcast_id), score, rx.from, |new, best| new.0 < best.0);
             return;
         }
         // Intermediate: history-table dedup, remember the reverse pointer,
@@ -297,7 +277,7 @@ impl Rica {
             // If no route exists and no window is open, adopt immediately;
             // otherwise combine within the window (§II.D scenarios).
             let st = self.t.sources.get_or_insert_with(dst, SourceState::default);
-            let cand = Candidate { via: rx.from, metric: csi_hops, topo_hops, needs_rupd: false };
+            let cand = Candidate { via: rx.from, metric: csi_hops, needs_rupd: false };
             let adopt_now = st.next_hop.is_none() && st.window.is_none();
             if adopt_now {
                 st.window = Some(cand);
@@ -343,17 +323,15 @@ impl Rica {
             self.offer_candidate(
                 ctx,
                 dst,
-                Candidate { via: rx.from, metric: new_csi, topo_hops: ttl, needs_rupd: true },
+                Candidate { via: rx.from, metric: new_csi, needs_rupd: true },
             );
             return;
         }
         // Intermediate: only the first copy of each wave is processed
         // (§II.C: "a terminal only broadcasts a checking packet once").
-        match self.t.csi_seen.get(&key) {
-            Some(&seen) if bcast_id <= seen => return,
-            _ => {}
+        if self.t.possible.get(&key).is_some_and(|p| bcast_id <= p.bcast_id) {
+            return;
         }
-        self.t.csi_seen.insert(key, bcast_id);
         // Remember the possible downstream (PN-code detection starts).
         self.t.possible.insert(key, PossibleRoute { downstream: rx.from, set_at: now, bcast_id });
         let new_ttl = ttl.saturating_sub(1);
@@ -443,9 +421,8 @@ impl Rica {
         debug_assert_eq!(dst, ctx.id());
         let now = ctx.now();
         let period = ctx.config().csi_check_period;
-        let Some(ds) = self.t.dests.get_mut(src) else { return };
-        let Some((bcast_id, csi, topo, via)) = ds.reply_window.take() else { return };
-        ds.last_replied_bcast = Some(bcast_id);
+        let Some((bcast_id, (csi, topo), via)) = self.replies.close(src) else { return };
+        let ds = self.t.dests.get_or_insert_with(src, || DestState::new(now));
         ds.known_topo_hops = topo.max(1);
         // Answer along the reverse pointers of the best copy.
         ctx.unicast(

@@ -58,8 +58,6 @@ pub(crate) struct Candidate {
     pub via: NodeId,
     /// End-to-end CSI-based hop distance.
     pub metric: f64,
-    /// Topological hop count (for bookkeeping).
-    pub topo_hops: u8,
     /// Whether committing requires a RUPD (CSI-check candidates do; RREP
     /// candidates already installed entries along their path).
     pub needs_rupd: bool,
@@ -70,8 +68,6 @@ pub(crate) struct Candidate {
 pub(crate) struct SourceState {
     /// Current next hop, if a route is established.
     pub next_hop: Option<NodeId>,
-    /// CSI metric of the current route (diagnostics).
-    pub route_metric: f64,
     /// Open combining window: best candidate so far.
     pub window: Option<Candidate>,
     /// Last instant a CSI check for this flow reached us (REER arbitration,
@@ -104,24 +100,11 @@ pub(crate) struct DestState {
     pub csi_timer_armed: bool,
     /// Last instant data for this flow arrived (idle flows stop checking).
     pub last_data_rx: SimTime,
-    /// Open reply window for a discovery flood: (bcast id, best CSI metric,
-    /// best topo hops, neighbour that relayed the best copy).
-    pub reply_window: Option<(u64, f64, u8, NodeId)>,
-    /// Highest RREQ bcast id already answered (suppresses duplicate
-    /// replies).
-    pub last_replied_bcast: Option<u64>,
 }
 
 impl DestState {
     pub fn new(now: SimTime) -> Self {
-        DestState {
-            known_topo_hops: 1,
-            next_bcast: 0,
-            csi_timer_armed: false,
-            last_data_rx: now,
-            reply_window: None,
-            last_replied_bcast: None,
-        }
+        DestState { known_topo_hops: 1, next_bcast: 0, csi_timer_armed: false, last_data_rx: now }
     }
 }
 
@@ -135,13 +118,13 @@ impl DestState {
 pub(crate) struct Tables {
     /// Active route entries by flow.
     pub routes: KeyMap<FlowKey, RouteEntry>,
-    /// Possible routes from CSI checks, by flow.
+    /// Possible routes from CSI checks, by flow. An entry is replaced only
+    /// by a later wave, so its `bcast_id` is the latest wave re-broadcast
+    /// (the CSI-check dedup).
     pub possible: KeyMap<FlowKey, PossibleRoute>,
     /// RREQ floods already seen, per flow, with the reverse pointer
     /// towards the source.
     pub rreq_reverse: FloodHistory,
-    /// CSI-check waves already re-broadcast (dedup).
-    pub csi_seen: KeyMap<FlowKey, u64>,
     /// Source-side state per destination.
     pub sources: IdMap<SourceState>,
     /// Destination-side state per source.

@@ -76,8 +76,8 @@ impl std::str::FromStr for ProtocolKind {
     }
 }
 
-/// One traffic flow: a source/destination pair with a mean rate and a
-/// mean packet size; its shape is the scenario's [`Scenario::workload`].
+/// One traffic flow: a source/destination pair with a mean rate, shaped by
+/// [`Scenario::workload`] (a fixed size is [`DATA_PAYLOAD_BYTES`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     /// Source terminal.
@@ -87,15 +87,12 @@ pub struct Flow {
     /// Mean packet rate (packets/second). Every workload shape preserves
     /// this mean, so offered load is comparable across shapes.
     pub rate_pps: f64,
-    /// Payload size in bytes (the exact size under the default fixed-size
-    /// workload; the anchor for [`rica_traffic::SizeSpec::Fixed`] otherwise).
-    pub packet_bytes: u32,
 }
 
 impl Flow {
     /// A flow from `src` to `dst`.
-    pub fn new(src: NodeId, dst: NodeId, rate_pps: f64, packet_bytes: u32) -> Flow {
-        Flow { src, dst, rate_pps, packet_bytes }
+    pub fn new(src: NodeId, dst: NodeId, rate_pps: f64) -> Flow {
+        Flow { src, dst, rate_pps }
     }
 }
 
@@ -182,7 +179,7 @@ impl Scenario {
             if src == dst || !used.insert((src, dst)) {
                 continue;
             }
-            flows.push(Flow::new(NodeId(src), NodeId(dst), self.rate_pps, DATA_PAYLOAD_BYTES));
+            flows.push(Flow::new(NodeId(src), NodeId(dst), self.rate_pps));
         }
         flows
     }
@@ -384,7 +381,7 @@ mod tests {
 
     #[test]
     fn explicit_flows_win() {
-        let flows = vec![Flow::new(NodeId(0), NodeId(1), 5.0, 256)];
+        let flows = vec![Flow::new(NodeId(0), NodeId(1), 5.0)];
         let s = Scenario::builder().nodes(4).explicit_flows(flows.clone()).build();
         let mut rng = Rng::new(1);
         assert_eq!(s.trial_flows(&mut rng), flows);

@@ -13,7 +13,7 @@ use rica_mobility::{kmh_to_ms, Field, SpatialGrid, Vec2, Waypoint};
 use rica_net::{
     ControlPacket, DataPacket, DropReason, FlowId, KeyMap, LinkQueue, NodeCtx, NodeId,
     ProtocolConfig, RoutePhase, RoutingProtocol, RxInfo, Timer, TimerToken, TopologySnapshot,
-    DATA_ACK_BYTES, DATA_RETRY_LIMIT, LINK_QUEUE_CAP, MAX_QUEUE_RESIDENCY,
+    DATA_ACK_BYTES, DATA_PAYLOAD_BYTES, DATA_RETRY_LIMIT, LINK_QUEUE_CAP, MAX_QUEUE_RESIDENCY,
 };
 use rica_sim::{Rng, SimDuration, SimTime, Simulator};
 use rica_trace::{EventProfiler, TimeseriesRecorder, TraceEvent, TraceSink};
@@ -171,7 +171,8 @@ pub struct World<'s> {
     nodes: Vec<NodeState>,
     /// The protocol every node runs; a rebooted node gets a fresh one.
     kind: ProtocolKind,
-    protos: Vec<Box<dyn RoutingProtocol>>,
+    /// Each node's protocol instance; `None` only while a dispatch holds it.
+    protos: Vec<Option<Box<dyn RoutingProtocol>>>,
     channel: ChannelModel,
     medium: CommonMedium,
     metrics: Metrics,
@@ -318,8 +319,7 @@ impl<'s> World<'s> {
                 }
             })
             .collect();
-        let protos: Vec<Box<dyn RoutingProtocol>> =
-            (0..scenario.nodes).map(|_| kind.make()).collect();
+        let protos = (0..scenario.nodes).map(|_| Some(kind.make())).collect();
         // Scenario fields are pub and routinely mutated after build(), so
         // the builder's rate validation can be bypassed; check every flow
         // here in every build profile: its endpoints must be two distinct
@@ -349,7 +349,8 @@ impl<'s> World<'s> {
             .iter()
             .enumerate()
             .map(|(i, f)| {
-                scenario.workload.build(f.rate_pps, f.packet_bytes, master.fork(4_000 + i as u64))
+                let rng = master.fork(4_000 + i as u64);
+                scenario.workload.build(f.rate_pps, DATA_PAYLOAD_BYTES, rng)
             })
             .collect();
         // Workload accounting (offered load, per-flow breakdowns) is
@@ -717,7 +718,8 @@ impl<'s> World<'s> {
             if at == dst {
                 break;
             }
-            let Some(next) = self.protos[at.index()].current_downstream(src, dst) else {
+            let proto = self.protos[at.index()].as_ref();
+            let Some(next) = proto.and_then(|p| p.current_downstream(src, dst)) else {
                 break;
             };
             if path.contains(&next) {
@@ -829,7 +831,7 @@ impl<'s> World<'s> {
         self.dead[node] = false;
         // Queues, links and MAC flags were reset at crash time; the
         // incarnation bump keeps any still-pending old events inert.
-        self.protos[node] = self.kind.make();
+        self.protos[node] = Some(self.kind.make());
         self.dispatch(node, |proto, ctx| proto.on_start(ctx));
         let mut resumed_flows = 0usize;
         for f in 0..self.flows.len() {
@@ -1320,8 +1322,8 @@ impl<'s> World<'s> {
     // ---------------------------------------------------------- dispatch
 
     /// Runs a protocol callback with a [`NodeCtx`] view of this world. The
-    /// protocol instance is temporarily detached so the context can borrow
-    /// the world mutably; context operations never re-enter a protocol.
+    /// protocol instance is taken out so the context can borrow the world
+    /// mutably; context operations never re-enter a protocol.
     fn dispatch<F>(&mut self, node: usize, f: F)
     where
         F: FnOnce(&mut dyn RoutingProtocol, &mut dyn NodeCtx),
@@ -1329,12 +1331,12 @@ impl<'s> World<'s> {
         if self.dead[node] {
             return; // crashed terminals process nothing
         }
-        let mut proto = std::mem::replace(&mut self.protos[node], Box::new(NullProto));
+        let mut proto = self.protos[node].take().expect("re-entrant protocol dispatch");
         {
             let mut ctx = Ctx { world: self, node };
             f(proto.as_mut(), &mut ctx);
         }
-        self.protos[node] = proto;
+        self.protos[node] = Some(proto);
     }
 }
 
@@ -1429,25 +1431,6 @@ impl NodeCtx for Ctx<'_, '_> {
     }
 }
 
-/// Placeholder protocol installed while the real one is detached for a
-/// dispatch; it is never invoked.
-struct NullProto;
-
-impl RoutingProtocol for NullProto {
-    fn on_control(&mut self, _: &mut dyn NodeCtx, _: &ControlPacket, _: RxInfo) {
-        unreachable!("re-entrant protocol dispatch");
-    }
-    fn on_data(&mut self, _: &mut dyn NodeCtx, _: DataPacket, _: Option<RxInfo>) {
-        unreachable!("re-entrant protocol dispatch");
-    }
-    fn on_timer(&mut self, _: &mut dyn NodeCtx, _: Timer) {
-        unreachable!("re-entrant protocol dispatch");
-    }
-    fn on_link_failure(&mut self, _: &mut dyn NodeCtx, _: NodeId, _: Vec<DataPacket>) {
-        unreachable!("re-entrant protocol dispatch");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1534,7 +1517,7 @@ mod tests {
                 Vec2::new(490.0, 500.0),
                 Vec2::new(710.0, 500.0),
             ])
-            .explicit_flows(vec![Flow::new(NodeId(0), NodeId(3), 5.0, 512)])
+            .explicit_flows(vec![Flow::new(NodeId(0), NodeId(3), 5.0)])
             .build();
         for kind in ProtocolKind::ALL {
             let r = s.run(kind);
@@ -1572,7 +1555,7 @@ mod tests {
         // must still fail loudly (in every build profile) rather than
         // silently generating no traffic.
         let mut s = small_static(false);
-        s.explicit_flows = Some(vec![Flow::new(NodeId(0), NodeId(1), 0.0, 512)]);
+        s.explicit_flows = Some(vec![Flow::new(NodeId(0), NodeId(1), 0.0)]);
         s.run(ProtocolKind::Rica);
     }
 
@@ -1585,8 +1568,8 @@ mod tests {
         for (src, dst) in [(2, 1), (0, 9), (1, 1)] {
             let mut s = small_static(false);
             s.explicit_flows = Some(vec![
-                Flow::new(NodeId(0), NodeId(1), 10.0, 512),
-                Flow::new(NodeId(src), NodeId(dst), 10.0, 512),
+                Flow::new(NodeId(0), NodeId(1), 10.0),
+                Flow::new(NodeId(src), NodeId(dst), 10.0),
             ]);
             let payload = std::panic::catch_unwind(|| World::new(&s, ProtocolKind::Aodv, 1))
                 .expect_err("the flow must be rejected");
@@ -1631,7 +1614,7 @@ mod tests {
             .mean_speed_kmh(0.0)
             .seed(9)
             .pinned_positions(vec![Vec2::new(0.0, 0.0), Vec2::new(900.0, 900.0)])
-            .explicit_flows(vec![Flow::new(NodeId(0), NodeId(1), 10.0, 512)])
+            .explicit_flows(vec![Flow::new(NodeId(0), NodeId(1), 10.0)])
             .build();
         for kind in ProtocolKind::ALL {
             let r = s.run(kind);

@@ -1,13 +1,15 @@
-//! On-demand route discovery: the source-side policy every on-demand
-//! protocol shares, and the relay-side flood history.
+//! On-demand route discovery, one type per side: the source's policy, the
+//! relays' flood history and the destination's reply window.
 //!
 //! RICA, AODV, ABR and BGCA find routes the same way. The source buffers
 //! data for a destination it has no route to, floods a query, re-floods
 //! when no reply came within [`RREQ_RETRY_TIMEOUT`] and gives up after
-//! [`RREQ_MAX_RETRIES`] retries, dropping what waited. [`Discovery`] is that
-//! policy, written once. What the protocols do differently stays with
-//! them: the query they flood, when a destination counts as routed, how
-//! the destination picks a route and how a broken route is repaired.
+//! [`RREQ_MAX_RETRIES`] retries, dropping what waited: [`Discovery`]. Each
+//! relay passes a flood on once and remembers where it came from:
+//! [`FloodHistory`]. The destination answers one copy per flood:
+//! [`ReplyWindow`]. What the protocols do differently stays with them: the
+//! query they flood, how a copy scores, when a destination counts as
+//! routed and how a broken route is repaired.
 
 use std::collections::VecDeque;
 
@@ -15,7 +17,8 @@ use rica_sim::SimTime;
 
 use crate::{
     ControlPacket, DataPacket, DropReason, IdMap, KeyMap, NodeCtx, NodeId, RoutePhase, Timer,
-    TimerToken, MAX_QUEUE_RESIDENCY, PENDING_CAP, RREQ_MAX_RETRIES, RREQ_RETRY_TIMEOUT,
+    TimerToken, MAX_QUEUE_RESIDENCY, PENDING_CAP, REPLY_WINDOW, RREQ_MAX_RETRIES,
+    RREQ_RETRY_TIMEOUT,
 };
 
 /// Builds a protocol's discovery flood `(source, destination, flood id)`.
@@ -210,6 +213,90 @@ impl FloodHistory {
     }
 }
 
+/// A destination's reply windows: per flow source, the flood whose copies
+/// are being collected and the latest flood answered (§II.B).
+///
+/// The first copy of a flood opens a window of [`REPLY_WINDOW`]. A later
+/// copy replaces the best only when it scores strictly better, so a tie
+/// keeps the earlier copy. Copies of an answered or older flood are
+/// ignored, and so are other floods while a window is open.
+///
+/// A destination hears from a handful of sources, so the windows sit in a
+/// sorted vec of those; an id-indexed one would span every id up to the
+/// largest source's.
+#[derive(Debug)]
+pub struct ReplyWindow<S> {
+    by_src: KeyMap<NodeId, Window<S>>,
+}
+
+/// One source's reply state: the open flood (its id, the best copy's score
+/// and the neighbour that relayed it) and the latest flood answered.
+#[derive(Debug)]
+struct Window<S> {
+    open: Option<(u64, S, NodeId)>,
+    answered: Option<u64>,
+}
+
+impl<S> Default for ReplyWindow<S> {
+    fn default() -> Self {
+        ReplyWindow { by_src: KeyMap::new() }
+    }
+}
+
+impl<S> ReplyWindow<S> {
+    fn window(&mut self, src: NodeId) -> &mut Window<S> {
+        self.by_src.or_insert_with(src, || Window { open: None, answered: None })
+    }
+
+    /// Offers a copy of flood `id` from `src`, scored `score` and relayed
+    /// by `via`. The first copy arms the `ReplyWindow` timer; a later one
+    /// becomes the best when `better(&score, &best)`.
+    pub fn offer(
+        &mut self,
+        ctx: &mut dyn NodeCtx,
+        (src, id): (NodeId, u64),
+        score: S,
+        via: NodeId,
+        better: impl Fn(&S, &S) -> bool,
+    ) {
+        let w = self.window(src);
+        if w.answered.is_some_and(|last| id <= last) {
+            return;
+        }
+        match &mut w.open {
+            Some((open, best, best_via)) if *open == id && better(&score, best) => {
+                (*best, *best_via) = (score, via);
+            }
+            Some(_) => {}
+            None => {
+                w.open = Some((id, score, via));
+                let dst = ctx.id();
+                ctx.set_timer(REPLY_WINDOW, Timer::ReplyWindow { src, dst });
+            }
+        }
+    }
+
+    /// Closes `src`'s window, returning the flood id, the best score and
+    /// the neighbour that relayed it; the flood counts as answered.
+    pub fn close(&mut self, src: NodeId) -> Option<(u64, S, NodeId)> {
+        let w = self.by_src.get_mut(&src)?;
+        let best = w.open.take()?;
+        w.answered = Some(best.0);
+        Some(best)
+    }
+
+    /// Whether flood `id` from `src` is unanswered, marking it answered:
+    /// the immediate reply to a first copy.
+    pub fn answer_now(&mut self, src: NodeId, id: u64) -> bool {
+        let w = self.window(src);
+        let unanswered = w.answered.is_none_or(|last| id > last);
+        if unanswered {
+            w.answered = Some(id);
+        }
+        unanswered
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,6 +423,83 @@ mod tests {
         assert_eq!(lq.toward_origin(flow, query(7, 0)), Some(NodeId(6)));
         assert_eq!(lq.toward_origin(flow, query(5, 1)), None);
     }
+
+    fn shorter(new: &f64, best: &f64) -> bool {
+        new < best
+    }
+
+    /// The reply-window timers armed so far, cancelled or not.
+    fn windows_armed(ctx: &ScriptedCtx) -> Vec<(SimTime, Timer)> {
+        ctx.timers.iter().map(|t| (t.at, t.timer)).collect()
+    }
+
+    #[test]
+    fn a_reply_window_arms_one_timer() {
+        let mut ctx = ScriptedCtx::new(NodeId(9));
+        let mut w = ReplyWindow::default();
+        for via in [1, 2, 3] {
+            w.offer(&mut ctx, (NodeId(0), 0), f64::from(via), NodeId(via), shorter);
+        }
+        w.offer(&mut ctx, (NodeId(0), 1), 0.5, NodeId(4), shorter);
+        w.offer(&mut ctx, (NodeId(1), 0), 2.0, NodeId(4), shorter);
+        let at = SimTime::ZERO + REPLY_WINDOW;
+        let window = |src| (at, Timer::ReplyWindow { src: NodeId(src), dst: NodeId(9) });
+        assert_eq!(windows_armed(&ctx), vec![window(0), window(1)], "one per source");
+    }
+
+    #[test]
+    fn only_a_strictly_better_copy_replaces_the_best() {
+        let mut ctx = ScriptedCtx::new(NodeId(9));
+        let mut w = ReplyWindow::default();
+        let flood = (NodeId(0), 3);
+        w.offer(&mut ctx, flood, 5.0, NodeId(1), shorter);
+        w.offer(&mut ctx, flood, 5.0, NodeId(2), shorter);
+        w.offer(&mut ctx, flood, 7.0, NodeId(3), shorter);
+        assert_eq!(w.close(NodeId(0)), Some((3, 5.0, NodeId(1))), "a tie keeps the first");
+        let flood = (NodeId(0), 4);
+        w.offer(&mut ctx, flood, 5.0, NodeId(1), shorter);
+        w.offer(&mut ctx, flood, 4.5, NodeId(2), shorter);
+        w.offer(&mut ctx, flood, 4.5, NodeId(3), shorter);
+        w.offer(&mut ctx, flood, 6.0, NodeId(4), shorter);
+        assert_eq!(w.close(NodeId(0)), Some((4, 4.5, NodeId(2))));
+    }
+
+    #[test]
+    fn another_flood_is_ignored_while_a_window_is_open() {
+        let mut ctx = ScriptedCtx::new(NodeId(9));
+        let mut w = ReplyWindow::default();
+        w.offer(&mut ctx, (NodeId(0), 3), 5.0, NodeId(1), shorter);
+        w.offer(&mut ctx, (NodeId(0), 4), 1.0, NodeId(2), shorter);
+        w.offer(&mut ctx, (NodeId(0), 2), 1.0, NodeId(3), shorter);
+        assert_eq!(w.close(NodeId(0)), Some((3, 5.0, NodeId(1))));
+        assert_eq!(w.close(NodeId(0)), None, "a closed window has nothing to answer");
+        assert_eq!(windows_armed(&ctx).len(), 1);
+    }
+
+    #[test]
+    fn after_close_only_a_newer_flood_opens_a_window() {
+        let mut ctx = ScriptedCtx::new(NodeId(9));
+        let mut w = ReplyWindow::default();
+        w.offer(&mut ctx, (NodeId(0), 5), 3.0, NodeId(1), shorter);
+        assert_eq!(w.close(NodeId(0)), Some((5, 3.0, NodeId(1))));
+        w.offer(&mut ctx, (NodeId(0), 5), 1.0, NodeId(2), shorter);
+        w.offer(&mut ctx, (NodeId(0), 4), 1.0, NodeId(3), shorter);
+        assert_eq!(w.close(NodeId(0)), None, "answered and older floods are ignored");
+        assert_eq!(windows_armed(&ctx).len(), 1);
+        w.offer(&mut ctx, (NodeId(0), 6), 2.0, NodeId(4), shorter);
+        assert_eq!(windows_armed(&ctx).len(), 2, "a newer flood arms a fresh window");
+        assert_eq!(w.close(NodeId(0)), Some((6, 2.0, NodeId(4))));
+    }
+
+    #[test]
+    fn answer_now_answers_each_flood_once() {
+        let mut w = ReplyWindow::<()>::default();
+        assert!(w.answer_now(NodeId(0), 2));
+        assert!(!w.answer_now(NodeId(0), 2), "a later copy of the flood");
+        assert!(!w.answer_now(NodeId(0), 1), "an older flood");
+        assert!(w.answer_now(NodeId(1), 2), "floods are per source");
+        assert!(w.answer_now(NodeId(0), 3));
+    }
 }
 
 #[cfg(test)]
@@ -384,6 +548,60 @@ mod proptests {
                     prop_assert_eq!(h.first_copy(flow, id, NodeId(from)), first);
                 }
                 prop_assert_eq!(h.toward_origin(flow, id), model.get(&(flow, id)).copied());
+            }
+        }
+
+        /// `offer`, `close` and `answer_now` answer, and arm timers, exactly
+        /// as a per-source model of the open flood and the latest answered
+        /// one does, for random interleavings over a few sources, flood
+        /// ids, scores (ties included) and relays.
+        #[test]
+        fn reply_window_matches_a_btreemap(
+            ops in proptest::collection::vec(
+                (0u8..3, 0u32..3, 0u64..5, 0u32..3, 0u32..4),
+                1..300,
+            ),
+        ) {
+            let mut ctx = crate::testing::ScriptedCtx::new(NodeId(9));
+            let mut w = ReplyWindow::default();
+            type Open = Option<(u64, u32, NodeId)>;
+            let mut model: BTreeMap<NodeId, (Open, Option<u64>)> = BTreeMap::new();
+            for (op, src, id, score, via) in ops {
+                let (src, via) = (NodeId(src), NodeId(via));
+                let (open, answered) = model.entry(src).or_default();
+                let unanswered = answered.is_none_or(|last| id > last);
+                match op {
+                    0 => {
+                        let armed = ctx.timers.len();
+                        w.offer(&mut ctx, (src, id), score, via, |new, best| new < best);
+                        let opens = unanswered && open.is_none();
+                        if opens {
+                            *open = Some((id, score, via));
+                        } else if let Some((open_id, best, best_via)) = open {
+                            if unanswered && *open_id == id && score < *best {
+                                (*best, *best_via) = (score, via);
+                            }
+                        }
+                        prop_assert_eq!(ctx.timers.len(), armed + usize::from(opens));
+                        if opens {
+                            let timer = ctx.timers.last().map(|t| t.timer);
+                            prop_assert_eq!(timer, Some(Timer::ReplyWindow { src, dst: NodeId(9) }));
+                        }
+                    }
+                    1 => {
+                        let want = open.take();
+                        if let Some((open_id, ..)) = want {
+                            *answered = Some(open_id);
+                        }
+                        prop_assert_eq!(w.close(src), want);
+                    }
+                    _ => {
+                        if unanswered {
+                            *answered = Some(id);
+                        }
+                        prop_assert_eq!(w.answer_now(src, id), unanswered);
+                    }
+                }
             }
         }
     }

@@ -15,6 +15,8 @@
 //!   RICA, AODV, ABR and BGCA share: packets waiting for a route, query
 //!   floods, retries and giving up. [`FloodHistory`] is the relay side:
 //!   which floods were seen, and the reverse path each came along.
+//!   [`ReplyWindow`] is the destination side: which copy of a flood to
+//!   answer, and which floods are answered.
 //! * [`RoutingProtocol`] / [`NodeCtx`] — the protocol ↔ node boundary. A
 //!   protocol is a *pure state machine* over packets and timers; the context
 //!   supplies every side effect (transmission, timers, CSI measurement).
@@ -28,8 +30,8 @@
 //!   implementations (their tables sit on the per-event hot path).
 //!
 //! The crate deliberately contains **no event loop and no protocol logic**
-//! beyond the one source-side discovery policy the on-demand protocols
-//! share ([`Discovery`]).
+//! beyond the route discovery the on-demand protocols share, one type per
+//! side ([`Discovery`], [`FloodHistory`], [`ReplyWindow`]).
 
 #![warn(missing_docs)]
 
@@ -49,7 +51,7 @@ pub use config::{
     MAX_QUEUE_RESIDENCY, PENDING_CAP, REPLY_WINDOW, ROUTE_IDLE_TIMEOUT, RREQ_MAX_RETRIES,
     RREQ_RETRY_TIMEOUT,
 };
-pub use discovery::{Discovery, FloodBuilder, FloodHistory};
+pub use discovery::{Discovery, FloodBuilder, FloodHistory, ReplyWindow};
 pub use flatmap::{IdMap, KeyMap};
 pub use ids::{FlowId, NodeId};
 pub use packet::{

@@ -4,8 +4,8 @@
 //! waits in the repairing terminal.
 
 use rica_net::{
-    ControlPacket, DataPacket, IdMap, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer,
-    ABR_STABILITY_TICKS, BEACON_LOSS_LIMIT, BEACON_PERIOD, REPLY_WINDOW,
+    ControlPacket, DataPacket, IdMap, NodeCtx, NodeId, ReplyWindow, RoutingProtocol, RxInfo, Timer,
+    ABR_STABILITY_TICKS, BEACON_LOSS_LIMIT, BEACON_PERIOD,
 };
 use rica_sim::SimTime;
 
@@ -39,14 +39,14 @@ fn bq_flood(src: NodeId, dst: NodeId, bcast_id: u64) -> ControlPacket {
 pub struct Abr {
     /// Associativity ticks per neighbour: (consecutive beacons, last heard).
     ticks: IdMap<(u32, SimTime)>,
-    /// Destination-side BQ collection window per source.
-    windows: IdMap<(u64, Score, NodeId)>,
+    /// Destination side: the BQ copies collected per source.
+    replies: ReplyWindow<Score>,
     router: FlowRouter,
 }
 
 impl Default for Abr {
     fn default() -> Self {
-        Abr { ticks: IdMap::new(), windows: IdMap::new(), router: FlowRouter::new(bq_flood) }
+        Abr { ticks: IdMap::new(), replies: Default::default(), router: FlowRouter::new(bq_flood) }
     }
 }
 
@@ -99,23 +99,8 @@ impl RoutingProtocol for Abr {
                 let new_stable = stable_links.saturating_add(stable_inc);
                 let new_topo = topo_hops.saturating_add(1);
                 if dst == me {
-                    if self.router.answered(src, bcast_id) {
-                        return;
-                    }
                     let score = Score { stable_links: new_stable, load, topo: new_topo };
-                    match self.windows.get_mut(src) {
-                        Some((wid, best, via)) if *wid == bcast_id => {
-                            if score.better_than(best) {
-                                *best = score;
-                                *via = rx.from;
-                            }
-                        }
-                        Some(_) => {}
-                        None => {
-                            self.windows.insert(src, (bcast_id, score, rx.from));
-                            ctx.set_timer(REPLY_WINDOW, Timer::ReplyWindow { src, dst });
-                        }
-                    }
+                    self.replies.offer(ctx, (src, bcast_id), score, rx.from, Score::better_than);
                     return;
                 }
                 if !self.router.floods.first_copy((src, dst), bcast_id, rx.from) {
@@ -146,7 +131,7 @@ impl RoutingProtocol for Abr {
                 ctx.set_timer(BEACON_PERIOD, Timer::Beacon);
             }
             Timer::ReplyWindow { src, .. } => {
-                let Some((bcast_id, score, via)) = self.windows.remove(src) else { return };
+                let Some((bcast_id, score, via)) = self.replies.close(src) else { return };
                 self.router.answer(ctx, src, bcast_id, via, 0.0, score.topo);
             }
             _ => self.router.on_timer(ctx, timer),

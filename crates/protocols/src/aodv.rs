@@ -3,7 +3,7 @@
 
 use rica_net::{
     ControlPacket, DataPacket, Discovery, DropReason, FloodHistory, IdMap, KeyMap, NodeCtx, NodeId,
-    RoutePhase, RoutingProtocol, RxInfo, Timer, AODV_ROUTE_TIMEOUT,
+    ReplyWindow, RoutePhase, RoutingProtocol, RxInfo, Timer, AODV_ROUTE_TIMEOUT,
 };
 use rica_sim::SimTime;
 
@@ -25,8 +25,8 @@ struct Route {
 pub struct Aodv {
     /// Per-flow RREQ dedup + reverse pointers.
     reverse: FloodHistory,
-    /// At a destination: highest flood id already answered, per source.
-    replied: IdMap<u64>,
+    /// Destination side: the floods already answered, per source.
+    replies: ReplyWindow<()>,
     /// Destination-keyed forwarding table.
     routes: IdMap<Route>,
     /// Per-flow upstream neighbour (learned from passing data packets).
@@ -83,10 +83,9 @@ impl RoutingProtocol for Aodv {
                 }
                 if dst == me {
                     // Paper's AODV: reply to the FIRST copy, immediately.
-                    if self.replied.get(src).is_some_and(|&b| bcast_id <= b) {
+                    if !self.replies.answer_now(src, bcast_id) {
                         return;
                     }
-                    self.replied.insert(src, bcast_id);
                     ctx.unicast(
                         rx.from,
                         ControlPacket::Rrep {

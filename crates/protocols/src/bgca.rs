@@ -6,8 +6,8 @@
 //! query that splices a partial route in.
 
 use rica_net::{
-    ControlPacket, DataPacket, IdMap, KeyMap, NodeCtx, NodeId, RoutingProtocol, RxInfo, Timer,
-    BGCA_MONITOR_PERIOD, BGCA_REPAIR_COOLDOWN, REPLY_WINDOW,
+    ControlPacket, DataPacket, KeyMap, NodeCtx, NodeId, ReplyWindow, RoutingProtocol, RxInfo,
+    Timer, BGCA_MONITOR_PERIOD, BGCA_REPAIR_COOLDOWN,
 };
 use rica_sim::SimTime;
 
@@ -18,9 +18,9 @@ use crate::common::{FlowKey, FlowRouter};
 /// selection and the bandwidth guard.
 #[derive(Debug, Default)]
 pub struct Bgca {
-    /// Destination-side RREQ collection window per source:
-    /// (bcast, best CSI, best topo, via).
-    windows: IdMap<(u64, f64, u8, NodeId)>,
+    /// Destination side: the RREQ copies collected per source, scored by
+    /// (CSI distance, topological hops).
+    replies: ReplyWindow<(f64, u8)>,
     /// Last repair start per flow (guard cooldown).
     last_repair: KeyMap<FlowKey, SimTime>,
     router: FlowRouter,
@@ -94,23 +94,9 @@ impl RoutingProtocol for Bgca {
                 let new_topo = topo_hops.saturating_add(1);
                 if dst == me {
                     // CSI-shortest selection with a reply window, like RICA.
-                    if self.router.answered(src, bcast_id) {
-                        return;
-                    }
-                    match self.windows.get_mut(src) {
-                        Some((wid, best_csi, best_topo, via)) if *wid == bcast_id => {
-                            if new_csi < *best_csi {
-                                *best_csi = new_csi;
-                                *best_topo = new_topo;
-                                *via = rx.from;
-                            }
-                        }
-                        Some(_) => {}
-                        None => {
-                            self.windows.insert(src, (bcast_id, new_csi, new_topo, rx.from));
-                            ctx.set_timer(REPLY_WINDOW, Timer::ReplyWindow { src, dst });
-                        }
-                    }
+                    let score = (new_csi, new_topo);
+                    let shorter = |new: &(f64, u8), best: &(f64, u8)| new.0 < best.0;
+                    self.replies.offer(ctx, (src, bcast_id), score, rx.from, shorter);
                     return;
                 }
                 if !self.router.floods.first_copy((src, dst), bcast_id, rx.from) {
@@ -139,7 +125,7 @@ impl RoutingProtocol for Bgca {
                 ctx.set_timer(BGCA_MONITOR_PERIOD, Timer::LinkMonitor);
             }
             Timer::ReplyWindow { src, .. } => {
-                let Some((bcast_id, csi, topo, via)) = self.windows.remove(src) else { return };
+                let Some((bcast_id, (csi, topo), via)) = self.replies.close(src) else { return };
                 self.router.answer(ctx, src, bcast_id, via, csi, topo);
             }
             _ => self.router.on_timer(ctx, timer),

@@ -5,20 +5,20 @@
 //! link *locally*: the terminal upstream of the break floods a TTL-limited
 //! local query (LQ) and holds the flow's data until a partial route answers
 //! or the query times out. [`FlowRouter`] is all of that, written once: the
-//! route entries, the flood and query histories, the repairs, the reply
-//! history and the source-side [`Discovery`]. It handles the RREP, LQ,
-//! LQ-reply and REER packets, data forwarding, the retry and LQ timers and
-//! link failures.
+//! route entries, the flood and query histories, the repairs and the
+//! source-side [`Discovery`]. It handles the RREP, LQ, LQ-reply and REER
+//! packets, data forwarding, the retry and LQ timers and link failures,
+//! and sends the destination's reply once its window closes.
 //!
-//! What stays in each protocol is how the destination scores the flood
-//! copies it collects (ABR: stability, then load, then hops; BGCA: CSI
-//! distance), ABR's beacons and associativity ticks, and BGCA's bandwidth
-//! guard, which starts repairs on links that are degraded but still up.
+//! What stays in each protocol is its [`rica_net::ReplyWindow`] and how it
+//! scores the flood copies the window collects (ABR: stability, then load,
+//! then hops; BGCA: CSI distance), ABR's beacons and associativity ticks,
+//! and BGCA's bandwidth guard, which starts repairs on links that are
+//! degraded but still up.
 
 use rica_net::{
-    ControlPacket, DataPacket, Discovery, DropReason, FloodBuilder, FloodHistory, IdMap, KeyMap,
-    NodeCtx, NodeId, RoutePhase, RxInfo, Timer, AODV_ROUTE_TIMEOUT, LQ_TIMEOUT, LQ_TTL_SLACK,
-    PENDING_CAP,
+    ControlPacket, DataPacket, Discovery, DropReason, FloodBuilder, FloodHistory, KeyMap, NodeCtx,
+    NodeId, RoutePhase, RxInfo, Timer, AODV_ROUTE_TIMEOUT, LQ_TIMEOUT, LQ_TTL_SLACK, PENDING_CAP,
 };
 use rica_sim::{SimDuration, SimTime};
 
@@ -97,9 +97,6 @@ pub(crate) struct FlowRouter {
     queries: FloodHistory,
     /// In-progress local repairs per flow.
     pub repairs: KeyMap<FlowKey, Repair>,
-    /// Destination side: highest discovery flood already answered, per
-    /// source.
-    replied: IdMap<u64>,
     /// Source side: packets awaiting a route, floods and retries.
     discovery: Discovery,
     /// Id of the next local query this terminal starts. A `u32`, so a
@@ -126,12 +123,6 @@ impl FlowRouter {
         self.routes.get(&(src, dst)).and_then(|e| e.downstream)
     }
 
-    /// Whether the destination already answered flood `bcast_id` (or a
-    /// later one) from `src`.
-    pub fn answered(&self, src: NodeId, bcast_id: u64) -> bool {
-        self.replied.get(src).is_some_and(|&b| bcast_id <= b)
-    }
-
     /// The destination's reply window closed: answer flood `bcast_id` from
     /// `src` along `via`, the neighbour that relayed the best copy.
     pub fn answer(
@@ -145,7 +136,6 @@ impl FlowRouter {
     ) {
         let dst = ctx.id();
         let now = ctx.now();
-        self.replied.insert(src, bcast_id);
         let e = self.routes.or_insert_with((src, dst), || FlowEntry::new(now));
         e.upstream = Some(via);
         e.last_used = now;

@@ -32,14 +32,15 @@
 //! The three on-demand baselines find routes through
 //! [`rica_net::Discovery`], the source-side policy RICA uses too: buffer,
 //! flood, retry, give up. Their relays remember floods in a
-//! [`rica_net::FloodHistory`]. ABR and BGCA also share one flow-routing
-//! core (the crate-private `FlowRouter` in `common.rs`): per-flow route
-//! entries, RREP relaying, data forwarding, REERs and local repair by
-//! LQ, with data held at the repairing terminal. Each keeps only what
-//! makes it different: ABR its beacons, associativity ticks, BQ flood and
-//! stability-first reply window; BGCA its CSI-shortest reply window and
-//! the bandwidth guard with its cooldown. AODV keeps destination-keyed
-//! routes and its first-copy reply.
+//! [`rica_net::FloodHistory`], and their destinations pick the copy to
+//! answer through a [`rica_net::ReplyWindow`]. ABR and BGCA also share
+//! one flow-routing core (the crate-private `FlowRouter` in `common.rs`):
+//! per-flow route entries, RREP relaying, data forwarding, REERs and
+//! local repair by LQ, with data held at the repairing terminal. Each
+//! keeps only what makes it different: ABR its beacons, associativity
+//! ticks, BQ flood and stability-first copy score; BGCA its CSI-distance
+//! copy score and the bandwidth guard with its cooldown. AODV keeps
+//! destination-keyed routes and answers the first copy at once.
 
 #![warn(missing_docs)]
 

@@ -56,8 +56,8 @@ pub enum ArrivalSpec {
 /// The packet-size distribution of a flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeSpec {
-    /// Every packet carries the flow's configured `packet_bytes` (the
-    /// paper's 512-byte workload and this crate's default).
+    /// Every packet carries the `packet_bytes` its generator was built
+    /// with (the paper's 512-byte workload and this crate's default).
     Fixed,
     /// Uniform payload in `[lo, hi]` bytes (inclusive).
     Uniform {

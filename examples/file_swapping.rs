@@ -11,24 +11,23 @@
 //! ```
 
 use rica_repro::harness::{Flow, ProtocolKind, Scenario};
-use rica_repro::net::NodeId;
+use rica_repro::net::{NodeId, DATA_PAYLOAD_BYTES};
 
 const FILE_BYTES: u64 = 1 << 20; // 1 MiB per direction
-const PACKET_BYTES: u32 = 512;
 
 fn main() {
     // Two bidirectional swaps: (3 ⇄ 27) and (11 ⇄ 40), each direction a
     // 20 pkt/s stream of 512-byte chunks.
     let flows = vec![
-        Flow::new(NodeId(3), NodeId(27), 20.0, PACKET_BYTES),
-        Flow::new(NodeId(27), NodeId(3), 20.0, PACKET_BYTES),
-        Flow::new(NodeId(11), NodeId(40), 20.0, PACKET_BYTES),
-        Flow::new(NodeId(40), NodeId(11), 20.0, PACKET_BYTES),
+        Flow::new(NodeId(3), NodeId(27), 20.0),
+        Flow::new(NodeId(27), NodeId(3), 20.0),
+        Flow::new(NodeId(11), NodeId(40), 20.0),
+        Flow::new(NodeId(40), NodeId(11), 20.0),
     ];
-    let packets_needed = FILE_BYTES / PACKET_BYTES as u64;
+    let packets_needed = FILE_BYTES / u64::from(DATA_PAYLOAD_BYTES);
 
     println!("file swap: 4 unidirectional streams, {FILE_BYTES} bytes each");
-    println!("({packets_needed} packets of {PACKET_BYTES} B per stream)\n");
+    println!("({packets_needed} packets of {DATA_PAYLOAD_BYTES} B per stream)\n");
 
     for kind in [ProtocolKind::Rica, ProtocolKind::Aodv] {
         let scenario = Scenario::builder()
@@ -39,7 +38,7 @@ fn main() {
             .seed(12)
             .build();
         let report = scenario.run(kind);
-        let delivered_bytes = report.delivered * (PACKET_BYTES as u64);
+        let delivered_bytes = report.delivered * u64::from(DATA_PAYLOAD_BYTES);
         let per_stream = delivered_bytes as f64 / flows.len() as f64;
         let goodput_kbps = per_stream * 8.0 / 180.0 / 1e3;
         let eta_secs = FILE_BYTES as f64 / (per_stream / 180.0);

@@ -16,7 +16,7 @@ fn main() {
     };
     let scenario = Scenario::builder()
         .nodes(30)
-        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(17), 10.0, 512)])
+        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(17), 10.0)])
         .mean_speed_kmh(36.0)
         .duration_secs(60.0)
         .seed(33)

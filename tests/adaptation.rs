@@ -38,7 +38,7 @@ fn relay_vs_direct() -> Scenario {
             Vec2::new(340.0, 500.0), // 1: destination (240 m away, class D)
             Vec2::new(220.0, 500.0), // 2: midpoint relay (120 m links, class B)
         ])
-        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(1), 8.0, 512)])
+        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(1), 8.0)])
         .build()
 }
 

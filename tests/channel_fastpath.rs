@@ -45,7 +45,7 @@ fn range_boundary_is_a_link_end_to_end() {
             // (a non-zero anchor would round the sum back onto the grid of
             // the larger coordinate).
             .pinned_positions(vec![Vec2::new(0.0, 500.0), Vec2::new(gap, 500.0)])
-            .explicit_flows(vec![Flow::new(NodeId(0), NodeId(1), 10.0, 512)])
+            .explicit_flows(vec![Flow::new(NodeId(0), NodeId(1), 10.0)])
             .build();
         s.run(ProtocolKind::Rica)
     };

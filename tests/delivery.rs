@@ -18,7 +18,7 @@ fn chain() -> Scenario {
             Vec2::new(650.0, 500.0),
             Vec2::new(850.0, 500.0),
         ])
-        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(4), 5.0, 512)])
+        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(4), 5.0)])
         .build()
 }
 
@@ -48,7 +48,7 @@ fn partitioned_network_delivers_nothing_but_drops_cleanly() {
             Vec2::new(900.0, 900.0),
             Vec2::new(1000.0, 900.0),
         ])
-        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(3), 10.0, 512)])
+        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(3), 10.0)])
         .build();
     for kind in ProtocolKind::ALL {
         let r = s.run(kind);
@@ -68,10 +68,8 @@ fn partitioned_network_delivers_nothing_but_drops_cleanly() {
 #[test]
 fn bidirectional_flows_coexist() {
     let mut s = chain();
-    s.explicit_flows = Some(vec![
-        Flow::new(NodeId(0), NodeId(4), 5.0, 512),
-        Flow::new(NodeId(4), NodeId(0), 5.0, 512),
-    ]);
+    s.explicit_flows =
+        Some(vec![Flow::new(NodeId(0), NodeId(4), 5.0), Flow::new(NodeId(4), NodeId(0), 5.0)]);
     for kind in [ProtocolKind::Rica, ProtocolKind::Aodv] {
         let r = s.run(kind);
         assert!(
@@ -108,7 +106,7 @@ fn higher_load_cannot_increase_delivery_ratio_on_a_bottleneck() {
     // the ratio may only go down relative to 5 pkt/s.
     let slow = chain().run(ProtocolKind::Aodv);
     let mut s = chain();
-    s.explicit_flows = Some(vec![Flow::new(NodeId(0), NodeId(4), 30.0, 512)]);
+    s.explicit_flows = Some(vec![Flow::new(NodeId(0), NodeId(4), 30.0)]);
     let fast = s.run(ProtocolKind::Aodv);
     assert!(
         fast.delivery_ratio() <= slow.delivery_ratio() + 0.02,

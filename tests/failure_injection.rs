@@ -34,7 +34,7 @@ fn two_relay_diamond(faults: FaultPlan) -> Scenario {
             Vec2::new(280.0, 420.0),
             Vec2::new(460.0, 500.0),
         ])
-        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(3), 8.0, 512)])
+        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(3), 8.0)])
         .faults(faults)
         .build()
 }
@@ -116,7 +116,7 @@ fn three_node_chain(duration_secs: f64, faults: FaultPlan) -> Scenario {
             Vec2::new(300.0, 500.0),
             Vec2::new(500.0, 500.0),
         ])
-        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(2), 8.0, 512)])
+        .explicit_flows(vec![Flow::new(NodeId(0), NodeId(2), 8.0)])
         .faults(faults)
         .build()
 }
